@@ -34,14 +34,14 @@ from .sweeps import SUITES, run_suite
 def _p_arg(text: str) -> LorentzParam:
     try:
         return LorentzParam.from_fraction(parse_fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
 def _eps_arg(text: str) -> Fraction:
     try:
         eps = parse_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     if not 0 < eps < 1:
         raise argparse.ArgumentTypeError(f"epsilon must lie in (0, 1), got {eps}")
@@ -51,7 +51,7 @@ def _eps_arg(text: str) -> Fraction:
 def _coeff_arg(text: str) -> Fraction:
     try:
         return parse_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -81,8 +81,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_row=args.max_row,
         max_m=args.max_m,
         epsilon=args.epsilon,
-        out=args.out,
-        fmt=args.format,
     )
     report = run_suite(cfg)
     _emit(report.rendered(args.format), args.out)

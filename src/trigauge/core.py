@@ -7,14 +7,13 @@ vector on D.  Two scale measurements drive everything built on top:
 * ``row_norm_sq(x)``: the square of the row-average seminorm, the sum over
   rows of (absolute row sum / row index)^2.  Stored squared so it stays
   rational.
-* the weak Lorentz comparison ``lorentz_le(a, c_sq, p)``: with a* the
-  decreasing rearrangement of |a|, decides sup_n a*_n n^(1/p) <= c.  For
-  rational data and rational c^2 this reduces to the integer power test
-  (a*_n)^(2 num) * n^(2 den) <= (c^2)^num for every n, where p = num/den.
-
-Variants taking squared or fourth-power data exist because certificates
-naturally carry squares (seminorms) and fourth powers (smallness bounds);
-converting would introduce roots, the variants avoid that.
+* the weak Lorentz comparison ``lorentz_le_sq(a_sq, bound, p, power)``:
+  with a* the decreasing rearrangement of |a|, given the squares a_sq and
+  bound = c^power, decides sup_n a*_n n^(1/p) <= c.  For rational data this
+  reduces to the integer power test
+  (a*_n^2)^(num power/2) * n^(den power) <= bound^num for every n, where
+  p = num/den.  Certificates carry squares (seminorms), and the smallness
+  bound c = (16 eps)^(1/4) is rational only as c^4, hence power 2 or 4.
 
 The comparison constant ``lorentz_l2_constant`` encloses
 C(p) = (sum_n n^(-2/p))^(1/2), the factor relating the row-average
@@ -224,10 +223,6 @@ def dot(x: TriVector, y: TriVector) -> Fraction:
     return sum((v * big.entry(i, j) for (i, j), v in small.items()), Fraction(0))
 
 
-def sup_norm(x: TriVector) -> Fraction:
-    return x.sup_norm()
-
-
 def is_row_disjoint(*xs: TriVector) -> bool:
     """Whether the vectors occupy pairwise disjoint sets of rows."""
     seen: set[int] = set()
@@ -251,79 +246,32 @@ def l2_norm_sq(values: Iterable[Rational]) -> Fraction:
     return sum((Fraction(v) ** 2 for v in values), Fraction(0))
 
 
-def decreasing_rearrangement(values: Iterable[Rational]) -> tuple[Fraction, ...]:
-    return tuple(sorted((abs(Fraction(v)) for v in values), reverse=True))
-
-
 # -- weak Lorentz comparisons ----------------------------------------------
 
 
-def lorentz_le(values: Iterable[Rational], c_sq: Rational, p: LorentzParam) -> bool:
-    """Decide sup_n a*_n n^(1/p) <= c given c^2; exact integer power test."""
-    c = Fraction(c_sq)
-    if c < 0:
-        raise ValueError("negative squared bound")
-    rhs = c**p.num
-    for n, v in enumerate(decreasing_rearrangement(values), start=1):
-        if v == 0:
-            break
-        if v ** (2 * p.num) * n ** (2 * p.den) > rhs:
-            return False
-    return True
+def lorentz_le_sq(
+    values_sq: Iterable[Rational], bound: Rational, p: LorentzParam, power: int = 2
+) -> bool:
+    """Decide sup_n a*_n n^(1/p) <= c given the squares a_n^2 and bound = c^power.
 
-
-def lorentz_le_sq(values_sq: Iterable[Rational], c_sq: Rational, p: LorentzParam) -> bool:
-    """Same comparison with the data already squared (a*_n^2 given)."""
-    c = Fraction(c_sq)
-    if c < 0:
-        raise ValueError("negative squared bound")
-    rhs = c**p.num
-    squares = sorted((Fraction(v) for v in values_sq), reverse=True)
-    for n, v2 in enumerate(squares, start=1):
-        if v2 < 0:
-            raise ValueError("negative square in data")
+    power is 2 (bound c^2) or 4 (bound c^4); the test is exact in integers.
+    """
+    if power not in (2, 4):
+        raise ValueError("power must be 2 or 4")
+    bound = Fraction(bound)
+    if bound < 0:
+        raise ValueError("negative bound")
+    squares = [Fraction(v) for v in values_sq]
+    if any(v2 < 0 for v2 in squares):
+        raise ValueError("negative square in data")
+    rhs = bound**p.num
+    half = power // 2
+    for n, v2 in enumerate(sorted(squares, reverse=True), start=1):
         if v2 == 0:
             break
-        if v2**p.num * n ** (2 * p.den) > rhs:
+        if v2 ** (half * p.num) * n ** (power * p.den) > rhs:
             return False
     return True
-
-
-def lorentz_le_4th(values_sq: Iterable[Rational], c_4th: Rational, p: LorentzParam) -> bool:
-    """Comparison against c given c^4, data squared; used for c = (16 eps)^(1/4)."""
-    c4 = Fraction(c_4th)
-    if c4 < 0:
-        raise ValueError("negative fourth-power bound")
-    rhs = c4**p.num
-    squares = sorted((Fraction(v) for v in values_sq), reverse=True)
-    for n, v2 in enumerate(squares, start=1):
-        if v2 < 0:
-            raise ValueError("negative square in data")
-        if v2 == 0:
-            break
-        if v2 ** (2 * p.num) * n ** (4 * p.den) > rhs:
-            return False
-    return True
-
-
-def lorentz_value(
-    values: Iterable[Rational], p: LorentzParam, rel_tol: Rational = Fraction(1, 10**9)
-) -> Interval:
-    """Enclose sup_n a*_n n^(1/p) within relative width rel_tol."""
-    a = decreasing_rearrangement(values)
-    if not a or a[0] == 0:
-        return Interval.point(0)
-    for bits in (96, 192, 384):
-        lo = hi = Fraction(0)
-        for n, v in enumerate(a, start=1):
-            if v == 0:
-                break
-            iv = pow_enclosure(n, p.den, p.num, bits)
-            lo = max(lo, v * iv.lo)
-            hi = max(hi, v * iv.hi)
-        if hi - lo <= Fraction(rel_tol) * lo:
-            return Interval(lo, hi)
-    raise ArithmeticError("rel_tol unreachable")  # not reachable at sane tolerances
 
 
 def lorentz_value_sq(
@@ -331,13 +279,13 @@ def lorentz_value_sq(
 ) -> Interval:
     """Enclose sup_n sqrt(a2*_n) n^(1/p) from squared data."""
     squares = sorted((Fraction(v) for v in values_sq), reverse=True)
+    if squares and squares[-1] < 0:
+        raise ValueError("negative square in data")
     if not squares or squares[0] == 0:
         return Interval.point(0)
     for bits in (96, 192, 384):
         lo = hi = Fraction(0)
         for n, v2 in enumerate(squares, start=1):
-            if v2 < 0:
-                raise ValueError("negative square in data")
             if v2 == 0:
                 break
             # value_n = (v2^num * n^(2 den))^(1 / (2 num))
@@ -355,8 +303,7 @@ _ACC_BITS = 96  # scaled-integer accumulator; rounding stays ~1e-29 per term
 _TERM_BITS = 64
 
 
-@lru_cache(maxsize=16)
-def _constant_sq_cached(num: int, den: int, terms: int) -> Interval:
+def _constant_sq(num: int, den: int, terms: int) -> Interval:
     scale = 1 << _TERM_BITS
     acc_scale = 1 << _ACC_BITS
     q_num, q_den = 2 * den, num  # exponent 2/p = 2 den / num
@@ -378,6 +325,7 @@ def _constant_sq_cached(num: int, den: int, terms: int) -> Interval:
     return Interval(partial.lo + tail_lo, partial.hi + tail_hi)
 
 
+@lru_cache(maxsize=16)
 def lorentz_l2_constant(p: LorentzParam, terms: int = 10**4) -> Interval:
     """Enclose C(p) = (sum_{n>=1} n^(-2/p))^(1/2).
 
@@ -387,14 +335,8 @@ def lorentz_l2_constant(p: LorentzParam, terms: int = 10**4) -> Interval:
     """
     if terms < 1:
         raise ValueError("need at least one term")
-    c_sq = _constant_sq_cached(p.num, p.den, terms)
+    c_sq = _constant_sq(p.num, p.den, terms)
     return Interval(sqrt_enclosure(c_sq.lo).lo, sqrt_enclosure(c_sq.hi).hi)
-
-
-def lorentz_l2_constant_sq(p: LorentzParam, terms: int = 10**4) -> Interval:
-    if terms < 1:
-        raise ValueError("need at least one term")
-    return _constant_sq_cached(p.num, p.den, terms)
 
 
 # -- row pairings -------------------------------------------------------------

@@ -47,7 +47,6 @@ from .core import (
     LorentzParam,
     TriVector,
     is_row_disjoint,
-    lorentz_le_4th,
     lorentz_le_sq,
     lorentz_value_sq,
     row_norm_sq,
@@ -107,34 +106,6 @@ def _check_sorted(cols: Matrix) -> None:
             raise ValueError("columns must be sorted nonincreasing")
 
 
-def reduce_step(cols: Matrix) -> tuple[frozenset[int], Matrix] | None:
-    """One reduction: remove the top entries of a column subset with mass >= 1/2.
-
-    The tops are the first nonzero entry of every column (which is the
-    column maximum once columns are sorted).  Returns None when their
-    total is at most 1 (the matrix is irreducible).  Columns keep their
-    positions; removed cells become zeros.
-    """
-    cols = tuple(tuple(Fraction(v) for v in col) for col in cols)
-    _check_entries(cols)
-    tops: list[tuple[int, Fraction]] = []
-    for j, col in enumerate(cols):
-        top = next((v for v in col if v), None)
-        if top is not None:
-            tops.append((j, top))
-    if sum((v for _, v in tops), Fraction(0)) <= 1:
-        return None
-    picked = select_subset([v for _, v in tops])
-    selected = frozenset(tops[i][0] for i in picked)
-    new_cols = []
-    for j, col in enumerate(cols):
-        if j in selected:
-            first = next(i for i, v in enumerate(col) if v)
-            col = col[:first] + (Fraction(0),) + col[first + 1 :]
-        new_cols.append(col)
-    return selected, tuple(new_cols)
-
-
 @dataclass(frozen=True, slots=True)
 class PartitionResult:
     """Cells grouped so each part holds <= 1 cell per column, sums <= 1."""
@@ -143,7 +114,7 @@ class PartitionResult:
     reductions: int
 
 
-def partition_matrix(cols, check: bool = True) -> PartitionResult:
+def partition_matrix(cols) -> PartitionResult:
     """Partition the cells of a sorted [0,1] matrix.
 
     Runs reductions until the top entries sum to at most 1, then sweeps
@@ -156,8 +127,9 @@ def partition_matrix(cols, check: bool = True) -> PartitionResult:
     cols = tuple(tuple(Fraction(v) for v in col) for col in cols)
     _check_entries(cols)
     _check_sorted(cols)
-    # Pointer form of the reduce_step loop: cells above pointers[j] are
-    # removed.  Sortedness puts nonzero cells first, so pointers only
+    # Each round removes the top remaining cell of a column subset whose
+    # tops sum to at least 1/2 (``select_subset``); cells above pointers[j]
+    # are removed.  Sortedness puts nonzero cells first, so pointers only
     # ever traverse nonzero prefixes.
     pointers = [0] * len(cols)
     nonzero = [sum(1 for v in col if v) for col in cols]
@@ -179,7 +151,7 @@ def partition_matrix(cols, check: bool = True) -> PartitionResult:
             pointers[j] += 1
         parts.append(frozenset(part))
     reductions = len(parts)
-    if check and total > 0 and reductions >= 2 * total:
+    if total > 0 and reductions >= 2 * total:
         raise AssertionError("reduction count reached 2 * mass")
     max_depth = max((len(col) for col in cols), default=0)
     for depth in range(max_depth):
@@ -188,8 +160,7 @@ def partition_matrix(cols, check: bool = True) -> PartitionResult:
         )
         if part:
             parts.append(part)
-    if check:
-        _validate_partition(cols, parts)
+    _validate_partition(cols, parts)
     return PartitionResult(tuple(parts), reductions)
 
 
@@ -515,7 +486,7 @@ def verify_decomposition(
     # block seminorms; the fourth-power test certifies the 2 eps^(1/4)
     # claim, and the scale itself must meet the 5 eps^(1/4) target.
     norms = [blk.block_norm_sq for blk in cert.blocks]
-    if not lorentz_le_4th(norms, 16 * eps, p):
+    if not lorentz_le_sq(norms, 16 * eps, p, power=4):
         problems.append("block seminorms fail the 16 eps fourth-power test")
     if cert.blocks:
         needed = max(
@@ -602,15 +573,6 @@ def make_disjoint_rep(
     if not lorentz_le_sq(norms, bound, p):
         raise ValueError("piece seminorms break the Lorentz bound")
     return DisjointRep(pieces, certs, norms, p, bound)
-
-
-def smallness_upper_sq(rep: DisjointRep) -> Fraction:
-    """Square of the representative's largest piece seminorm.
-
-    Upper-bounds the square of the minimal sup over all representatives
-    of the same element (the representative exhibited is one candidate).
-    """
-    return rep.max_norm_sq()
 
 
 @dataclass(frozen=True, slots=True)

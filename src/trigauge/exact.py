@@ -1,4 +1,4 @@
-"""Exact arithmetic helpers: integer roots, rational enclosures, root comparisons.
+"""Exact arithmetic helpers: integer roots and rational enclosures.
 
 Everything downstream stores square (or fourth-power) quantities and compares
 them through integer power tests, so the primitives here never round.  When a
@@ -161,103 +161,13 @@ def pow_enclosure(x: Rational, e_num: int, e_den: int, bits: int = 64) -> Interv
     return root_enclosure(f ** e_num, e_den, bits)
 
 
-def sqrt_le(a: Rational, b: Rational) -> bool:
-    """Exact test sqrt(a) <= sqrt(b) for rationals a, b >= 0."""
-    return Fraction(a) <= Fraction(b)
-
-
-def sqrt_le_sum(a: Rational, b: Rational, c: Rational) -> bool:
-    """Exact test sqrt(a) <= sqrt(b) + sqrt(c) for rationals a, b, c >= 0.
-
-    Squaring twice: the inequality holds iff a - b - c <= 0, or else
-    (a - b - c)^2 <= 4 b c.
-    """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if min(a, b, c) < 0:
-        raise ValueError("negative square")
-    d = a - b - c
-    return d <= 0 or d * d <= 4 * b * c
-
-
-def _square_decompose(n: int) -> tuple[int, int]:
-    """Write n = r*r * s with s squarefree over primes below 10^4.
-
-    The cofactor left after small-prime extraction is absorbed into s
-    unless it is itself a perfect square; a non-squarefree s only costs
-    exactness for ties, never soundness.
-    """
-    r, s, m = 1, 1, n
-    d = 2
-    while d * d <= m and d <= 10_000:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            r *= d ** (e // 2)
-            if e % 2:
-                s *= d
-        d += 1 if d == 2 else 2
-    root = iroot(m, 2)
-    if root * root == m:
-        r *= root
-    else:
-        s *= m
-    return r, s
-
-
-def _radical_form(t_sq: Fraction) -> tuple[Fraction, int]:
-    """sqrt(t_sq) = coeff * sqrt(radicand) with integer radicand."""
-    if t_sq == 0:
-        return Fraction(0), 1
-    r, s = _square_decompose(t_sq.numerator * t_sq.denominator)
-    return Fraction(r, t_sq.denominator), s
-
-
-def sum_sqrt_le(terms_sq: list, bound_sq: Rational) -> bool:
-    """Decide sum_i sqrt(t_i) <= sqrt(bound_sq); arguments are the squares.
-
-    Each root is first reduced to coeff * sqrt(squarefree); like radicands
-    combine, so ties such as sqrt(2) + sqrt(8) <= sqrt(18) decide exactly.
-    Residual mixed-radicand comparisons fall back to enclosures refined
-    until the sides separate.
-    """
-    bound = Fraction(bound_sq)
-    if bound < 0:
-        raise ValueError("negative square")
-    coeffs: dict[int, Fraction] = {}
-    for t in terms_sq:
-        f = Fraction(t)
-        if f < 0:
-            raise ValueError("negative square")
-        c, s = _radical_form(f)
-        if c:
-            coeffs[s] = coeffs.get(s, Fraction(0)) + c
-    bc, bs = _radical_form(bound)
-    coeffs[bs] = coeffs.get(bs, Fraction(0)) - bc
-    coeffs = {s: c for s, c in coeffs.items() if c}
-    if not coeffs:
-        return True
-    if all(c < 0 for c in coeffs.values()):
-        return True
-    if all(c > 0 for c in coeffs.values()):
-        return False
-    for bits in (128, 256, 512, 1024):
-        total = Interval.point(0)
-        for s, c in coeffs.items():
-            total = total + root_enclosure(s, 2, bits).scale(c)
-        if total.hi <= 0:
-            return True
-        if total.lo > 0:
-            return False
-    raise ArithmeticError("cannot separate sum of roots from bound")
-
-
 def parse_fraction(text: str) -> Fraction:
     """Parse 'a/b' or 'a' (also decimal literals like '0.25') to a Fraction."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(text)
 

@@ -40,7 +40,7 @@ from .decompose import (
 from .exact import Rational, sqrt_enclosure
 from .generators import GridSeq, HullCertificate, hull_min_scale
 
-CONSTANT_TERMS = 10**4  # series length; enclosure width stays below 1e-3
+MAX_PARTITION_ROWS = 5  # above this, gauge_upper skips the row-partition search
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,13 +133,7 @@ def _full_row_cert(x_abs: TriVector, i: int) -> tuple[HullCertificate, Fraction]
     return HullCertificate((seq,), (Fraction(1),), sup), sup
 
 
-def gauge_upper(
-    x: TriVector,
-    p: LorentzParam,
-    *,
-    max_partition_rows: int = 5,
-    limit: int | None = 200_000,
-) -> GaugeCertificate:
+def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     """Best certified upper bound over three search strategies.
 
     Tries the whole support as one hull piece, every partition of the
@@ -161,7 +155,7 @@ def gauge_upper(
     scale = max(max(sups), lorentz_value_sq(norms, p).hi)
     candidates.append(_single_rep_certificate(row_pieces, row_certs, scale, p))
 
-    if len(rows) <= max_partition_rows:
+    if len(rows) <= MAX_PARTITION_ROWS:
         for partition in _set_partitions(rows):
             if len(partition) == len(rows):
                 continue  # the singleton partition is the per-row split
@@ -169,7 +163,7 @@ def gauge_upper(
                 pieces, certs, lams = [], [], []
                 for group in partition:
                     piece = target.restrict_rows(group)
-                    lam, cert = hull_min_scale(piece, limit=limit)
+                    lam, cert = hull_min_scale(piece)
                     pieces.append(piece)
                     certs.append(cert)
                     lams.append(lam)
@@ -180,7 +174,7 @@ def gauge_upper(
             candidates.append(_single_rep_certificate(pieces, certs, scale, p))
     else:
         try:
-            lam, cert = hull_min_scale(target, limit=limit)
+            lam, cert = hull_min_scale(target)
             candidates.append(_single_rep_certificate([target], [cert], lam, p))
         except RuntimeError:
             pass
@@ -270,7 +264,6 @@ def gauge_lower(
     p: LorentzParam,
     *,
     directions: Iterable[Sequence[Rational]] = (),
-    constant_terms: int = CONSTANT_TERMS,
 ) -> GaugeLowerWitness:
     """Best lower bound among the coordinate, seminorm, and pairing routes.
 
@@ -290,7 +283,7 @@ def gauge_lower(
     cell, value = max(x.items(), key=lambda kv: (abs(kv[1]), kv[0]))
     push(GaugeLowerWitness(abs(value), "sup", cell, Fraction(1)))
 
-    c_hi = lorentz_l2_constant(p, constant_terms).hi
+    c_hi = lorentz_l2_constant(p).hi
     push(
         GaugeLowerWitness(
             sqrt_enclosure(row_norm_sq(x)).lo / c_hi, "seminorm", (), c_hi
@@ -320,16 +313,10 @@ class GaugeInterval:
         return self.upper.scale
 
 
-def gauge_interval(
-    x: TriVector,
-    p: LorentzParam,
-    *,
-    directions: Iterable[Sequence[Rational]] = (),
-    max_partition_rows: int = 5,
-) -> GaugeInterval:
+def gauge_interval(x: TriVector, p: LorentzParam) -> GaugeInterval:
     """Two-sided certified bounds; lo <= hi holds because both are sound."""
-    lower = gauge_lower(x, p, directions=directions)
-    upper = gauge_upper(x, p, max_partition_rows=max_partition_rows)
+    lower = gauge_lower(x, p)
+    upper = gauge_upper(x, p)
     if lower.value > upper.scale:
         raise AssertionError("certified bounds crossed; this is a bug")
     return GaugeInterval(lower, upper)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .core import TriVector
-from .exact import Rational, format_fraction
+from .exact import Rational
 from .lp import solve_lp
 
 
@@ -196,9 +196,7 @@ def hull_min_scale(
     return lam, cert
 
 
-def hull_member(
-    x: TriVector, scale: Rational = 1, rows=None, limit: int | None = 200_000
-) -> HullCertificate | None:
+def hull_member(x: TriVector, scale: Rational = 1) -> HullCertificate | None:
     """Certificate that x lies in scale * U, or None when it does not."""
     scale = Fraction(scale)
     if scale < 0:
@@ -207,7 +205,7 @@ def hull_member(
         return HullCertificate((), (), scale)
     if scale == 0:
         return None
-    lam, cert = hull_min_scale(x, rows=rows, limit=limit)
+    lam, cert = hull_min_scale(x)
     if lam > scale:
         return None
     out = HullCertificate(cert.seqs, cert.weights, scale)
@@ -251,9 +249,3 @@ def parse_seq_file(text: str) -> list[GridSeq]:
 def seq_file_text(seqs: Sequence[GridSeq]) -> str:
     return "\n".join(s.to_line() for s in seqs) + "\n"
 
-
-def format_weighted(cert: HullCertificate) -> str:
-    pairs = ", ".join(
-        f"{format_fraction(w)} * ({s.to_line()})" for s, w in zip(cert.seqs, cert.weights)
-    )
-    return f"scale {format_fraction(cert.scale)}: {pairs or 'zero'}"

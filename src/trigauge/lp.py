@@ -12,10 +12,10 @@ problem sizes appearing in this package (tens of rows and columns); no
 floating point is ever involved.
 
 Duals come from the simplex multipliers at optimality: the reduced cost of
-the surplus column of row i equals the dual y_i of that row.  With
-``check=True`` the returned primal/dual pair is verified to be an exact
-optimality certificate (x feasible, y >= 0, y'A <= c, y.b = c.x), so a
-caller never has to trust the pivoting logic itself.
+the surplus column of row i equals the dual y_i of that row.  Every
+returned primal/dual pair is verified to be an exact optimality
+certificate (x feasible, y >= 0, y'A <= c, y.b = c.x), so a caller never
+has to trust the pivoting logic itself.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ def solve_lp(
     c: Sequence[Rational],
     rows: Sequence[Sequence[Rational]],
     b: Sequence[Rational],
-    check: bool = True,
 ) -> LPResult:
     """Minimize c.x subject to rows.x >= b, x >= 0; exact two-phase simplex."""
     n = len(c)
@@ -177,8 +176,7 @@ def solve_lp(
     red = reduced_costs(phase2)
     duals = tuple(red[n + i] for i in range(m))
 
-    if check:
-        _check_certificate(cost, mat, rhs0, x, list(duals), objective)
+    _check_certificate(cost, mat, rhs0, x, list(duals), objective)
     return LPResult("optimal", objective, tuple(x), duals)
 
 

@@ -34,7 +34,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import DEFAULT_P, LorentzParam, Rational, TriVector, row_norm_sq
 from .decompose import DisjointRep, make_disjoint_rep
@@ -51,9 +51,10 @@ from .lp import solve_lp
 
 SUPPORT_ROW_CAP = 3
 DEFAULT_TOL = Fraction(1, 1000)
-DEFAULT_BITS = 96
+BITS = 96  # enclosure precision of every budget and square root
 
 Cell = tuple[int, int]
+Number = Fraction | float
 
 
 class ToleranceUnreachableError(RuntimeError):
@@ -102,19 +103,19 @@ def _gens_on(group: tuple[int, ...]) -> tuple[GridSeq, ...]:
 
 
 @lru_cache(maxsize=None)
-def _budget(rank: int, num: int, den: int, bits: int) -> Interval:
+def _budget(rank: int, num: int, den: int) -> Interval:
     """Enclosure of the rank-th piece budget rank^(-1/p)."""
     if rank == 1:
         return Interval.point(Fraction(1))
-    return pow_enclosure(Fraction(1, rank), den, num, bits)
+    return pow_enclosure(Fraction(1, rank), den, num, BITS)
 
 
 @lru_cache(maxsize=None)
-def _budget_sq(rank: int, num: int, den: int, bits: int) -> Interval:
+def _budget_sq(rank: int, num: int, den: int) -> Interval:
     if rank == 1:
         return Interval.point(Fraction(1))
     g = gcd(2 * den, num)
-    return pow_enclosure(Fraction(1, rank), 2 * den // g, num // g, bits)
+    return pow_enclosure(Fraction(1, rank), 2 * den // g, num // g, BITS)
 
 
 def _restrict_cells(x: TriVector, cells: frozenset[Cell]) -> TriVector:
@@ -128,96 +129,83 @@ def _floor_frac(x: Fraction, den: int = 10**12) -> Fraction:
 
 
 def _ceiling(
-    y: Mapping[Cell, Fraction], rows: tuple[int, ...], p: LorentzParam, bits: int
-) -> Fraction:
-    """Certified upper bound for <y, a> over unit members on the rows."""
-    key_cache: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    y: Mapping[Cell, Number],
+    rows: tuple[int, ...],
+    zero: Number,
+    budget: Callable[[int], Number],
+    sqrt_hi: Callable[[Number], Number],
+) -> Number:
+    """Upper bound for <y, a> over unit members on the rows.
 
-    def key_bound(group: tuple[int, ...], rank: int) -> Fraction:
+    Generic over the number type: with Fraction data, ``budget(rank)`` at
+    least rank^(-1/p) and ``sqrt_hi`` an upper root, the bound is
+    certified (``_exact_bounds``); with floats it only steers the dual
+    search (``_float_bounds``).
+    """
+    key_cache: dict[tuple[tuple[int, ...], int], Number] = {}
+
+    def key_bound(group: tuple[int, ...], rank: int) -> Number:
         cached = key_cache.get((group, rank))
         if cached is not None:
             return cached
         cells = [c for c in y if c[0] in group and y[c] > 0]
         if not cells:
-            key_cache[group, rank] = Fraction(0)
-            return Fraction(0)
-        hull = Fraction(0)
+            key_cache[group, rank] = zero
+            return zero
+        hull = zero
         for seq in _gens_on(group):
             m = seq.m
             val = sum(
                 (y[c] for c in cells if c[0] <= len(m) and c[1] <= m[c[0] - 1]),
-                Fraction(0),
+                zero,
             )
             hull = max(hull, val)
         # Pieces stay within [0, 1] per cell, so a row contributes at most
         # its y mass; through the seminorm ball it contributes at most
         # beta * i * max(y on the row).  Minimize over which rows take
         # the mass route.
-        row_mass: dict[int, Fraction] = {}
-        row_peak: dict[int, Fraction] = {}
+        row_mass: dict[int, Number] = {}
+        row_peak: dict[int, Number] = {}
         for (i, _), w in ((c, y[c]) for c in cells):
-            row_mass[i] = row_mass.get(i, Fraction(0)) + w
-            row_peak[i] = max(row_peak.get(i, Fraction(0)), w)
-        beta_hi = _budget(rank, p.num, p.den, bits).hi
+            row_mass[i] = row_mass.get(i, zero) + w
+            row_peak[i] = max(row_peak.get(i, zero), w)
+        beta = budget(rank)
         active = sorted(row_mass)
         capped = None
         for size in range(len(active) + 1):
             for taken in itertools.combinations(active, size):
                 rest_sq = sum(
                     ((i * row_peak[i]) ** 2 for i in active if i not in taken),
-                    Fraction(0),
+                    zero,
                 )
-                val = sum((row_mass[i] for i in taken), Fraction(0))
+                val = sum((row_mass[i] for i in taken), zero)
                 if rest_sq:
-                    val += beta_hi * sqrt_enclosure(rest_sq, bits).hi
+                    val += beta * sqrt_hi(rest_sq)
                 if capped is None or val < capped:
                     capped = val
         bound = min(hull, capped)
         key_cache[group, rank] = bound
         return bound
 
-    best = Fraction(0)
+    best = zero
     for pattern in _patterns(rows):
-        total = sum((key_bound(group, rank) for group, rank in pattern), Fraction(0))
-        best = max(best, total)
-    return best
-
-
-def _ceiling_float(y: Mapping[Cell, float], rows: tuple[int, ...], p: LorentzParam) -> float:
-    """Float twin of _ceiling, for steering the dual search only."""
-    inv_p = p.den / p.num
-    best = 0.0
-    for pattern in _patterns(rows):
-        total = 0.0
+        total = zero
         for group, rank in pattern:
-            cells = [c for c in y if c[0] in group and y[c] > 0]
-            if not cells:
-                continue
-            hull = 0.0
-            for seq in _gens_on(group):
-                m = seq.m
-                hull = max(
-                    hull,
-                    sum(y[c] for c in cells if c[0] <= len(m) and c[1] <= m[c[0] - 1]),
-                )
-            mass: dict[int, float] = {}
-            peak: dict[int, float] = {}
-            for c in cells:
-                i = c[0]
-                mass[i] = mass.get(i, 0.0) + y[c]
-                peak[i] = max(peak.get(i, 0.0), y[c])
-            beta = rank ** -inv_p
-            active = sorted(mass)
-            capped = min(
-                sum(mass[i] for i in taken)
-                + beta
-                * sum((i * peak[i]) ** 2 for i in active if i not in taken) ** 0.5
-                for size in range(len(active) + 1)
-                for taken in itertools.combinations(active, size)
-            )
-            total += min(hull, capped)
+            total += key_bound(group, rank)
         best = max(best, total)
     return best
+
+
+def _exact_bounds(p: LorentzParam) -> tuple[Callable, Callable]:
+    return (
+        lambda rank: _budget(rank, p.num, p.den).hi,
+        lambda s: sqrt_enclosure(s, BITS).hi,
+    )
+
+
+def _float_bounds(p: LorentzParam) -> tuple[Callable, Callable]:
+    inv_p = p.den / p.num
+    return (lambda rank: rank**-inv_p, lambda s: s**0.5)
 
 
 def _ascend_dual(
@@ -239,8 +227,10 @@ def _ascend_dual(
     floor = max(float(v) for v in target.values()) * 1e-3
     y = {c: max(float(start.get(c, 0)), floor) for c in cells}
 
+    bounds = _float_bounds(p)
+
     def ratio(cand: Mapping[Cell, float]) -> float:
-        ceiling = _ceiling_float(cand, rows, p)
+        ceiling = _ceiling(cand, rows, 0.0, *bounds)
         if ceiling <= 0:
             return 0.0
         return sum(cand[c] * float(target[c]) for c in cells) / ceiling
@@ -325,7 +315,6 @@ def _trimmed_pieces(
     group: tuple[int, ...],
     rank: int,
     p: LorentzParam,
-    bits: int,
     support: frozenset[Cell],
     round_: int,
 ) -> list[tuple[TriVector, HullCertificate]]:
@@ -335,7 +324,7 @@ def _trimmed_pieces(
     mixtures on a weight grid.  Every piece keeps a hull certificate at
     the scale actually used, so the assembled member validates exactly.
     """
-    budget_lo = _budget_sq(rank, p.num, p.den, bits).lo
+    budget_lo = _budget_sq(rank, p.num, p.den).lo
     gens = [
         (seq, _restrict_cells(seq.indicator(), support)) for seq in _gens_on(group)
     ]
@@ -347,7 +336,7 @@ def _trimmed_pieces(
         if nsq <= budget_lo:
             gamma = Fraction(1)
         else:
-            gamma = _floor_frac(sqrt_enclosure(budget_lo / nsq, bits).lo)
+            gamma = _floor_frac(sqrt_enclosure(budget_lo / nsq, BITS).lo)
             if gamma <= 0:
                 return
             mix = mix.scale(gamma)
@@ -377,7 +366,6 @@ def _trimmed_pieces(
 def _pattern_atoms(
     rows: tuple[int, ...],
     p: LorentzParam,
-    bits: int,
     support: frozenset[Cell],
     round_: int,
     known: set[tuple],
@@ -394,7 +382,7 @@ def _pattern_atoms(
         for group, rank in pattern:
             cached = slot_cache.get((group, rank))
             if cached is None:
-                cached = _trimmed_pieces(group, rank, p, bits, support, round_)
+                cached = _trimmed_pieces(group, rank, p, support, round_)
                 slot_cache[group, rank] = cached
             if cached:
                 slots.append(cached)
@@ -434,12 +422,11 @@ def _dual_witness(
     x_abs: TriVector,
     rows: tuple[int, ...],
     p: LorentzParam,
-    bits: int,
 ) -> GaugeLowerWitness | None:
     y = {c: Fraction(v) for c, v in y.items() if Fraction(v) > 0}
     if not y:
         return None
-    ceiling = _ceiling(y, rows, p, bits)
+    ceiling = _ceiling(y, rows, Fraction(0), *_exact_bounds(p))
     if ceiling <= 0:
         return None
     paired = sum((w * x_abs.entry(*c) for c, w in y.items()), Fraction(0))
@@ -454,7 +441,6 @@ def tau_micro_oracle(
     p: LorentzParam = DEFAULT_P,
     tol: Rational = DEFAULT_TOL,
     *,
-    bits: int = DEFAULT_BITS,
     max_rounds: int = 3,
 ) -> GaugeInterval:
     """Enclose the gauge of x to width tol; support must stay in rows 1..3.
@@ -496,7 +482,7 @@ def tau_micro_oracle(
     rounds = 0
     for round_ in range(max_rounds):
         rounds = round_ + 1
-        for rep in _pattern_atoms(active, p, bits, support, round_, set(pool)):
+        for rep in _pattern_atoms(active, p, support, round_, set(pool)):
             add_atom(rep)
         atoms = list(pool.values())
         objective, weights, duals = _cover_program(atoms, cells, target)
@@ -514,7 +500,7 @@ def tau_micro_oracle(
         for start in (duals, target):
             candidates.extend(_snapped(_ascend_dual(start, target, active, p, sweeps)))
         for y in candidates:
-            witness = _dual_witness(y, x_abs, active, p, bits)
+            witness = _dual_witness(y, x_abs, active, p)
             if witness is not None and witness.value > lower.value:
                 witness.validate(x)
                 lower = witness

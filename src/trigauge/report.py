@@ -12,7 +12,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -31,8 +31,6 @@ class SweepConfig:
     max_m: int = 200
     epsilon: Fraction | None = None
     tolerance: Fraction = Fraction(1, 1000)
-    out: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -45,8 +43,6 @@ class SweepConfig:
             raise ValueError("tolerance must be positive")
         if self.epsilon is not None and not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
     def with_trials(self, trials: int) -> "SweepConfig":
         return replace(self, trials=trials)
@@ -171,12 +167,30 @@ def flat_detail(detail: Mapping[str, Any]) -> str:
     return ";".join(f"{k}={detail[k]}" for k in sorted(detail))
 
 
+AGGREGATE_FIELDS = ("trials", "failures", "pass", "stats")
+RECORD_FIELDS = {"trial", "ok", "digest", "detail"}
+
+
 def load_report_payload(text: str) -> dict[str, Any]:
     data = json.loads(text)
     if not isinstance(data, dict) or "config" not in data:
         raise ValueError("not a sweep report")
     if data.get("version") != REPORT_VERSION:
         raise ValueError(f"unsupported report version {data.get('version')!r}")
+    config_fields = [f.name for f in fields(SweepConfig)]
+    for section, names in (("config", config_fields), ("aggregate", AGGREGATE_FIELDS)):
+        part = data.get(section)
+        if not isinstance(part, dict):
+            raise ValueError(f"report has no {section} object")
+        missing = [name for name in names if name not in part]
+        if missing:
+            raise ValueError(f"report {section} lacks {', '.join(missing)}")
+    for key in ("records", "failures"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"report has no {key} list")
+    for record in data["records"]:
+        if not isinstance(record, dict) or not RECORD_FIELDS <= record.keys():
+            raise ValueError(f"report record lacks one of {', '.join(sorted(RECORD_FIELDS))}")
     return data
 
 

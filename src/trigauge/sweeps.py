@@ -4,6 +4,9 @@ Each suite draws its instances from a per-trial generator seeded by
 (suite, seed, trial), so any single trial can be regenerated without
 running the others.  A trial that throws becomes a failure transcript
 instead of aborting the sweep; the report then fails as a whole.
+
+A suite is its list of trials and its summary statistics (``Suite``);
+``run_suite`` runs the trials and assembles the report.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import hashlib
 import random
 from fractions import Fraction
 from math import ceil
-from typing import Any, Callable
+from typing import Callable, Iterable, NamedTuple
 
 from . import instances as inst
 from .core import (
@@ -45,6 +48,9 @@ from .micro import tau_micro_oracle
 from .report import Report, SweepConfig, jsonable, make_record
 
 TrialFn = Callable[[random.Random, int, SweepConfig], tuple[bool, dict, str | None]]
+# (rng label, trial function, failure text when the property fails)
+Trial = tuple[int | str, TrialFn, str]
+PROPERTY_VIOLATED = "property violated"
 
 EPS_SMALL = (Fraction(1, 4), Fraction(1, 16), Fraction(1, 64))
 EPS_MAIN = (Fraction(1, 4), Fraction(1, 16))
@@ -55,10 +61,11 @@ def trial_rng(suite: str, seed: int, trial: int | str) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _execute(cfg: SweepConfig, trial_fn: TrialFn) -> tuple[list, list, list]:
+def _execute(cfg: SweepConfig, trials: Iterable[Trial]) -> tuple[list, list, list]:
+    """Run the trials in order; trial t draws from the rng of its label."""
     records, failures, details = [], [], []
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.suite, cfg.seed, t)
+    for t, (label, trial_fn, error) in enumerate(trials):
+        rng = trial_rng(cfg.suite, cfg.seed, label)
         try:
             ok, detail, text = trial_fn(rng, t, cfg)
         except Exception as exc:
@@ -69,12 +76,17 @@ def _execute(cfg: SweepConfig, trial_fn: TrialFn) -> tuple[list, list, list]:
             failures.append(
                 {
                     "trial": t,
-                    "error": detail.get("error", "property violated"),
+                    "error": detail.get("error", error),
                     "detail": jsonable(detail),
                     "instance": text,
                 }
             )
     return records, failures, details
+
+
+def _random_trials(trial_fn: TrialFn) -> Callable[[SweepConfig], list[Trial]]:
+    """cfg.trials seeded draws of one trial function, labelled 0, 1, ..."""
+    return lambda cfg: [(t, trial_fn, PROPERTY_VIOLATED) for t in range(cfg.trials)]
 
 
 def _eps_for(cfg: SweepConfig, trial: int, cycle: tuple[Fraction, ...]) -> Fraction:
@@ -116,37 +128,35 @@ def _select_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     return ok, detail, " ".join(str(v) for v in values)
 
 
-def run_select(cfg: SweepConfig) -> Report:
-    records, failures, details = _execute(cfg, _select_trial)
-    # exhaustive cross-check on every short length, against brute force
-    t = cfg.trials
-    for length in range(2, 13):
-        for rep in range(3):
-            rng = trial_rng(cfg.suite, cfg.seed, f"exhaustive:{length}:{rep}")
-            values = inst.subset_values(rng, max_len=64, length=length)
-            ok, detail = _select_check(values)
-            feasible = _brute_feasible(values)
-            ok = ok and feasible
-            detail.update({"phase": "exhaustive", "brute_feasible": feasible})
-            records.append(make_record(t, ok, detail))
-            details.append(detail)
-            if not ok:
-                failures.append(
-                    {
-                        "trial": t,
-                        "error": "exhaustive cross-check failed",
-                        "detail": jsonable(detail),
-                        "instance": " ".join(str(v) for v in values),
-                    }
-                )
-            t += 1
+def _exhaustive_trial(length: int) -> TrialFn:
+    """Cross-check one short draw against brute force."""
+
+    def trial(rng: random.Random, trial_idx: int, cfg: SweepConfig):
+        values = inst.subset_values(rng, max_len=64, length=length)
+        ok, detail = _select_check(values)
+        feasible = _brute_feasible(values)
+        detail.update({"phase": "exhaustive", "brute_feasible": feasible})
+        return ok and feasible, detail, " ".join(str(v) for v in values)
+
+    return trial
+
+
+def _select_trials(cfg: SweepConfig) -> list[Trial]:
+    # random draws, then an exhaustive cross-check on every short length
+    return _random_trials(_select_trial)(cfg) + [
+        (f"exhaustive:{length}:{rep}", _exhaustive_trial(length), "exhaustive cross-check failed")
+        for length in range(2, 13)
+        for rep in range(3)
+    ]
+
+
+def _select_stats(cfg: SweepConfig, details: list[dict]) -> dict:
     sums = [Fraction(d["sum"]) for d in details if "sum" in d]
-    stats = {
+    return {
         "min_sum": min(sums, default=None),
         "max_sum": max(sums, default=None),
-        "exhaustive_checked": t - cfg.trials,
+        "exhaustive_checked": len(details) - cfg.trials,
     }
-    return Report(cfg, tuple(records), tuple(failures), jsonable(stats))
 
 
 # -- matrix partition ----------------------------------------------------------
@@ -192,13 +202,11 @@ def _partition_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     return not problems, detail, text
 
 
-def run_partition(cfg: SweepConfig) -> Report:
-    records, failures, details = _execute(cfg, _partition_trial)
-    stats = {
+def _partition_stats(cfg: SweepConfig, details: list[dict]) -> dict:
+    return {
         "max_parts": max((d.get("parts", 0) for d in details), default=0),
         "max_reductions": max((d.get("reductions", 0) for d in details), default=0),
     }
-    return Report(cfg, tuple(records), tuple(failures), jsonable(stats))
 
 
 # -- k-disjoint l2 families ------------------------------------------------------
@@ -223,15 +231,13 @@ def _kdisjoint_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     return ok, detail, text
 
 
-def run_kdisjoint(cfg: SweepConfig) -> Report:
-    records, failures, details = _execute(cfg, _kdisjoint_trial)
+def _kdisjoint_stats(cfg: SweepConfig, details: list[dict]) -> dict:
     ratios = [
         Fraction(d["sum_norm_sq"]) / d["bound"]
         for d in details
         if d.get("bound")
     ]
-    stats = {"max_norm_ratio": max(ratios, default=None)}
-    return Report(cfg, tuple(records), tuple(failures), jsonable(stats))
+    return {"max_norm_ratio": max(ratios, default=None)}
 
 
 # -- seminorm of covered averages -------------------------------------------------
@@ -258,16 +264,18 @@ def _smallsup_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     return ok, detail, seq_file_text(seqs)
 
 
-def run_smallsup(cfg: SweepConfig) -> Report:
+def _smallsup_trials(cfg: SweepConfig) -> list[Trial]:
     _require_generator_cap(cfg, EPS_SMALL)
-    records, failures, details = _execute(cfg, _smallsup_trial)
+    return _random_trials(_smallsup_trial)(cfg)
+
+
+def _smallsup_stats(cfg: SweepConfig, details: list[dict]) -> dict:
     margins = [
         Fraction(d["rho_sq"]) / Fraction(d["epsilon"])
         for d in details
         if "rho_sq" in d
     ]
-    stats = {"max_rho_sq_over_eps": max(margins, default=None)}
-    return Report(cfg, tuple(records), tuple(failures), jsonable(stats))
+    return {"max_rho_sq_over_eps": max(margins, default=None)}
 
 
 # -- blocked sequences -------------------------------------------------------------
@@ -291,12 +299,10 @@ def _blocks_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     return passed and bounded, detail, text
 
 
-def run_blocks(cfg: SweepConfig) -> Report:
-    records, failures, details = _execute(cfg, _blocks_trial)
-    stats = {
+def _blocks_stats(cfg: SweepConfig, details: list[dict]) -> dict:
+    return {
         "beyond_unit_ball": sum(1 for d in details if d.get("within_1") is False),
     }
-    return Report(cfg, tuple(records), tuple(failures), jsonable(stats))
 
 
 # -- full decomposition pipeline ---------------------------------------------------
@@ -322,104 +328,100 @@ def _mainlemma_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     return ok, detail, seq_file_text(seqs)
 
 
-def run_mainlemma(cfg: SweepConfig) -> Report:
+def _mainlemma_trials(cfg: SweepConfig) -> list[Trial]:
     _require_generator_cap(cfg, EPS_MAIN)
-    records, failures, details = _execute(cfg, _mainlemma_trial)
+    return _random_trials(_mainlemma_trial)(cfg)
+
+
+def _mainlemma_stats(cfg: SweepConfig, details: list[dict]) -> dict:
     margins = [
         Fraction(d["scale"]) ** 4 / (625 * Fraction(d["epsilon"]))
         for d in details
         if "scale" in d
     ]
-    stats = {"max_scale_4th_over_bound": max(margins, default=None)}
-    return Report(cfg, tuple(records), tuple(failures), jsonable(stats))
+    return {"max_scale_4th_over_bound": max(margins, default=None)}
 
 
 # -- quotient pairings -------------------------------------------------------------
 
 
-def _quotient_trial_maker(c_hi: Fraction) -> TrialFn:
-    def trial(rng: random.Random, trial_idx: int, cfg: SweepConfig):
-        b = inst.unit_vector(rng)
-        witness = pairing_witness(b, cfg.p)
-        witness.validate(b)
-        floor_ok = witness.pairing >= Fraction(2, 9)
-        v, _, _ = inst.body_element(rng, cfg.p)
-        b2 = inst.unit_vector(rng)
-        z = row_pairing(v, b2)
-        cap_ok = abs(z) <= c_hi
-        detail = {
-            "pairing": witness.pairing,
-            "branch": witness.branch,
-            "z_pair": z,
-            "floor_ok": floor_ok,
-            "cap_ok": cap_ok,
+def _quotient_trial(rng: random.Random, trial: int, cfg: SweepConfig):
+    b = inst.unit_vector(rng)
+    witness = pairing_witness(b, cfg.p)
+    witness.validate(b)
+    floor_ok = witness.pairing >= Fraction(2, 9)
+    v, _, _ = inst.body_element(rng, cfg.p)
+    b2 = inst.unit_vector(rng)
+    z = row_pairing(v, b2)
+    cap_ok = abs(z) <= lorentz_l2_constant(cfg.p).hi
+    detail = {
+        "pairing": witness.pairing,
+        "branch": witness.branch,
+        "z_pair": z,
+        "floor_ok": floor_ok,
+        "cap_ok": cap_ok,
+    }
+    text = "b " + " ".join(str(v) for v in b) + "\n" + v.to_text()
+    return floor_ok and cap_ok, detail, text
+
+
+def _quotient_failures(cfg: SweepConfig) -> list[dict]:
+    width = lorentz_l2_constant(cfg.p).width
+    if width <= Fraction(1, 1000):
+        return []
+    return [
+        {
+            "trial": "constant",
+            "error": "constant enclosure wider than 1/1000",
+            "detail": {"width": float(width)},
+            "instance": None,
         }
-        text = "b " + " ".join(str(v) for v in b) + "\n" + v.to_text()
-        return floor_ok and cap_ok, detail, text
-
-    return trial
+    ]
 
 
-def run_quotient(cfg: SweepConfig) -> Report:
+def _quotient_stats(cfg: SweepConfig, details: list[dict]) -> dict:
     constant = lorentz_l2_constant(cfg.p)
-    width_ok = constant.hi - constant.lo <= Fraction(1, 1000)
-    records, failures, details = _execute(cfg, _quotient_trial_maker(constant.hi))
-    if not width_ok:
-        failures.append(
-            {
-                "trial": "constant",
-                "error": "constant enclosure wider than 1/1000",
-                "detail": {"width": float(constant.hi - constant.lo)},
-                "instance": None,
-            }
-        )
     pairings = [Fraction(d["pairing"]) for d in details if "pairing" in d]
     zs = [abs(Fraction(d["z_pair"])) for d in details if "z_pair" in d]
-    stats = {
+    return {
         "min_pairing": min(pairings, default=None),
         "max_abs_z_pair": max(zs, default=None),
         "constant_hi": float(constant.hi),
-        "constant_width": float(constant.hi - constant.lo),
-        "constant_width_ok": width_ok,
+        "constant_width": float(constant.width),
+        "constant_width_ok": constant.width <= Fraction(1, 1000),
     }
-    return Report(cfg, tuple(records), tuple(failures), jsonable(stats))
 
 
 # -- gauge sandwich ----------------------------------------------------------------
 
 
-def _sandwich_trial_maker(c_hi: Fraction) -> TrialFn:
-    def trial(rng: random.Random, trial_idx: int, cfg: SweepConfig):
-        x, is_unit = inst.micro_instance(rng)
-        cheap = gauge_interval(x, cfg.p)
-        refined = tau_micro_oracle(x, cfg.p, tol=cfg.tolerance)
-        ok = (
-            cheap.lo <= refined.lo <= refined.hi <= cheap.hi
-            and refined.hi - refined.lo <= cfg.tolerance
-        )
-        if is_unit:
-            ok = ok and refined.lo >= 1 / c_hi - Fraction(1, 1000) and refined.hi <= 1
-        detail = {
-            "unit_case": is_unit,
-            "lo": float(refined.lo),
-            "hi": float(refined.hi),
-            "width": float(refined.hi - refined.lo),
-            "cheap_lo": float(cheap.lo),
-            "cheap_hi": float(cheap.hi),
-        }
-        return ok, detail, x.to_text()
-
-    return trial
+def _sandwich_trial(rng: random.Random, trial: int, cfg: SweepConfig):
+    x, is_unit = inst.micro_instance(rng)
+    cheap = gauge_interval(x, cfg.p)
+    refined = tau_micro_oracle(x, cfg.p, tol=cfg.tolerance)
+    ok = (
+        cheap.lo <= refined.lo <= refined.hi <= cheap.hi
+        and refined.hi - refined.lo <= cfg.tolerance
+    )
+    if is_unit:
+        c_hi = lorentz_l2_constant(cfg.p).hi
+        ok = ok and refined.lo >= 1 / c_hi - Fraction(1, 1000) and refined.hi <= 1
+    detail = {
+        "unit_case": is_unit,
+        "lo": float(refined.lo),
+        "hi": float(refined.hi),
+        "width": float(refined.hi - refined.lo),
+        "cheap_lo": float(cheap.lo),
+        "cheap_hi": float(cheap.hi),
+    }
+    return ok, detail, x.to_text()
 
 
-def run_sandwich(cfg: SweepConfig) -> Report:
-    constant = lorentz_l2_constant(cfg.p)
-    records, failures, details = _execute(cfg, _sandwich_trial_maker(constant.hi))
-    stats = {
+def _sandwich_stats(cfg: SweepConfig, details: list[dict]) -> dict:
+    return {
         "max_width": max((d.get("width", 0.0) for d in details), default=0.0),
         "unit_cases": sum(1 for d in details if d.get("unit_case")),
     }
-    return Report(cfg, tuple(records), tuple(failures), jsonable(stats))
 
 
 # -- element splitting -------------------------------------------------------------
@@ -452,15 +454,13 @@ def _split_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     return ok, detail, text
 
 
-def run_split(cfg: SweepConfig) -> Report:
-    records, failures, details = _execute(cfg, _split_trial)
+def _split_stats(cfg: SweepConfig, details: list[dict]) -> dict:
     margins = [
         Fraction(d["gauge_bound"]) ** 8 / (5**8 * Fraction(d["epsilon"]))
         for d in details
         if "gauge_bound" in d
     ]
-    stats = {"max_bound_8th_over_eps": max(margins, default=None)}
-    return Report(cfg, tuple(records), tuple(failures), jsonable(stats))
+    return {"max_bound_8th_over_eps": max(margins, default=None)}
 
 
 # -- merge of decreasing families --------------------------------------------------
@@ -494,23 +494,33 @@ def _merge_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     return ok, detail, text
 
 
-def run_merge(cfg: SweepConfig) -> Report:
-    records, failures, details = _execute(cfg, _merge_trial)
-    stats = {"families_kept_whole": sum(1 for d in details if d.get("kept") == 50)}
-    return Report(cfg, tuple(records), tuple(failures), jsonable(stats))
+def _merge_stats(cfg: SweepConfig, details: list[dict]) -> dict:
+    return {"families_kept_whole": sum(1 for d in details if d.get("kept") == 50)}
 
 
-SUITES: dict[str, Callable[[SweepConfig], Report]] = {
-    "select": run_select,
-    "partition": run_partition,
-    "kdisjoint": run_kdisjoint,
-    "smallsup": run_smallsup,
-    "blocks": run_blocks,
-    "mainlemma": run_mainlemma,
-    "quotient": run_quotient,
-    "sandwich": run_sandwich,
-    "split": run_split,
-    "merge": run_merge,
+class Suite(NamedTuple):
+    """The trials of one sweep and its summary statistics.
+
+    ``trials`` may reject the config before anything runs; ``failures``
+    adds suite-level failures that belong to no single trial.
+    """
+
+    trials: Callable[[SweepConfig], list[Trial]]
+    stats: Callable[[SweepConfig, list[dict]], dict]
+    failures: Callable[[SweepConfig], list[dict]] = lambda cfg: []
+
+
+SUITES: dict[str, Suite] = {
+    "select": Suite(_select_trials, _select_stats),
+    "partition": Suite(_random_trials(_partition_trial), _partition_stats),
+    "kdisjoint": Suite(_random_trials(_kdisjoint_trial), _kdisjoint_stats),
+    "smallsup": Suite(_smallsup_trials, _smallsup_stats),
+    "blocks": Suite(_random_trials(_blocks_trial), _blocks_stats),
+    "mainlemma": Suite(_mainlemma_trials, _mainlemma_stats),
+    "quotient": Suite(_random_trials(_quotient_trial), _quotient_stats, _quotient_failures),
+    "sandwich": Suite(_random_trials(_sandwich_trial), _sandwich_stats),
+    "split": Suite(_random_trials(_split_trial), _split_stats),
+    "merge": Suite(_random_trials(_merge_trial), _merge_stats),
 }
 
 # acceptance-scale trial counts, one entry per suite
@@ -531,4 +541,8 @@ DEFAULT_TRIALS: dict[str, int] = {
 def run_suite(cfg: SweepConfig) -> Report:
     if cfg.suite not in SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}")
-    return SUITES[cfg.suite](cfg)
+    suite = SUITES[cfg.suite]
+    records, failures, details = _execute(cfg, suite.trials(cfg))
+    failures += suite.failures(cfg)
+    stats = suite.stats(cfg, details)
+    return Report(cfg, tuple(records), tuple(failures), jsonable(stats))

@@ -139,3 +139,33 @@ def test_failing_report_exits_one(tmp_path, capsys):
     out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     capsys.readouterr()
     assert main(["report", str(out)]) == 1
+
+
+def test_zero_denominator_in_vector_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "x.txt"
+    path.write_text("trivector 1\n1 1 1/0\n")
+    assert main(["tau-bounds", str(path)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("command", "path"),
+    [
+        ("replay", ("config", "p")),
+        ("report", ("aggregate",)),
+        ("report", ("records", 0, "digest")),
+    ],
+    ids=["config-p", "aggregate", "record-digest"],
+)
+def test_incomplete_report_exits_two(tmp_path, capsys, command, path):
+    out = tmp_path / "r.json"
+    assert main(["sweep", "blocks", "--trials", "1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    parent = payload
+    for step in path[:-1]:
+        parent = parent[step]
+    del parent[path[-1]]
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, str(out), "--format", "csv"]) == 2
+    assert path[-1] in capsys.readouterr().err

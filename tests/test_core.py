@@ -10,16 +10,11 @@ from trigauge.core import (
     DEFAULT_P,
     LorentzParam,
     TriVector,
-    decreasing_rearrangement,
     dot,
     is_row_disjoint,
     l2_norm_sq,
     lorentz_l2_constant,
-    lorentz_l2_constant_sq,
-    lorentz_le,
-    lorentz_le_4th,
     lorentz_le_sq,
-    lorentz_value,
     lorentz_value_sq,
     pairing_vector,
     row_norm_sq,
@@ -36,6 +31,18 @@ tri_vectors = st.dictionaries(tri_index, small_fraction, max_size=10).map(TriVec
 def to_mpf(x) -> mpmath.mpf:
     f = Fraction(x)
     return mpmath.mpf(f.numerator) / f.denominator
+
+
+def sqrt_le_sum(a, b, c) -> bool:
+    """Exact test sqrt(a) <= sqrt(b) + sqrt(c) for rationals a, b, c >= 0:
+    it holds iff a - b - c <= 0, or else (a - b - c)^2 <= 4 b c."""
+    d = a - b - c
+    return d <= 0 or d * d <= 4 * b * c
+
+
+def squares_desc(values) -> list[Fraction]:
+    """Squares of |values| in decreasing order."""
+    return sorted((Fraction(v) ** 2 for v in values), reverse=True)
 
 
 # -- LorentzParam -------------------------------------------------------------
@@ -127,8 +134,6 @@ def test_row_norm_sq_matches_definition(x):
 
 @given(tri_vectors, tri_vectors)
 def test_row_norm_sq_triangle_inequality(x, y):
-    from trigauge.exact import sqrt_le_sum
-
     assert sqrt_le_sum(row_norm_sq(x + y), row_norm_sq(x), row_norm_sq(y))
 
 
@@ -151,13 +156,26 @@ def test_l2_norm_sq():
 def test_lorentz_le_frozen_examples():
     p = DEFAULT_P
     # four ones against c^2 = 4: fails at n = 3 (81 > 64)
-    assert not lorentz_le([1, 1, 1, 1], 4, p)
+    assert not lorentz_le_sq([1, 1, 1, 1], 4, p)
     # eight ones against c^2 = 16: boundary case 8^4 = 4096 = 16^3 holds
-    assert lorentz_le([1] * 8, 16, p)
-    assert not lorentz_le([1] * 9, 16, p)
-    assert lorentz_le([], 0, p)
-    assert lorentz_le([0, 0], 0, p)
-    assert not lorentz_le([Fraction(1, 2)], Fraction(1, 5), p)
+    assert lorentz_le_sq([1] * 8, 16, p)
+    assert not lorentz_le_sq([1] * 9, 16, p)
+    # the same two against c^4 = 256
+    assert lorentz_le_sq([1] * 8, 256, p, power=4)
+    assert not lorentz_le_sq([1] * 9, 256, p, power=4)
+    assert lorentz_le_sq([], 0, p)
+    assert lorentz_le_sq([0, 0], 0, p)
+    assert not lorentz_le_sq([Fraction(1, 4)], Fraction(1, 5), p)
+    # a negative square is rejected wherever it sorts, even behind a zero
+    for values_sq, bound, power in (([0, -1], 1, 2), ([0, -5], 1, 4), ([2, -1], 9, 2)):
+        with pytest.raises(ValueError):
+            lorentz_le_sq(values_sq, bound, p, power=power)
+    with pytest.raises(ValueError):
+        lorentz_le_sq([1], -1, p)
+    with pytest.raises(ValueError):
+        lorentz_le_sq([1], 1, p, power=3)
+    with pytest.raises(ValueError):
+        lorentz_value_sq([0, -1], p)
 
 
 @given(
@@ -166,11 +184,10 @@ def test_lorentz_le_frozen_examples():
 )
 def test_lorentz_le_matches_float_oracle(values, c_sq):
     p = DEFAULT_P
-    got = lorentz_le(values, c_sq, p)
-    a = decreasing_rearrangement(values)
+    got = lorentz_le_sq([v * v for v in values], c_sq, p)
     sup = mpmath.mpf(0)
-    for n, v in enumerate(a, start=1):
-        sup = max(sup, to_mpf(v) * mpmath.power(n, mpmath.mpf(2) / 3))
+    for n, v2 in enumerate(squares_desc(values), start=1):
+        sup = max(sup, mpmath.sqrt(to_mpf(v2)) * mpmath.power(n, mpmath.mpf(2) / 3))
     c = mpmath.sqrt(to_mpf(c_sq))
     if abs(sup - c) > mpmath.mpf("1e-30"):
         assert got == (sup < c)
@@ -185,32 +202,32 @@ def test_lorentz_le_matches_float_oracle(values, c_sq):
 def test_lorentz_variants_agree(values, c_sq):
     p = LorentzParam(7, 5)
     squares = [v * v for v in values]
-    assert lorentz_le_sq(squares, c_sq, p) == lorentz_le(values, c_sq, p)
-    assert lorentz_le_4th(squares, c_sq * c_sq, p) == lorentz_le(values, c_sq, p)
+    assert lorentz_le_sq(squares, c_sq * c_sq, p, power=4) == lorentz_le_sq(squares, c_sq, p)
 
 
 def test_lorentz_value_encloses_oracle():
     p = DEFAULT_P
     values = [Fraction(5, 7), Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]
-    iv = lorentz_value(values, p)
-    a = decreasing_rearrangement(values)
-    sup = max(to_mpf(v) * mpmath.power(n, mpmath.mpf(2) / 3) for n, v in enumerate(a, 1))
+    iv = lorentz_value_sq([v * v for v in values], p)
+    sup = max(
+        mpmath.sqrt(to_mpf(v2)) * mpmath.power(n, mpmath.mpf(2) / 3)
+        for n, v2 in enumerate(squares_desc(values), 1)
+    )
     assert to_mpf(iv.lo) <= sup <= to_mpf(iv.hi)
     assert iv.width <= iv.lo * Fraction(1, 10**9)
-    iv2 = lorentz_value_sq([v * v for v in values], p)
-    assert to_mpf(iv2.lo) <= sup <= to_mpf(iv2.hi)
-    assert lorentz_value([], p).hi == 0
+    assert lorentz_value_sq([], p).hi == 0
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=2, max_denominator=6), min_size=1, max_size=6))
 def test_lorentz_value_consistent_with_le(values):
     p = LorentzParam(8, 5)
-    iv = lorentz_value(values, p)
-    # value <= hi certifies lorentz_le at hi^2; value > lo refutes at lo^2 - margin
-    assert lorentz_le(values, iv.hi**2, p)
+    squares = [v * v for v in values]
+    iv = lorentz_value_sq(squares, p)
+    # value <= hi certifies the test at hi^2; value > lo refutes at lo^2 - margin
+    assert lorentz_le_sq(squares, iv.hi**2, p)
     if iv.lo > 0:
         shrunk = (iv.lo * Fraction(99, 100)) ** 2
-        assert not lorentz_le(values, shrunk, p)
+        assert not lorentz_le_sq(squares, shrunk, p)
 
 
 # -- series constant -----------------------------------------------------------
@@ -228,8 +245,8 @@ def test_constant_matches_zeta_oracle():
 
 def test_constant_sq_matches_zeta_oracle_other_p():
     p = LorentzParam(7, 4)
-    iv = lorentz_l2_constant_sq(p, terms=2000)
-    true = mpmath.zeta(mpmath.mpf(8) / 7)
+    iv = lorentz_l2_constant(p, terms=2000)
+    true = mpmath.sqrt(mpmath.zeta(mpmath.mpf(8) / 7))
     assert to_mpf(iv.lo) <= true <= to_mpf(iv.hi)
 
 

@@ -1,8 +1,9 @@
 """Tests for the decomposition pipeline.
 
-The partition tests drive a stateless oracle built from reduce_step and
-compare it against the pointer implementation cell for cell; subset
-selection is checked against brute force over all subsets.
+The partition tests drive a stateless oracle built from reduce_step (a
+one-reduction reference kept here) and compare it against the pointer
+implementation cell for cell; subset selection is checked against brute
+force over all subsets.
 """
 
 import dataclasses
@@ -19,9 +20,7 @@ from trigauge.decompose import (
     make_disjoint_rep,
     merge_representatives,
     partition_matrix,
-    reduce_step,
     select_subset,
-    smallness_upper_sq,
     split_element,
     theta_for,
     verify_decomposition,
@@ -90,6 +89,30 @@ def sorted_matrix(draw_cols):
 matrices = st.lists(
     st.lists(fractions_01, min_size=0, max_size=5), min_size=0, max_size=6
 ).map(sorted_matrix)
+
+
+def reduce_step(cols):
+    """One reduction: remove the top entries of a column subset with mass >= 1/2.
+
+    The tops are the first nonzero entry of every column (the column
+    maximum once columns are sorted).  Returns None when their total is at
+    most 1 (the matrix is irreducible).  Columns keep their positions;
+    removed cells become zeros.
+    """
+    cols = tuple(tuple(F(v) for v in col) for col in cols)
+    if any(v < 0 or v > 1 for col in cols for v in col):
+        raise ValueError("matrix entries must lie in [0, 1]")
+    tops = [(j, next(v for v in col if v)) for j, col in enumerate(cols) if any(col)]
+    if sum((v for _, v in tops), F(0)) <= 1:
+        return None
+    selected = frozenset(tops[i][0] for i in select_subset([v for _, v in tops]))
+    new_cols = []
+    for j, col in enumerate(cols):
+        if j in selected:
+            first = next(i for i, v in enumerate(col) if v)
+            col = col[:first] + (F(0),) + col[first + 1 :]
+        new_cols.append(col)
+    return selected, tuple(new_cols)
 
 
 def oracle_partition(cols):
@@ -396,7 +419,7 @@ class TestDisjointRep:
         assert rep.norms_sq == (F(1), F(1, 4))
         assert rep.is_unit_member()
         assert rep.upper_scale() == 1
-        assert smallness_upper_sq(rep) == F(1)
+        assert rep.max_norm_sq() == F(1)
 
     def test_row_sharing_rejected(self):
         with pytest.raises(ValueError):

@@ -15,8 +15,6 @@ from trigauge.exact import (
     rational_floor_root,
     root_enclosure,
     sqrt_enclosure,
-    sqrt_le_sum,
-    sum_sqrt_le,
 )
 
 mpmath.mp.dps = 60
@@ -106,32 +104,6 @@ def test_pow_enclosure_zero_exponent_is_one():
     assert pow_enclosure(Fraction(7, 3), 0, 5) == Interval.point(1)
 
 
-@given(
-    st.fractions(min_value=0, max_value=100),
-    st.fractions(min_value=0, max_value=100),
-    st.fractions(min_value=0, max_value=100),
-)
-def test_sqrt_le_sum_matches_float_oracle(a, b, c):
-    got = sqrt_le_sum(a, b, c)
-    fa = mpmath.sqrt(mpmath.mpf(a.numerator) / a.denominator)
-    fb = mpmath.sqrt(mpmath.mpf(b.numerator) / b.denominator)
-    fc = mpmath.sqrt(mpmath.mpf(c.numerator) / c.denominator)
-    gap = fa - fb - fc
-    if abs(gap) > mpmath.mpf("1e-40"):
-        assert got == (gap < 0)
-    else:
-        assert got  # equality counts as <=
-
-
-def test_sum_sqrt_le_known_values():
-    # sqrt(2) + sqrt(8) = 3 sqrt(2) = sqrt(18): equality holds as <=
-    assert sum_sqrt_le([2, 8], 18)
-    assert not sum_sqrt_le([2, 8], Fraction(17999, 1000))
-    # all-rational path
-    assert sum_sqrt_le([Fraction(1, 4), Fraction(9, 4)], 4)
-    assert not sum_sqrt_le([Fraction(1, 4), Fraction(9, 4)], Fraction(399, 100))
-
-
 def test_fraction_round_trip():
     assert parse_fraction("3/7") == Fraction(3, 7)
     assert parse_fraction(" -2 ") == Fraction(-2)
@@ -139,3 +111,6 @@ def test_fraction_round_trip():
     assert format_fraction(Fraction(10, 4)) == "5/2"
     assert format_fraction(Fraction(8, 2)) == "4"
     assert parse_fraction(format_fraction(Fraction(-9, 11))) == Fraction(-9, 11)
+    for bad in ("1/0", "0/0", "1/x"):
+        with pytest.raises(ValueError):
+            parse_fraction(bad)

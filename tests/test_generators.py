@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from trigauge.core import TriVector, sup_norm
+from trigauge.core import TriVector
 from trigauge.generators import (
     GridSeq,
     ZERO_SEQ,
@@ -179,11 +179,11 @@ def test_average_and_degree():
     assert disjointness_degree([]) == 0
     assert disjointness_degree([ZERO_SEQ]) == 0
     # degree / M equals the sup norm of the average
-    assert Fraction(disjointness_degree(fam), len(fam)) == sup_norm(avg)
+    assert Fraction(disjointness_degree(fam), len(fam)) == avg.sup_norm()
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from(enumerate_grid_seqs(4)), min_size=1, max_size=6))
 def test_degree_equals_scaled_sup(fam):
     avg = average_indicators(fam)
-    assert Fraction(disjointness_degree(fam), len(fam)) == sup_norm(avg)
+    assert Fraction(disjointness_degree(fam), len(fam)) == avg.sup_norm()

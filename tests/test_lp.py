@@ -117,14 +117,14 @@ def test_matches_scipy_on_random_instances(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_certificate_self_check_never_trips(data):
-    # check=True revalidates optimality exactly; any pivoting bug would raise
+    # every solve revalidates optimality exactly; any pivoting bug would raise
     n = data.draw(st.integers(1, 3))
     m = data.draw(st.integers(1, 3))
     fr = st.fractions(min_value=-2, max_value=2, max_denominator=5)
     c = data.draw(st.lists(fr, min_size=n, max_size=n))
     rows = data.draw(st.lists(st.lists(fr, min_size=n, max_size=n), min_size=m, max_size=m))
     b = data.draw(st.lists(fr, min_size=m, max_size=m))
-    solve_lp(c, rows, b, check=True)
+    solve_lp(c, rows, b)
 
 
 def test_row_length_mismatch():

@@ -26,7 +26,7 @@ class TestSweepConfig:
         assert cfg.p.num == 3 and cfg.p.den == 2
         assert cfg.trials == 100
         assert cfg.epsilon is None
-        assert cfg.fmt == "json"
+        assert cfg.tolerance == F(1, 1000)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -39,7 +39,7 @@ class TestSweepConfig:
             {"epsilon": F(1)},
             {"epsilon": F(0)},
             {"tolerance": F(0)},
-            {"fmt": "xml"},
+            {"epsilon": F(3, 2)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

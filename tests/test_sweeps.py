@@ -79,7 +79,8 @@ def test_execute_turns_exceptions_into_failures():
             raise RuntimeError("synthetic")
         return True, {"fine": trial}, None
 
-    records, failures, details = _execute(cfg, boom)
+    trials = [(t, boom, "property violated") for t in range(cfg.trials)]
+    records, failures, details = _execute(cfg, trials)
     assert [r.ok for r in records] == [True, False, True]
     assert len(failures) == 1
     assert "synthetic" in failures[0]["error"]
