@@ -541,6 +541,19 @@ class DisjointRep:
         return max(self.max_hull_scale(), lorentz_value_sq(self.norms_sq, self.p).hi)
 
     def is_unit_member(self) -> bool:
+        """Re-derived from the pieces: stored seminorms and hull certificates
+        are checked against them, not trusted."""
+        if not len(self.pieces) == len(self.certs) == len(self.norms_sq):
+            return False
+        if not is_row_disjoint(*self.pieces):
+            return False
+        for piece, cert, norm_sq in zip(self.pieces, self.certs, self.norms_sq):
+            if row_norm_sq(piece) != norm_sq:
+                return False
+            try:
+                cert.validate(piece)
+            except AssertionError:
+                return False
         return self.max_hull_scale() <= 1 and lorentz_le_sq(self.norms_sq, 1, self.p)
 
 

@@ -136,52 +136,54 @@ def _full_row_cert(x_abs: TriVector, i: int) -> tuple[HullCertificate, Fraction]
 def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     """Best certified upper bound over three search strategies.
 
-    Tries the whole support as one hull piece, every partition of the
-    active rows into hull pieces (small supports only), and the per-row
-    split whose hull scales are plain row suprema.  All three produce
-    valid certificates; the smallest scale wins.  The bound is never
-    claimed minimal.
+    Tries the per-row split whose hull scales are plain row suprema,
+    every partition of the active rows into hull pieces (small supports
+    only), and otherwise the whole support as one hull piece.  Each row
+    group's covering LP is solved once; the scales are compared first and
+    only the first smallest one is built into a certificate.  The bound
+    is never claimed minimal.
     """
     target = abs(x)
     if target.is_zero():
         return GaugeCertificate((), (), Fraction(0))
     rows = target.active_rows()
-    candidates: list[GaugeCertificate] = []
+    hulls: dict[tuple[int, ...], tuple[Fraction, HullCertificate] | None] = {}
+
+    def hull(group: tuple[int, ...]) -> tuple[Fraction, HullCertificate] | None:
+        if group not in hulls:
+            try:
+                hulls[group] = hull_min_scale(target.restrict_rows(group))
+            except RuntimeError:
+                hulls[group] = None  # enumeration too large for this grouping
+        return hulls[group]
 
     # per-row split: no enumeration, always available
-    row_pieces = [target.restrict_rows([i]) for i in rows]
     row_certs, sups = zip(*(_full_row_cert(target, i) for i in rows))
-    norms = [row_norm_sq(piece) for piece in row_pieces]
-    scale = max(max(sups), lorentz_value_sq(norms, p).hi)
-    candidates.append(_single_rep_certificate(row_pieces, row_certs, scale, p))
+    row_sq = {i: row_norm_sq(target.restrict_rows([i])) for i in rows}
+    scale = max(max(sups), lorentz_value_sq(row_sq.values(), p).hi)
+    best = (scale, tuple((i,) for i in rows), row_certs)
 
     if len(rows) <= MAX_PARTITION_ROWS:
         for partition in _set_partitions(rows):
             if len(partition) == len(rows):
                 continue  # the singleton partition is the per-row split
-            try:
-                pieces, certs, lams = [], [], []
-                for group in partition:
-                    piece = target.restrict_rows(group)
-                    lam, cert = hull_min_scale(piece)
-                    pieces.append(piece)
-                    certs.append(cert)
-                    lams.append(lam)
-            except RuntimeError:
-                continue  # enumeration too large for this grouping
-            norms = [row_norm_sq(piece) for piece in pieces]
-            scale = max(max(lams), lorentz_value_sq(norms, p).hi)
-            candidates.append(_single_rep_certificate(pieces, certs, scale, p))
+            solved = [hull(group) for group in partition]
+            if None in solved:
+                continue
+            norms = [sum((row_sq[i] for i in group), Fraction(0)) for group in partition]
+            scale = max(max(lam for lam, _ in solved), lorentz_value_sq(norms, p).hi)
+            if scale < best[0]:
+                best = (scale, partition, tuple(cert for _, cert in solved))
     else:
-        try:
-            lam, cert = hull_min_scale(target)
-            candidates.append(_single_rep_certificate([target], [cert], lam, p))
-        except RuntimeError:
-            pass
+        solved = hull(rows)
+        if solved is not None and solved[0] < best[0]:
+            best = (solved[0], (rows,), (solved[1],))
 
-    best = min(candidates, key=lambda c: c.scale)
-    best.validate(x)
-    return best
+    scale, groups, certs = best
+    pieces = [target.restrict_rows(group) for group in groups]
+    cert = _single_rep_certificate(pieces, certs, scale, p)
+    cert.validate(x)
+    return cert
 
 
 def gauge_upper_from_average(

@@ -8,9 +8,13 @@ when |x| is dominated componentwise by scale times a subconvex
 combination of indicators.
 
 Membership and the minimal covering scale are decided by exact covering
-LPs over an enumerated generator set.  Enumeration restricted to the rows
-where x lives loses nothing: dropping rows from a valid sequence keeps it
-valid and keeps the domination on those rows.
+LPs over the maximal support-pruned generators of x.  Restricting to the
+rows where x lives loses nothing: dropping rows from a valid sequence
+keeps it valid and keeps the domination on those rows.  On row i only the
+counts 0 and the support columns of x matter: lowering m_i to the largest
+such value at most m_i covers the same support cells at no greater
+budget, and among those tuples a maximal one (no row can step up to its
+next support column within the budget) dominates every other.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from .core import TriVector
@@ -160,38 +165,99 @@ class HullCertificate:
             raise AssertionError("weights exceed 1")
         if self.scale < 0:
             raise AssertionError("negative scale")
-        if not self.combination().dominates(abs(x)):
-            raise AssertionError("combination does not dominate |x|")
+        reach: dict[int, list[Fraction]] = {}
+        for (i, j), v in x.items():
+            if i not in reach:
+                reach[i] = self._row_reach(i)
+            if self.scale * reach[i][j] < abs(v):
+                raise AssertionError("combination does not dominate |x|")
+
+    def _row_reach(self, i: int) -> list[Fraction]:
+        """reach[j] = sum of w_q over the q whose row-i count is at least j."""
+        reach = [Fraction(0)] * (i + 2)
+        for seq, w in zip(self.seqs, self.weights):
+            if len(seq.m) >= i:
+                reach[seq.m[i - 1]] += w
+        for j in range(i - 1, -1, -1):
+            reach[j] += reach[j + 1]
+        return reach
 
 
-def hull_min_scale(
-    x: TriVector, rows=None, limit: int | None = 200_000
-) -> tuple[Fraction, HullCertificate]:
+_MAX_CANDIDATES = 200_000  # feasible count tuples walked before hull_min_scale gives up
+
+
+def _maximal_counts(support: dict[int, set[int]]) -> list[tuple[int, ...]]:
+    """Maximal count tuples over ``sorted(support)`` with values in {0} | S_i.
+
+    Walks every tuple within the budget sum (m_i / i)^2 <= 1 (integer
+    arithmetic over the lcm of the i^2) and keeps those where no row can
+    step up to its next support column.  Lexicographic order.
+    """
+    rows = sorted(support)
+    unit = lcm(*(i * i for i in rows))
+    prices = [unit // (i * i) for i in rows]
+    options = [(0, *sorted(support[i])) for i in rows]
+    picks = [0] * len(rows)  # position of each row's count in its options
+    found: list[tuple[int, ...]] = []
+    walked = 0
+
+    def walk(k: int, left: int) -> None:
+        nonlocal walked
+        if k == len(rows):
+            walked += 1
+            if walked > _MAX_CANDIDATES:
+                raise RuntimeError(f"generator enumeration exceeds {_MAX_CANDIDATES}")
+            for opts, price, pos in zip(options, prices, picks):
+                if pos + 1 < len(opts) and (opts[pos + 1] ** 2 - opts[pos] ** 2) * price <= left:
+                    return  # this row can still step up
+            found.append(tuple(opts[pos] for opts, pos in zip(options, picks)))
+            return
+        for pos, m in enumerate(options[k]):
+            cost = m * m * prices[k]
+            if cost > left:
+                break
+            picks[k] = pos
+            walk(k + 1, left - cost)
+        picks[k] = 0
+
+    walk(0, unit)
+    return found
+
+
+def hull_min_scale(x: TriVector) -> tuple[Fraction, HullCertificate]:
     """Exact minimal scale with x in scale * U, plus the covering witness.
 
-    Solves min sum W_q  s.t.  sum W_q indicator_q >= |x| over all
-    generators on the rows of x; the optimum is the gauge of U at |x|
-    restricted to those rows (the witness weights are W / optimum).
+    Solves min sum W_q  s.t.  sum W_q indicator_q >= |x| over the maximal
+    support-pruned generators of x (see the module docstring); the
+    optimum is the gauge of U at |x| (the witness weights are W /
+    optimum).  Every dropped generator's column is dominated by a kept
+    one, so the nonnegative dual stays feasible for it and the optimum is
+    the one over all generators.  Raises RuntimeError past
+    ``_MAX_CANDIDATES`` walked tuples.
     """
     if x.is_zero():
         return Fraction(0), HullCertificate((), (), Fraction(0))
-    target = abs(x)
-    row_set = _rows_key(rows) if rows is not None else target.active_rows()
-    seqs = [s for s in enumerate_grid_seqs(row_set, limit) if s.m]
-    cells = target.support()
-    cols = [s.indicator() for s in seqs]
-    mat = [[col.entry(i, j) for col in cols] for (i, j) in cells]
-    rhs = [target.entry(i, j) for (i, j) in cells]
-    res = solve_lp([Fraction(1)] * len(seqs), mat, rhs)
+    cells = [(cell, abs(v)) for cell, v in x.items()]
+    support: dict[int, set[int]] = {}
+    for (i, j), _ in cells:
+        support.setdefault(i, set()).add(j)
+    rows = sorted(support)
+    tuples = _maximal_counts(support)
+    position = {i: k for k, i in enumerate(rows)}
+    mat = [[1 if t[position[i]] >= j else 0 for t in tuples] for (i, j), _ in cells]
+    res = solve_lp([1] * len(tuples), mat, [v for _, v in cells])
     if res.status != "optimal":
-        raise ValueError("target not coverable on its rows (cell outside row range?)")
+        raise ValueError("target not coverable on its rows")
     lam = res.objective
-    picked = [(s, w) for s, w in zip(seqs, res.x) if w]
-    cert = HullCertificate(
-        tuple(s for s, _ in picked),
-        tuple(w / lam for _, w in picked),
-        lam,
-    )
+    seqs, weights = [], []
+    for t, w in zip(tuples, res.x):
+        if w:
+            counts = [0] * rows[-1]
+            for i, m in zip(rows, t):
+                counts[i - 1] = m
+            seqs.append(GridSeq(tuple(counts)))
+            weights.append(w / lam)
+    cert = HullCertificate(tuple(seqs), tuple(weights), lam)
     cert.validate(x)
     return lam, cert
 

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -167,8 +167,32 @@ def flat_detail(detail: Mapping[str, Any]) -> str:
     return ";".join(f"{k}={detail[k]}" for k in sorted(detail))
 
 
-AGGREGATE_FIELDS = ("trials", "failures", "pass", "stats")
-RECORD_FIELDS = {"trial", "ok", "digest", "detail"}
+# JSON type of every field a loaded report must carry (see Report.payload)
+CONFIG_TYPES = {
+    "suite": str,
+    "p": str,
+    "seed": int,
+    "trials": int,
+    "max_row": int,
+    "max_m": int,
+    "epsilon": (str, type(None)),
+    "tolerance": str,
+}
+AGGREGATE_TYPES = {"trials": int, "failures": int, "pass": bool, "stats": dict}
+RECORD_TYPES = {"trial": int, "ok": bool, "digest": str, "detail": dict}
+
+
+def _check_fields(part: Any, types: Mapping[str, Any], where: str) -> None:
+    if not isinstance(part, dict):
+        raise ValueError(f"report has no {where} object")
+    missing = [name for name in types if name not in part]
+    if missing:
+        raise ValueError(f"report {where} lacks {', '.join(missing)}")
+    for name, kind in types.items():
+        value = part[name]
+        # JSON true/false load as bool, which Python also counts as int
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
+            raise ValueError(f"report {where} field {name} has the wrong type")
 
 
 def load_report_payload(text: str) -> dict[str, Any]:
@@ -177,20 +201,15 @@ def load_report_payload(text: str) -> dict[str, Any]:
         raise ValueError("not a sweep report")
     if data.get("version") != REPORT_VERSION:
         raise ValueError(f"unsupported report version {data.get('version')!r}")
-    config_fields = [f.name for f in fields(SweepConfig)]
-    for section, names in (("config", config_fields), ("aggregate", AGGREGATE_FIELDS)):
-        part = data.get(section)
-        if not isinstance(part, dict):
-            raise ValueError(f"report has no {section} object")
-        missing = [name for name in names if name not in part]
-        if missing:
-            raise ValueError(f"report {section} lacks {', '.join(missing)}")
+    _check_fields(data.get("config"), CONFIG_TYPES, "config")
+    _check_fields(data.get("aggregate"), AGGREGATE_TYPES, "aggregate")
     for key in ("records", "failures"):
         if not isinstance(data.get(key), list):
             raise ValueError(f"report has no {key} list")
     for record in data["records"]:
-        if not isinstance(record, dict) or not RECORD_FIELDS <= record.keys():
-            raise ValueError(f"report record lacks one of {', '.join(sorted(RECORD_FIELDS))}")
+        _check_fields(record, RECORD_TYPES, "record")
+    if not all(isinstance(fail, dict) for fail in data["failures"]):
+        raise ValueError("report failures must be objects")
     return data
 
 

@@ -114,6 +114,16 @@ def test_tau_bounds_deep_support_skips_refinement(tmp_path, capsys):
     assert payload["max_row"] == 6
 
 
+def test_tau_bounds_nine_rows_finishes(tmp_path, capsys):
+    x = TriVector({(i, (i + 1) // 2): F(1, i) for i in range(1, 10)})
+    path = tmp_path / "x.txt"
+    path.write_text(x.to_text())
+    assert main(["tau-bounds", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_row"] == 9 and payload["refined"] is False
+    assert F(payload["lower"]) <= F(payload["upper"])
+
+
 def test_quotient_command(capsys):
     assert main(["quotient", "3/5", "4/5"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -168,4 +178,23 @@ def test_incomplete_report_exits_two(tmp_path, capsys, command, path):
     out.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main([command, str(out), "--format", "csv"]) == 2
+    assert path[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("command", "path", "value"),
+    [
+        ("replay", ("config", "seed"), [1]),
+        ("report", ("aggregate", "stats"), [1]),
+    ],
+    ids=["config-seed", "aggregate-stats"],
+)
+def test_wrong_field_type_exits_two(tmp_path, capsys, command, path, value):
+    out = tmp_path / "r.json"
+    assert main(["sweep", "blocks", "--trials", "1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload[path[0]][path[1]] = value
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, str(out)]) == 2
     assert path[-1] in capsys.readouterr().err

@@ -12,8 +12,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigauge.core import DEFAULT_P, lorentz_le_sq
+from trigauge.core import DEFAULT_P, TriVector, lorentz_le_sq
 from trigauge.decompose import (
+    DisjointRep,
     block_conditions_sq,
     column_blocking,
     decompose_average,
@@ -26,6 +27,7 @@ from trigauge.decompose import (
     verify_decomposition,
     verify_split,
 )
+from trigauge.gauge import GaugeCertificate
 from trigauge.generators import (
     GridSeq,
     HullCertificate,
@@ -432,6 +434,31 @@ class TestDisjointRep:
     def test_element_is_sum(self):
         rep = make_disjoint_rep([single_cell(3), single_cell(4)], P)
         assert rep.element() == single_cell(3) + single_cell(4)
+
+    def test_forged_stored_fields_rejected(self):
+        # stored seminorm 0 and a one-cell certificate at scale 1 would
+        # present 50 * e_(1,1) as a unit member if the fields were trusted
+        x = TriVector({(1, 1): F(50)})
+        bogus = HullCertificate((GridSeq((1,)),), (F(1),), F(1))
+        forged = DisjointRep((x,), (bogus,), (F(0),), P, F(1))
+        assert not forged.is_unit_member()
+        cert = GaugeCertificate((F(1),), (forged,), F(1))
+        with pytest.raises(AssertionError):
+            cert.validate(x)
+        # either lie alone is caught: right seminorm, or right certificate
+        assert not dataclasses.replace(forged, norms_sq=(F(2500),)).is_unit_member()
+        honest = HullCertificate((GridSeq((1,)),), (F(1),), F(50))
+        assert not dataclasses.replace(forged, certs=(honest,)).is_unit_member()
+
+    def test_shared_rows_rejected(self):
+        rep = make_disjoint_rep([single_cell(2)], P)
+        doubled = dataclasses.replace(
+            rep,
+            pieces=rep.pieces * 2,
+            certs=rep.certs * 2,
+            norms_sq=rep.norms_sq * 2,
+        )
+        assert not doubled.is_unit_member()
 
 
 class TestMerge:

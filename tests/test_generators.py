@@ -1,6 +1,7 @@
 """Generator enumeration and hull covering against brute-force oracles."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.optimize import linprog
 from trigauge.core import TriVector
 from trigauge.generators import (
     GridSeq,
+    HullCertificate,
     ZERO_SEQ,
     average_indicators,
     disjointness_degree,
@@ -20,6 +22,7 @@ from trigauge.generators import (
     parse_seq_file,
     seq_file_text,
 )
+from trigauge.lp import solve_lp
 
 
 def brute_enumerate(max_row: int) -> set[tuple[int, ...]]:
@@ -126,15 +129,16 @@ def test_min_scale_homogeneous():
 small_entry = st.fractions(min_value=0, max_value=2, max_denominator=6)
 tri_index3 = st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda t: t[0] >= t[1])
 nonneg_vectors3 = st.dictionaries(tri_index3, small_entry, max_size=6).map(TriVector)
+tri_index4 = st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda t: t[0] >= t[1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(nonneg_vectors3, nonneg_vectors3)
 def test_min_scale_is_a_solid_gauge(x, y):
-    rows = (1, 2, 3)
-    lx, _ = hull_min_scale(x, rows=rows)
-    ly, _ = hull_min_scale(y, rows=rows)
-    ls, _ = hull_min_scale(x + y, rows=rows)
+    # each LP runs on its own support rows, which loses nothing
+    lx, _ = hull_min_scale(x)
+    ly, _ = hull_min_scale(y)
+    ls, _ = hull_min_scale(x + y)
     assert ls <= lx + ly  # subadditive
     if (x + y).dominates(x):  # always true here; domination monotone
         assert lx <= ls
@@ -157,6 +161,77 @@ def test_min_scale_matches_scipy(x):
     )
     assert ref.status == 0
     assert abs(float(lam) - ref.fun) < 1e-8
+
+
+def full_enumeration_min_scale(x):
+    """The covering LP over every generator on the rows of x."""
+    seqs = [s for s in enumerate_grid_seqs(x.active_rows()) if s.m]
+    cells = x.support()
+    mat = [[s.indicator().entry(i, j) for s in seqs] for (i, j) in cells]
+    res = solve_lp([1] * len(seqs), mat, [abs(x.entry(i, j)) for (i, j) in cells])
+    assert res.status == "optimal"
+    return res.objective
+
+
+def test_pruned_min_scale_matches_full_enumeration():
+    rng = random.Random(20261018)
+    for _ in range(16):
+        rows = sorted(rng.sample(range(1, 7), rng.randint(1, 5)))
+        cells = {}
+        for i in rows:
+            for j in rng.sample(range(1, i + 1), rng.randint(1, min(i, 3))):
+                cells[(i, j)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 8), rng.randint(1, 8))
+        x = TriVector(cells)
+        lam, cert = hull_min_scale(x)
+        assert lam == full_enumeration_min_scale(x)
+        assert cert.scale == lam and sum(cert.weights) <= 1
+        assert cert.combination().dominates(abs(x))
+        cert.validate(x)
+
+
+def test_pruned_columns_are_maximal_support_counts():
+    # two cells per row on rows 1..6: 7 columns instead of 366
+    x = TriVector({(i, j): 1 for i in range(1, 7) for j in {1, i}})
+    lam, cert = hull_min_scale(x)
+    assert lam == full_enumeration_min_scale(x)
+    for s in cert.seqs:
+        assert all(m in (0, 1, i) for i, m in enumerate(s.m, start=1))
+
+
+def test_min_scale_candidate_guard():
+    dense = TriVector({(i, j): 1 for i in range(1, 12) for j in range(1, i + 1)})
+    with pytest.raises(RuntimeError):
+        hull_min_scale(dense)
+
+
+@st.composite
+def certificates_and_targets(draw):
+    """A hull certificate and a vector at, just above or below its combination."""
+    seqs = draw(st.lists(st.sampled_from(enumerate_grid_seqs(4)), max_size=4))
+    raw = draw(st.lists(st.integers(0, 5), min_size=len(seqs), max_size=len(seqs)))
+    total = draw(st.integers(max(sum(raw), 1), max(sum(raw), 1) + 2))
+    scale = draw(st.fractions(min_value=0, max_value=3, max_denominator=5).filter(bool))
+    cert = HullCertificate(tuple(seqs), tuple(Fraction(w, total) for w in raw), scale)
+    comb = cert.combination()
+    cells = st.one_of(st.sampled_from(comb.support()), tri_index4) if comb else tri_index4
+    entries = {}
+    for cell in draw(st.lists(cells, max_size=6)):
+        nudge = draw(st.sampled_from((Fraction(-1, 97), Fraction(0), Fraction(1, 97))))
+        sign = draw(st.sampled_from((1, -1)))
+        entries[cell] = sign * (comb.entry(*cell) + nudge)
+    return cert, TriVector(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificates_and_targets())
+def test_validate_matches_combination_domination(pair):
+    cert, x = pair
+    try:
+        cert.validate(x)
+        accepted = True
+    except AssertionError:
+        accepted = False
+    assert accepted == cert.combination().dominates(abs(x))
 
 
 def test_hull_member_threshold():
