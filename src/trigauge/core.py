@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from .exact import (
@@ -88,10 +89,17 @@ class TriVector:
             for (i, j), v in entries.items():
                 if not (isinstance(i, int) and isinstance(j, int) and i >= j >= 1):
                     raise ValueError(f"index ({i}, {j}) outside the triangle")
-                f = Fraction(v)
+                f = v if isinstance(v, Fraction) else Fraction(v)
                 if f:
                     clean[(i, j)] = f
         object.__setattr__(self, "_entries", clean)
+
+    @classmethod
+    def _adopt(cls, entries: dict[tuple[int, int], Fraction]) -> "TriVector":
+        """Wrap entries already known valid: triangle indices, nonzero Fractions."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_entries", entries)
+        return out
 
     # -- access ---------------------------------------------------------
 
@@ -130,23 +138,28 @@ class TriVector:
             return NotImplemented
         merged = dict(self._entries)
         for k, v in other._entries.items():
-            merged[k] = merged.get(k, Fraction(0)) + v
-        return TriVector(merged)
+            if k in merged:
+                v += merged[k]
+                if not v:
+                    del merged[k]
+                    continue
+            merged[k] = v
+        return TriVector._adopt(merged)
 
     def __sub__(self, other: "TriVector") -> "TriVector":
         return self + (-other)
 
     def __neg__(self) -> "TriVector":
-        return TriVector({k: -v for k, v in self._entries.items()})
+        return TriVector._adopt({k: -v for k, v in self._entries.items()})
 
     def __abs__(self) -> "TriVector":
-        return TriVector({k: abs(v) for k, v in self._entries.items()})
+        return TriVector._adopt({k: abs(v) for k, v in self._entries.items()})
 
     def scale(self, c: Rational) -> "TriVector":
         c = Fraction(c)
         if not c:
             return TriVector()
-        return TriVector({k: v * c for k, v in self._entries.items()})
+        return TriVector._adopt({k: v * c for k, v in self._entries.items()})
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -157,7 +170,7 @@ class TriVector:
 
     def restrict_rows(self, rows: Iterable[int]) -> "TriVector":
         keep = set(rows)
-        return TriVector({k: v for k, v in self._entries.items() if k[0] in keep})
+        return TriVector._adopt({k: v for k, v in self._entries.items() if k[0] in keep})
 
     def dominates(self, other: "TriVector") -> bool:
         """Componentwise self >= other (both sides read as 0 off support)."""
@@ -235,11 +248,20 @@ def is_row_disjoint(*xs: TriVector) -> bool:
 
 
 def row_norm_sq(x: TriVector) -> Fraction:
-    """Square of the row-average seminorm: sum_i (|row i| sum / i)^2."""
-    acc: dict[int, Fraction] = {}
+    """Square of the row-average seminorm: sum_i (|row i| sum / i)^2.
+
+    Each row's |entries| are summed in integers over the lcm of their
+    denominators, so only one Fraction is built per row.
+    """
+    rows: dict[int, list[Fraction]] = {}
     for (i, _), v in x._entries.items():  # noqa: SLF001 - module-internal fast path
-        acc[i] = acc.get(i, Fraction(0)) + abs(v)
-    return sum((s / i) ** 2 for i, s in acc.items())
+        rows.setdefault(i, []).append(v)
+    total = Fraction(0)
+    for i, vals in rows.items():
+        den = lcm(*(v.denominator for v in vals))
+        num = sum(abs(v.numerator) * (den // v.denominator) for v in vals)
+        total += Fraction(num, den * i) ** 2
+    return total
 
 
 def l2_norm_sq(values: Iterable[Rational]) -> Fraction:

@@ -59,6 +59,7 @@ from .generators import (
     average_indicators,
     disjointness_degree,
     hull_member,
+    indicator_sum,
 )
 
 Matrix = tuple[tuple[Fraction, ...], ...]  # columns, each sorted nonincreasing
@@ -259,16 +260,10 @@ class DecompositionCertificate:
         return self.columns[self.breakpoints[m] : self.breakpoints[m + 1]]
 
     def block_vector(self, m: int) -> TriVector:
-        total = TriVector()
-        for piece in self.blocks[m].pieces:
-            total = total + piece.indicator()
-        return total.scale(Fraction(1, self.m_count))
+        return indicator_sum(self.blocks[m].pieces, self.m_count)
 
     def average(self) -> TriVector:
-        total = TriVector()
-        for m in range(len(self.blocks)):
-            total = total + self.block_vector(m)
-        return total
+        return indicator_sum((piece for blk in self.blocks for piece in blk.pieces), self.m_count)
 
     def hull_witness(self, m: int) -> HullCertificate:
         blk = self.blocks[m]
@@ -333,10 +328,7 @@ def decompose_average(
         r_m = part_res.reductions + k
         if len(pieces) > r_m:
             raise AssertionError("more parts than the guaranteed bound")
-        y_m = TriVector()
-        for piece in pieces:
-            y_m = y_m + piece.indicator()
-        y_m = y_m.scale(Fraction(1, mm))
+        y_m = indicator_sum(pieces, mm)
         blocks.append(
             DecompositionBlock(tuple(pieces), part_res.reductions, r_m, row_norm_sq(y_m))
         )

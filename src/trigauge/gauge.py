@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
+    DEFAULT_P,
     LorentzParam,
     TriVector,
     l2_norm_sq,
@@ -217,16 +218,24 @@ class GaugeLowerWitness:
     vector in detail, over the same ceiling.  kind 'dual': a nonnegative
     cell functional, detail = (cells, weights), whose ceiling the micro
     enclosure certified over the body.
+
+    ``validate`` re-derives every ceiling but the dual one: 'sup' needs
+    1, and 'seminorm' and 'pairing' need at least the upper end of the
+    series constant for ``p``.  A dual ceiling is trusted as stored;
+    re-deriving it means re-running the micro enclosure.
     """
 
     value: Fraction
     kind: str
     detail: tuple
     ceiling: Fraction  # certified bound of the functional on the body
+    p: LorentzParam = DEFAULT_P
 
     def validate(self, x: TriVector) -> None:
         if self.value < 0 or self.ceiling <= 0:
             raise AssertionError("witness values must be nonnegative")
+        if self.kind in ("seminorm", "pairing") and self.ceiling < lorentz_l2_constant(self.p).hi:
+            raise AssertionError("ceiling below the series constant")
         if self.kind == "sup":
             i, j = self.detail
             if self.ceiling != 1 or abs(x.entry(i, j)) < self.value * self.ceiling:
@@ -258,7 +267,7 @@ class GaugeLowerWitness:
         f = Fraction(factor)
         if f < 0:
             raise ValueError("negative factor")
-        return GaugeLowerWitness(self.value * f, self.kind, self.detail, self.ceiling)
+        return GaugeLowerWitness(self.value * f, self.kind, self.detail, self.ceiling, self.p)
 
 
 def gauge_lower(
@@ -274,7 +283,7 @@ def gauge_lower(
     the lower end of the seminorm enclosure by the same constant.
     """
     if x.is_zero():
-        return GaugeLowerWitness(Fraction(0), "sup", (1, 1), Fraction(1))
+        return GaugeLowerWitness(Fraction(0), "sup", (1, 1), Fraction(1), p)
     best: GaugeLowerWitness | None = None
 
     def push(w: GaugeLowerWitness) -> None:
@@ -283,19 +292,19 @@ def gauge_lower(
             best = w
 
     cell, value = max(x.items(), key=lambda kv: (abs(kv[1]), kv[0]))
-    push(GaugeLowerWitness(abs(value), "sup", cell, Fraction(1)))
+    push(GaugeLowerWitness(abs(value), "sup", cell, Fraction(1), p))
 
     c_hi = lorentz_l2_constant(p).hi
     push(
         GaugeLowerWitness(
-            sqrt_enclosure(row_norm_sq(x)).lo / c_hi, "seminorm", (), c_hi
+            sqrt_enclosure(row_norm_sq(x)).lo / c_hi, "seminorm", (), c_hi, p
         )
     )
     for b in directions:
         b = tuple(Fraction(v) for v in b)
         if l2_norm_sq(b) != 1:
             raise ValueError("pairing directions must have unit squared sum")
-        push(GaugeLowerWitness(abs(row_pairing(x, b)) / c_hi, "pairing", b, c_hi))
+        push(GaugeLowerWitness(abs(row_pairing(x, b)) / c_hi, "pairing", b, c_hi, p))
     assert best is not None
     best.validate(x)
     return best

@@ -19,6 +19,7 @@ next support column within the budget) dominates every other.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -106,8 +107,11 @@ def _rows_key(rows) -> tuple[int, ...]:
     return out
 
 
+_MAX_CANDIDATES = 200_000  # sequences or count tuples walked before a search gives up
+
+
 @lru_cache(maxsize=256)
-def _enumerate_cached(rows: tuple[int, ...], limit: int | None) -> tuple[GridSeq, ...]:
+def _enumerate_cached(rows: tuple[int, ...]) -> tuple[GridSeq, ...]:
     found: list[tuple[int, ...]] = []
     max_row = rows[-1] if rows else 0
     counts = [0] * max_row
@@ -115,8 +119,8 @@ def _enumerate_cached(rows: tuple[int, ...], limit: int | None) -> tuple[GridSeq
     def walk(idx: int, budget: Fraction) -> None:
         if idx == len(rows):
             found.append(tuple(counts))
-            if limit is not None and len(found) > limit:
-                raise RuntimeError(f"generator enumeration exceeds {limit}")
+            if len(found) > _MAX_CANDIDATES:
+                raise RuntimeError(f"generator enumeration exceeds {_MAX_CANDIDATES}")
             return
         i = rows[idx]
         for m in range(i + 1):
@@ -131,15 +135,15 @@ def _enumerate_cached(rows: tuple[int, ...], limit: int | None) -> tuple[GridSeq
     return tuple(GridSeq(m) for m in found)
 
 
-def enumerate_grid_seqs(rows, limit: int | None = 200_000) -> tuple[GridSeq, ...]:
+def enumerate_grid_seqs(rows) -> tuple[GridSeq, ...]:
     """All valid sequences supported on the given rows (int means rows 1..n).
 
     Includes the zero sequence.  Ordered lexicographically by padded
     counts, so the output is deterministic.  Raises RuntimeError past
-    ``limit`` candidates; callers with large rows catch that and fall
-    back to cheaper bounds.
+    ``_MAX_CANDIDATES`` sequences; callers with large rows catch that and
+    fall back to cheaper bounds.
     """
-    return _enumerate_cached(_rows_key(rows), limit)
+    return _enumerate_cached(_rows_key(rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,33 +161,52 @@ class HullCertificate:
         return total
 
     def validate(self, x: TriVector) -> None:
+        """Check sum w <= 1 and scale * (sum of w_q with m_q,i >= j) >= |x_ij|.
+
+        Everything is compared in integers: the weights as W_q = w_q * D
+        over their common denominator D, and each cell as
+        scale.num * reach * v.den >= |v.num| * scale.den * D.
+        """
         if len(self.seqs) != len(self.weights):
             raise AssertionError("length mismatch")
-        if any(w < 0 for w in self.weights):
+        den = lcm(*(w.denominator for w in self.weights))
+        ints = [w.numerator * (den // w.denominator) for w in self.weights]
+        if any(w < 0 for w in ints):
             raise AssertionError("negative weight")
-        if sum(self.weights, Fraction(0)) > 1:
+        if sum(ints) > den:
             raise AssertionError("weights exceed 1")
         if self.scale < 0:
             raise AssertionError("negative scale")
-        reach: dict[int, list[Fraction]] = {}
+        cover_den = self.scale.denominator * den
+        row = 0
         for (i, j), v in x.items():
-            if i not in reach:
-                reach[i] = self._row_reach(i)
-            if self.scale * reach[i][j] < abs(v):
+            if i != row:
+                row = i
+                counts, reach = self._row_steps(i, ints)
+            k = bisect_left(counts, j)
+            if k == len(counts) or reach[k] * v.denominator < abs(v.numerator) * cover_den:
                 raise AssertionError("combination does not dominate |x|")
 
-    def _row_reach(self, i: int) -> list[Fraction]:
-        """reach[j] = sum of w_q over the q whose row-i count is at least j."""
-        reach = [Fraction(0)] * (i + 2)
-        for seq, w in zip(self.seqs, self.weights):
-            if len(seq.m) >= i:
-                reach[seq.m[i - 1]] += w
-        for j in range(i - 1, -1, -1):
-            reach[j] += reach[j + 1]
-        return reach
+    def _row_steps(self, i: int, ints: list[int]) -> tuple[list[int], list[int]]:
+        """Coverage on row i as a step function of the column.
 
-
-_MAX_CANDIDATES = 200_000  # feasible count tuples walked before hull_min_scale gives up
+        Returns the distinct nonzero counts c_1 < c_2 < ... of the sequences
+        on row i and, for each c_k, scale.num times the integer weight of
+        the sequences whose count is at least c_k; that covers columns
+        c_(k-1) < j <= c_k, and nothing covers columns past the last count.
+        """
+        at: dict[int, int] = {}
+        for seq, w in zip(self.seqs, ints):
+            if len(seq.m) >= i and seq.m[i - 1] and w:
+                at[seq.m[i - 1]] = at.get(seq.m[i - 1], 0) + w
+        counts = sorted(at)
+        reach = []
+        total = 0
+        for c in reversed(counts):
+            total += at[c]
+            reach.append(self.scale.numerator * total)
+        reach.reverse()
+        return counts, reach
 
 
 def _maximal_counts(support: dict[int, set[int]]) -> list[tuple[int, ...]]:
@@ -279,14 +302,28 @@ def hull_member(x: TriVector, scale: Rational = 1) -> HullCertificate | None:
     return out
 
 
+def indicator_sum(seqs: Iterable[GridSeq], divisor: int) -> TriVector:
+    """(1/divisor) sum indicator(seq_q), counted per cell in integers."""
+    tops: dict[int, dict[int, int]] = {}  # row -> count -> sequences with it
+    for s in seqs:
+        for i, count in enumerate(s.m, start=1):
+            if count:
+                row = tops.setdefault(i, {})
+                row[count] = row.get(count, 0) + 1
+    entries: dict[tuple[int, int], Fraction] = {}
+    for i, row in tops.items():
+        covering = 0
+        for j in range(max(row), 0, -1):
+            covering += row.get(j, 0)
+            entries[(i, j)] = Fraction(covering, divisor)
+    return TriVector(entries)
+
+
 def average_indicators(seqs: Sequence[GridSeq]) -> TriVector:
     """Exact average (1/M) sum indicator(seq_q)."""
     if not seqs:
         raise ValueError("empty family")
-    total = TriVector()
-    for s in seqs:
-        total = total + s.indicator()
-    return total.scale(Fraction(1, len(seqs)))
+    return indicator_sum(seqs, len(seqs))
 
 
 def disjointness_degree(seqs: Sequence[GridSeq]) -> int:

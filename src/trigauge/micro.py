@@ -432,7 +432,7 @@ def _dual_witness(
     paired = sum((w * x_abs.entry(*c) for c, w in y.items()), Fraction(0))
     cells = tuple(sorted(y))
     return GaugeLowerWitness(
-        paired / ceiling, "dual", (cells, tuple(y[c] for c in cells)), ceiling
+        paired / ceiling, "dual", (cells, tuple(y[c] for c in cells)), ceiling, p
     )
 
 

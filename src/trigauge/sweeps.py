@@ -471,16 +471,11 @@ def _merge_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     result = merge_representatives(family, cfg.p)
     kept_all = result.selected == tuple(range(len(family)))
     prefixes_ok = True
+    pieces = [piece.scale(Fraction(1, 2)) for piece in result.merged.pieces]
+    certs = [HullCertificate(c.seqs, c.weights, c.scale / 2) for c in result.merged.certs]
     for n in range(1, len(result.selected) + 1):
         cut = result.breakpoints[n]
-        halved = make_disjoint_rep(
-            [piece.scale(Fraction(1, 2)) for piece in result.merged.pieces[:cut]],
-            cfg.p,
-            certs=[
-                HullCertificate(c.seqs, c.weights, c.scale / 2)
-                for c in result.merged.certs[:cut]
-            ],
-        )
+        halved = make_disjoint_rep(pieces[:cut], cfg.p, certs=certs[:cut])
         if not halved.is_unit_member():
             prefixes_ok = False
     ok = kept_all and prefixes_ok

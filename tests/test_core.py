@@ -96,6 +96,35 @@ def test_trivector_additive_group(x, y):
     assert abs(x).is_nonnegative() or abs(x).is_zero()
 
 
+def sum_reference(x: TriVector, y: TriVector) -> dict:
+    """Entrywise Fraction sum with cancelled cells dropped."""
+    out = {}
+    for cell in set(x.support()) | set(y.support()):
+        v = x.entry(*cell) + y.entry(*cell)
+        if v:
+            out[cell] = v
+    return out
+
+
+@given(tri_vectors, st.data())
+def test_trivector_add_drops_cancelled_cells(x, data):
+    # y cancels a drawn subset of x's cells and adds cells of its own
+    cancel = data.draw(st.sets(st.sampled_from(x.support()))) if x else set()
+    extra = data.draw(tri_vectors)
+    y = TriVector({cell: -x.entry(*cell) for cell in cancel}) + extra.restrict_rows(
+        set(extra.active_rows()) - set(x.active_rows())
+    )
+    total = x + y
+    assert dict(total.items()) == sum_reference(x, y)
+    assert not set(total.support()) & cancel
+    assert all(type(v) is Fraction and v for _, v in total.items())
+    assert total == TriVector(sum_reference(x, y))
+    assert hash(total) == hash(TriVector(sum_reference(x, y)))
+    zero = x + (-x)
+    assert zero == TriVector() and hash(zero) == hash(TriVector())
+    assert zero.is_zero() and zero.support() == ()
+
+
 @given(tri_vectors)
 def test_trivector_text_round_trip(x):
     assert TriVector.from_text(x.to_text()) == x
@@ -123,13 +152,30 @@ def test_row_disjointness():
 # -- seminorm -----------------------------------------------------------------
 
 
-@given(tri_vectors)
-def test_row_norm_sq_matches_definition(x):
+def row_norm_sq_reference(x: TriVector) -> Fraction:
+    """sum_i (|row i| sum / i)^2 in plain Fraction arithmetic."""
     expected = Fraction(0)
     for i in set(x.active_rows()):
-        s = sum(abs(x.entry(i, j)) for j in range(1, i + 1))
-        expected += (Fraction(s) / i) ** 2
-    assert row_norm_sq(x) == expected
+        s = sum((abs(x.entry(i, j)) for j in range(1, i + 1)), Fraction(0))
+        expected += (s / i) ** 2
+    return expected
+
+
+# mixed signs, coprime and large denominators, many cells per row
+wide_fraction = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6),
+    st.sampled_from((1, 2, 3, 7, 12, 97, 360, 1001, 65537, 10**6 + 3)),
+)
+wide_index = st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(lambda t: t[0] >= t[1])
+wide_vectors = st.dictionaries(wide_index, wide_fraction, max_size=30).map(TriVector)
+
+
+@given(st.one_of(tri_vectors, wide_vectors))
+def test_row_norm_sq_matches_definition(x):
+    got = row_norm_sq(x)
+    assert got == row_norm_sq_reference(x)
+    assert type(got) is Fraction
 
 
 @given(tri_vectors, tri_vectors)

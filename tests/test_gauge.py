@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from trigauge.core import (
     DEFAULT_P,
+    LorentzParam,
     TriVector,
     l2_norm_sq,
     lorentz_l2_constant,
@@ -157,6 +158,23 @@ class TestGaugeLower:
         bad = GaugeLowerWitness(w.value * 2, w.kind, w.detail, w.ceiling)
         with pytest.raises(AssertionError):
             bad.validate(x)
+
+    def test_forged_ceiling_rejected(self):
+        # the gauge of e_(1,1) is 1; a tiny ceiling would "prove" 1000
+        x = TriVector({(1, 1): 1})
+        forged = GaugeLowerWitness(F(1000), "seminorm", (), F(1, 1000))
+        with pytest.raises(AssertionError, match="series constant"):
+            forged.validate(x)
+        b = (F(1),)
+        forged = GaugeLowerWitness(F(1000), "pairing", b, F(1, 1000))
+        with pytest.raises(AssertionError, match="series constant"):
+            forged.validate(x)
+        # the ceiling is checked against the witness's own p: C(5/3) > C(3/2)
+        other = LorentzParam(5, 3)
+        assert gauge_lower(x, other).p == other
+        GaugeLowerWitness(F(1) / C_HI, "seminorm", (), C_HI).validate(x)
+        with pytest.raises(AssertionError, match="series constant"):
+            GaugeLowerWitness(F(1) / C_HI, "seminorm", (), C_HI, other).validate(x)
 
 
 class TestGaugeInterval:

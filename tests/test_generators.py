@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from trigauge.core import TriVector
+from trigauge.core import DEFAULT_P, TriVector
+from trigauge.decompose import DecompositionBlock, DecompositionCertificate
 from trigauge.generators import (
+    _MAX_CANDIDATES,
     GridSeq,
     HullCertificate,
     ZERO_SEQ,
@@ -59,8 +61,9 @@ def test_enumeration_respects_row_subset():
 
 
 def test_enumeration_limit_guard():
-    with pytest.raises(RuntimeError):
-        enumerate_grid_seqs(tuple(range(30, 40)), limit=50)
+    # rows 30..39 carry far more than _MAX_CANDIDATES valid sequences
+    with pytest.raises(RuntimeError, match=f"exceeds {_MAX_CANDIDATES}"):
+        enumerate_grid_seqs(tuple(range(30, 40)))
 
 
 def test_gridseq_validation():
@@ -234,6 +237,21 @@ def test_validate_matches_combination_domination(pair):
     assert accepted == cert.combination().dominates(abs(x))
 
 
+def test_validate_rejects_malformed_certificates():
+    row = GridSeq((0, 2))
+    x = row.indicator()
+    HullCertificate((row, row), (Fraction(1, 3), Fraction(2, 3)), Fraction(1)).validate(x)
+    bad = [
+        ((row, row), (Fraction(1, 3), Fraction(3, 4)), Fraction(1), "weights exceed 1"),
+        ((row, row), (Fraction(-1, 3), Fraction(4, 3)), Fraction(1), "negative weight"),
+        ((row,), (Fraction(1),), Fraction(-1), "negative scale"),
+        ((row, row), (Fraction(1),), Fraction(1), "length mismatch"),
+    ]
+    for seqs, weights, scale, message in bad:
+        with pytest.raises(AssertionError, match=message):
+            HullCertificate(seqs, weights, scale).validate(x)
+
+
 def test_hull_member_threshold():
     x = GridSeq((0, 2)).indicator()
     assert hull_member(x, 1) is not None
@@ -262,3 +280,40 @@ def test_average_and_degree():
 def test_degree_equals_scaled_sup(fam):
     avg = average_indicators(fam)
     assert Fraction(disjointness_degree(fam), len(fam)) == avg.sup_norm()
+
+
+def repeated_sum(seqs, divisor):
+    """(1/divisor) sum indicator(seq) by repeated TriVector addition."""
+    total = TriVector()
+    for s in seqs:
+        total = total + s.indicator()
+    return total.scale(Fraction(1, divisor))
+
+
+families = st.lists(st.sampled_from(enumerate_grid_seqs(5)), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(families)
+def test_average_indicators_matches_repeated_sum(fam):
+    avg = average_indicators(fam)
+    assert avg == repeated_sum(fam, len(fam))
+    assert hash(avg) == hash(repeated_sum(fam, len(fam)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(families, min_size=1, max_size=3), st.integers(1, 40))
+def test_block_vector_matches_repeated_sum(blocks, m_count):
+    cert = DecompositionCertificate(
+        Fraction(1, 2),
+        DEFAULT_P,
+        m_count,
+        0,
+        Fraction(1, 2),
+        (),
+        (),
+        tuple(DecompositionBlock(tuple(fam), 0, len(fam), Fraction(0)) for fam in blocks),
+        Fraction(1),
+    )
+    for m, fam in enumerate(blocks):
+        assert cert.block_vector(m) == repeated_sum(fam, m_count)
