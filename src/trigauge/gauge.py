@@ -39,7 +39,7 @@ from .decompose import (
     make_disjoint_rep,
 )
 from .exact import Rational, sqrt_enclosure
-from .generators import GridSeq, HullCertificate, hull_min_scale
+from .generators import EnumerationBudgetError, GridSeq, HullCertificate, hull_min_scale
 
 MAX_PARTITION_ROWS = 5  # above this, gauge_upper skips the row-partition search
 
@@ -154,7 +154,7 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
         if group not in hulls:
             try:
                 hulls[group] = hull_min_scale(target.restrict_rows(group))
-            except RuntimeError:
+            except EnumerationBudgetError:
                 hulls[group] = None  # enumeration too large for this grouping
         return hulls[group]
 
@@ -207,6 +207,20 @@ def gauge_upper_from_average(
     return cert, dec
 
 
+def _dual_ceiling(cells: Sequence, weights: Sequence, p: LorentzParam) -> Fraction:
+    """The micro enclosure's certified bound of <y, a> over unit members a,
+    for the cell functional y, over the rows its cells touch."""
+    from .micro import SUPPORT_ROW_CAP, _ceiling, _exact_bounds  # micro imports this module
+
+    if len(set(cells)) != len(cells):
+        raise AssertionError("dual cells repeat")
+    if any(not 1 <= j <= i <= SUPPORT_ROW_CAP for i, j in cells):
+        raise AssertionError(f"dual cells must lie within rows 1..{SUPPORT_ROW_CAP}")
+    y = {cell: Fraction(w) for cell, w in zip(cells, weights)}
+    rows = tuple(sorted({i for i, _ in cells}))
+    return _ceiling(y, rows, Fraction(0), *_exact_bounds(p))
+
+
 @dataclass(frozen=True, slots=True)
 class GaugeLowerWitness:
     """A functional bounded on the body, evaluated at x.
@@ -219,10 +233,11 @@ class GaugeLowerWitness:
     cell functional, detail = (cells, weights), whose ceiling the micro
     enclosure certified over the body.
 
-    ``validate`` re-derives every ceiling but the dual one: 'sup' needs
-    1, and 'seminorm' and 'pairing' need at least the upper end of the
-    series constant for ``p``.  A dual ceiling is trusted as stored;
-    re-deriving it means re-running the micro enclosure.
+    ``validate`` re-derives every ceiling: 'sup' needs 1, 'seminorm' and
+    'pairing' need at least the upper end of the series constant for
+    ``p``, and 'dual' needs at least the micro enclosure's certified
+    bound for its functional over the rows its cells touch, which must
+    lie within the enclosure's rows.
     """
 
     value: Fraction
@@ -253,6 +268,8 @@ class GaugeLowerWitness:
             cells, weights = self.detail
             if len(cells) != len(weights) or any(Fraction(w) < 0 for w in weights):
                 raise AssertionError("dual weights must be nonnegative")
+            if self.ceiling < _dual_ceiling(cells, weights, self.p):
+                raise AssertionError("ceiling below the certified dual bound")
             paired = sum(
                 (Fraction(w) * abs(x.entry(i, j)) for (i, j), w in zip(cells, weights)),
                 Fraction(0),

@@ -110,6 +110,10 @@ def _rows_key(rows) -> tuple[int, ...]:
 _MAX_CANDIDATES = 200_000  # sequences or count tuples walked before a search gives up
 
 
+class EnumerationBudgetError(RuntimeError):
+    """A generator search walked more than ``_MAX_CANDIDATES`` candidates."""
+
+
 @lru_cache(maxsize=256)
 def _enumerate_cached(rows: tuple[int, ...]) -> tuple[GridSeq, ...]:
     found: list[tuple[int, ...]] = []
@@ -120,7 +124,7 @@ def _enumerate_cached(rows: tuple[int, ...]) -> tuple[GridSeq, ...]:
         if idx == len(rows):
             found.append(tuple(counts))
             if len(found) > _MAX_CANDIDATES:
-                raise RuntimeError(f"generator enumeration exceeds {_MAX_CANDIDATES}")
+                raise EnumerationBudgetError(f"generator enumeration exceeds {_MAX_CANDIDATES}")
             return
         i = rows[idx]
         for m in range(i + 1):
@@ -139,8 +143,8 @@ def enumerate_grid_seqs(rows) -> tuple[GridSeq, ...]:
     """All valid sequences supported on the given rows (int means rows 1..n).
 
     Includes the zero sequence.  Ordered lexicographically by padded
-    counts, so the output is deterministic.  Raises RuntimeError past
-    ``_MAX_CANDIDATES`` sequences; callers with large rows catch that and
+    counts, so the output is deterministic.  Raises EnumerationBudgetError
+    past ``_MAX_CANDIDATES`` sequences; callers with large rows catch that and
     fall back to cheaper bounds.
     """
     return _enumerate_cached(_rows_key(rows))
@@ -229,7 +233,7 @@ def _maximal_counts(support: dict[int, set[int]]) -> list[tuple[int, ...]]:
         if k == len(rows):
             walked += 1
             if walked > _MAX_CANDIDATES:
-                raise RuntimeError(f"generator enumeration exceeds {_MAX_CANDIDATES}")
+                raise EnumerationBudgetError(f"generator enumeration exceeds {_MAX_CANDIDATES}")
             for opts, price, pos in zip(options, prices, picks):
                 if pos + 1 < len(opts) and (opts[pos + 1] ** 2 - opts[pos] ** 2) * price <= left:
                     return  # this row can still step up
@@ -255,7 +259,7 @@ def hull_min_scale(x: TriVector) -> tuple[Fraction, HullCertificate]:
     optimum is the gauge of U at |x| (the witness weights are W /
     optimum).  Every dropped generator's column is dominated by a kept
     one, so the nonnegative dual stays feasible for it and the optimum is
-    the one over all generators.  Raises RuntimeError past
+    the one over all generators.  Raises EnumerationBudgetError past
     ``_MAX_CANDIDATES`` walked tuples.
     """
     if x.is_zero():

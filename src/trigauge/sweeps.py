@@ -217,15 +217,17 @@ def _kdisjoint_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     n = len(vecs)
     coords = len(vecs[0]) if vecs else 0
     ok = True
-    for c in range(coords):
-        if sum(1 for v in vecs if v[c]) > k:
-            ok = False
+    counts = [0] * coords
+    sums = [Fraction(0)] * coords
     for v in vecs:
-        if l2_norm_sq(v) > 1:
+        nonzero = [(c, e) for c, e in enumerate(v) if e]
+        if l2_norm_sq(e for _, e in nonzero) > 1:
             ok = False
-    sums = [sum((v[c] for v in vecs), Fraction(0)) for c in range(coords)]
-    norm = l2_norm_sq(sums)
-    ok = ok and norm <= k * n
+        for c, e in nonzero:
+            counts[c] += 1
+            sums[c] += e
+    norm = l2_norm_sq(e for e in sums if e)
+    ok = ok and max(counts, default=0) <= k and norm <= k * n
     detail = {"k": k, "n": n, "coords": coords, "sum_norm_sq": norm, "bound": k * n}
     text = "\n".join(" ".join(str(e) for e in v) for v in vecs)
     return ok, detail, text

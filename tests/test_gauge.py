@@ -26,7 +26,8 @@ from trigauge.gauge import (
     gauge_upper_from_average,
     pairing_witness,
 )
-from trigauge.generators import GridSeq, HullCertificate
+from trigauge import gauge
+from trigauge.generators import EnumerationBudgetError, GridSeq, HullCertificate
 
 P = DEFAULT_P
 C_HI = lorentz_l2_constant(P).hi
@@ -91,6 +92,28 @@ class TestGaugeUpper:
         cert = gauge_upper(x, P)
         cert.validate(x)
         assert cert.scale >= F(1, 10)
+
+    def test_enumeration_budget_falls_back_to_row_split(self, monkeypatch):
+        x = TriVector({(1, 1): F(1, 2), (2, 1): F(1, 2), (2, 2): F(1, 4)})
+
+        def over_budget(target):
+            raise EnumerationBudgetError("generator enumeration exceeds the budget")
+
+        monkeypatch.setattr(gauge, "hull_min_scale", over_budget)
+        cert = gauge_upper(x, P)
+        cert.validate(x)
+        (rep,) = cert.reps
+        assert [piece.active_rows() for piece in rep.pieces] == [(1,), (2,)]
+
+    def test_other_runtime_errors_propagate(self, monkeypatch):
+        x = TriVector({(1, 1): F(1, 2), (2, 1): F(1, 2), (2, 2): F(1, 4)})
+
+        def broken(target):
+            raise RuntimeError("not a budget error")
+
+        monkeypatch.setattr(gauge, "hull_min_scale", broken)
+        with pytest.raises(RuntimeError, match="not a budget error"):
+            gauge_upper(x, P)
 
 
 class TestGaugeUpperFromAverage:

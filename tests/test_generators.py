@@ -13,6 +13,7 @@ from trigauge.core import DEFAULT_P, TriVector
 from trigauge.decompose import DecompositionBlock, DecompositionCertificate
 from trigauge.generators import (
     _MAX_CANDIDATES,
+    EnumerationBudgetError,
     GridSeq,
     HullCertificate,
     ZERO_SEQ,
@@ -62,7 +63,7 @@ def test_enumeration_respects_row_subset():
 
 def test_enumeration_limit_guard():
     # rows 30..39 carry far more than _MAX_CANDIDATES valid sequences
-    with pytest.raises(RuntimeError, match=f"exceeds {_MAX_CANDIDATES}"):
+    with pytest.raises(EnumerationBudgetError, match=f"exceeds {_MAX_CANDIDATES}"):
         enumerate_grid_seqs(tuple(range(30, 40)))
 
 
@@ -203,8 +204,20 @@ def test_pruned_columns_are_maximal_support_counts():
 
 def test_min_scale_candidate_guard():
     dense = TriVector({(i, j): 1 for i in range(1, 12) for j in range(1, i + 1)})
-    with pytest.raises(RuntimeError):
+    with pytest.raises(EnumerationBudgetError):
         hull_min_scale(dense)
+
+
+@pytest.mark.parametrize("rows, scale", [(6, Fraction(21, 5)), (7, Fraction(26, 5))])
+def test_dense_min_scale_pinned(rows, scale):
+    # every cell of rows 1..n at (1 + i*j mod 5)/5; 49 and 179 maximal columns
+    x = TriVector(
+        {(i, j): Fraction(1 + i * j % 5, 5) for i in range(1, rows + 1) for j in range(1, i + 1)}
+    )
+    lam, cert = hull_min_scale(x)
+    assert lam == scale
+    assert cert.scale == scale
+    cert.validate(x)
 
 
 @st.composite

@@ -1,13 +1,17 @@
-"""Exact simplex against scipy's float LP solver and hand-checked cases."""
+"""Exact simplex against scipy's float LP solver, hand-checked cases, and
+the dense tableau simplex it replaced."""
 
+import random
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from trigauge.lp import solve_lp
+from trigauge.exact import Rational
+from trigauge.lp import LPResult, _check_certificate as check_certificate, _column, solve_lp
 
 
 def test_single_variable_bound():
@@ -127,6 +131,269 @@ def test_certificate_self_check_never_trips(data):
     solve_lp(c, rows, b)
 
 
+def test_certificate_check_rejects_each_violation():
+    # min x1/3 + x2/7 s.t. 2/5 x1 + 1/2 x2 >= 3/4, x1 >= -2/3: optimum
+    # x = (0, 3/2), y = (2/7, 0); each perturbation is off by 10^-12 only
+    cols = [
+        _column([(0, Fraction(2, 5)), (1, 1)], Fraction(1, 3)),
+        _column([(0, Fraction(1, 2))], Fraction(1, 7)),
+    ]
+    b = [Fraction(3, 4), Fraction(-2, 3)]
+    x, y, obj = [Fraction(0), Fraction(3, 2)], (Fraction(2, 7), Fraction(0)), Fraction(3, 14)
+    check_certificate(cols, b, x, y, obj)
+    tiny = Fraction(1, 10**12)
+    cases = [
+        ([-tiny, Fraction(3, 2)], y, obj, "primal negativity"),
+        ([Fraction(0), Fraction(3, 2) - tiny], y, obj, "primal constraint 0"),
+        (x, (Fraction(2, 7), -tiny), obj, "dual negativity"),
+        (x, (Fraction(2, 7) + tiny, Fraction(0)), obj, "dual constraint 1"),
+        (x, (Fraction(2, 7) - tiny, Fraction(0)), obj, "duality gap"),
+        (x, y, obj + tiny, "duality gap"),
+    ]
+    for bad_x, bad_y, bad_obj, message in cases:
+        with pytest.raises(AssertionError, match=message):
+            check_certificate(cols, b, bad_x, bad_y, bad_obj)
+    assert solve_lp(
+        [Fraction(1, 3), Fraction(1, 7)], [[Fraction(2, 5), Fraction(1, 2)], [1, 0]], b
+    ) == LPResult("optimal", obj, tuple(x), y)
+
+
 def test_row_length_mismatch():
     with pytest.raises(ValueError):
         solve_lp([1, 2], [[1]], [0])
+
+
+# -- the tableau reference ------------------------------------------------------
+
+
+def tableau_reference(
+    c: Sequence[Rational],
+    rows: Sequence[Sequence[Rational]],
+    b: Sequence[Rational],
+) -> LPResult:
+    """Dense Fraction tableau with solve_lp's pivot rule, updating every
+    column on each pivot; solve_lp must return an identical LPResult."""
+    n = len(c)
+    m = len(rows)
+    cost = [Fraction(v) for v in c]
+    rhs0 = [Fraction(v) for v in b]
+    mat = [[Fraction(v) for v in row] for row in rows]
+    if any(len(r) != n for r in mat):
+        raise ValueError("row length does not match objective length")
+    if m == 0:
+        if any(v < 0 for v in cost):
+            return LPResult("unbounded")
+        return LPResult("optimal", Fraction(0), tuple(Fraction(0) for _ in cost), ())
+
+    # Equality form: mat.x - s + a = b with s, a >= 0.  Artificials only on
+    # rows whose rhs is positive; elsewhere the surplus starts basic (its
+    # tableau row is negated so the rhs stays nonnegative).
+    art_rows = [i for i in range(m) if rhs0[i] > 0]
+    n_total = n + m + len(art_rows)
+
+    tab: list[list[Fraction]] = []
+    for j in range(n):
+        tab.append([mat[i][j] for i in range(m)])
+    for i in range(m):
+        tab.append([Fraction(-1) if r == i else Fraction(0) for r in range(m)])
+    for i in art_rows:
+        tab.append([Fraction(1) if r == i else Fraction(0) for r in range(m)])
+
+    rhs = list(rhs0)
+    basis: list[int] = [0] * m
+    for k, i in enumerate(art_rows):
+        basis[i] = n + m + k
+    for i in range(m):
+        if rhs0[i] <= 0:
+            basis[i] = n + i
+            for col in tab:
+                col[i] = -col[i]
+            rhs[i] = -rhs[i]
+
+    def do_pivot(row: int, col: int) -> None:
+        pivot_col = tab[col]
+        inv = 1 / pivot_col[row]
+        factors = list(pivot_col)  # entries before the update
+        for colv in tab:
+            v = colv[row]
+            if v:
+                colv[row] = v * inv
+        rhs[row] *= inv
+        for r in range(len(rhs)):
+            if r == row:
+                continue
+            f = factors[r]
+            if f:
+                for colv in tab:
+                    if colv[row]:
+                        colv[r] -= f * colv[row]
+                rhs[r] -= f * rhs[row]
+        basis[row] = col
+
+    def reduced_costs(costvec: list[Fraction]) -> list[Fraction]:
+        cb = [(r, costvec[basis[r]]) for r in range(len(rhs)) if costvec[basis[r]]]
+        out = []
+        for j in range(n_total):
+            col = tab[j]
+            z = Fraction(0)
+            for r, cbr in cb:
+                if col[r]:
+                    z += cbr * col[r]
+            out.append(costvec[j] - z)
+        return out
+
+    def run_simplex(costvec: list[Fraction], banned: set[int]) -> str:
+        basic = set(basis)
+        while True:
+            red = reduced_costs(costvec)
+            enter = -1
+            for j in range(n_total):
+                if j in banned or j in basic:
+                    continue
+                if red[j] < 0:
+                    enter = j
+                    break  # Bland: smallest eligible index
+            if enter < 0:
+                return "optimal"
+            col = tab[enter]
+            leave = -1
+            best: Fraction | None = None
+            for r in range(len(rhs)):
+                if col[r] > 0:
+                    ratio = rhs[r] / col[r]
+                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                        best = ratio
+                        leave = r
+            if leave < 0:
+                return "unbounded"
+            basic.discard(basis[leave])
+            basic.add(enter)
+            do_pivot(leave, enter)
+
+    if art_rows:
+        phase1 = [Fraction(0)] * (n + m) + [Fraction(1)] * len(art_rows)
+        status = run_simplex(phase1, banned=set())
+        assert status == "optimal", "phase 1 is bounded below by zero"
+        if any(basis[r] >= n + m and rhs[r] > 0 for r in range(len(rhs))):
+            return LPResult("infeasible")
+        # Pivot zero-valued artificials out; a row where no real column can
+        # replace one is linearly redundant and gets dropped (dual zero).
+        r = 0
+        while r < len(rhs):
+            if basis[r] >= n + m:
+                enter = next((j for j in range(n + m) if tab[j][r] != 0), None)
+                if enter is None:
+                    for col in tab:
+                        del col[r]
+                    del rhs[r]
+                    del basis[r]
+                    continue
+                do_pivot(r, enter)
+            r += 1
+
+    phase2 = cost + [Fraction(0)] * (m + len(art_rows))
+    status = run_simplex(phase2, banned=set(range(n + m, n_total)))
+    if status == "unbounded":
+        return LPResult("unbounded")
+
+    x = [Fraction(0)] * n
+    for r, j in enumerate(basis):
+        if j < n:
+            x[j] = rhs[r]
+    objective = sum((cost[j] * x[j] for j in range(n)), Fraction(0))
+
+    # Surplus column of row i is -e_i at cost zero, so its reduced cost is
+    # exactly the dual multiplier y_i; dropped redundant rows read dual 0
+    # because their surplus column shrank to the zero vector.
+    red = reduced_costs(phase2)
+    duals = tuple(red[n + i] for i in range(m))
+
+    _check_certificate(cost, mat, rhs0, x, list(duals), objective)
+    return LPResult("optimal", objective, tuple(x), duals)
+
+
+def _check_certificate(
+    cost: list[Fraction],
+    mat: list[list[Fraction]],
+    b: list[Fraction],
+    x: list[Fraction],
+    y: list[Fraction],
+    objective: Fraction,
+) -> None:
+    n, m = len(cost), len(mat)
+    if any(v < 0 for v in x):
+        raise AssertionError("primal negativity")
+    for i in range(m):
+        if sum((mat[i][j] * x[j] for j in range(n)), Fraction(0)) < b[i]:
+            raise AssertionError(f"primal constraint {i} violated")
+    if any(v < 0 for v in y):
+        raise AssertionError("dual negativity")
+    for j in range(n):
+        if sum((y[i] * mat[i][j] for i in range(m)), Fraction(0)) > cost[j]:
+            raise AssertionError(f"dual constraint {j} violated")
+    dual_obj = sum((y[i] * b[i] for i in range(m)), Fraction(0))
+    primal_obj = sum((cost[j] * x[j] for j in range(n)), Fraction(0))
+    if not (dual_obj == primal_obj == objective):
+        raise AssertionError("duality gap")
+
+
+# -- identity with the tableau reference ------------------------------------------
+
+# Few distinct values make ties and alternative optima common; that is where
+# the pivot rule decides which vertex, and which duals, come back.
+_entry = st.sampled_from([0, 0, 1, 1, 2, -1, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4)])
+_rhs = st.sampled_from([0, 1, 2, -1, Fraction(1, 2), Fraction(5, 3)])
+_cost = st.sampled_from([1, 1, 1, 2, 0, -1, Fraction(1, 2)])
+
+
+@st.composite
+def small_lps(draw):
+    """Random LPs; some rows repeat a scaled earlier row with its rhs."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    c = draw(st.lists(_cost, min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(_rhs, min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(rows) - 1))
+        f = draw(st.sampled_from([1, 2, Fraction(1, 3)]))
+        rows.append([f * v for v in rows[k]])
+        b.append(f * b[k])
+    return c, rows, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+@example(([0], [[1], [-1]], [1, 0]))  # infeasible
+@example(([-1], [[1]], [1]))  # unbounded
+@example(([1, 1], [[1, 1], [2, 2]], [2, 4]))  # duplicate rows
+@example(([1], [[-1], [1], [2]], [-1, 1, 2]))  # an artificial left at zero after phase 1
+@example(([1, 2], [[-1, 1], [1, 0]], [-2, 0]))  # rows with b <= 0
+@example(([1, 2], [[0, Fraction(1, 2)], [1, Fraction(1, 2)]], [1, 1]))  # a ratio tie
+@example(([0, 0], [[1, 2]], [Fraction(1, 2)]))  # every feasible point is optimal
+@example(([Fraction(1, 3), Fraction(1, 7)], [[Fraction(2, 5), Fraction(1, 2)]], [Fraction(3, 4)]))
+def test_matches_tableau_reference(lp):
+    c, rows, b = lp
+    assert solve_lp(c, rows, b) == tableau_reference(c, rows, b)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_wide_cover_program_matches_tableau_reference(seed):
+    """Cover programs shaped like the micro oracle's: 200 or more member
+    columns over at most six cells, each a 0/1 pattern or a two-pattern
+    mixture trimmed by a factor over 10^12, at unit cost."""
+    rng = random.Random(seed)
+    m = rng.randint(2, 6)
+    n = rng.randint(200, 240)
+    mixes = [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1, 3)]
+    columns = []
+    for _ in range(n):
+        gamma = Fraction(rng.randint(1, 10**12), 10**12) if rng.random() < 0.8 else Fraction(1)
+        w = rng.choice(mixes)
+        a = [rng.random() < 0.5 for _ in range(m)]
+        z = [rng.random() < 0.5 for _ in range(m)]
+        columns.append([gamma * (w * a[i] + (1 - w) * z[i]) for i in range(m)])
+    rows = [[col[i] for col in columns] for i in range(m)]
+    b = [Fraction(rng.randint(1, 16), 8) for _ in range(m)]
+    assert solve_lp([1] * n, rows, b) == tableau_reference([1] * n, rows, b)

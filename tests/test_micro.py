@@ -145,6 +145,24 @@ class TestValidationErrors:
         with pytest.raises(AssertionError, match="does not reach"):
             bad.validate(x)
 
+    def test_shrunken_dual_ceiling_caught(self):
+        # value * ceiling is unchanged, so only the re-derived ceiling catches it
+        x = TriVector({(1, 1): F(1), (2, 1): F(1), (2, 2): F(1)})
+        w = tau_micro_oracle(x, P).lower
+        assert w.kind == "dual"
+        forged = GaugeLowerWitness(w.value * 1000, w.kind, w.detail, w.ceiling / 1000, w.p)
+        with pytest.raises(AssertionError, match="certified dual bound"):
+            forged.validate(x)
+
+    def test_dual_cells_checked(self):
+        x = TriVector({(4, 1): F(1), (1, 1): F(1)})
+        past_cap = GaugeLowerWitness(F(1, 2), "dual", (((4, 1),), (F(1),)), F(1))
+        with pytest.raises(AssertionError, match="rows 1..3"):
+            past_cap.validate(x)
+        repeated = GaugeLowerWitness(F(1, 2), "dual", (((1, 1), (1, 1)), (F(1), F(1))), F(1))
+        with pytest.raises(AssertionError, match="repeat"):
+            repeated.validate(x)
+
     def test_negative_dual_weights_caught(self):
         bad = GaugeLowerWitness(
             F(1, 2), "dual", (((1, 1),), (F(-1),)), F(1)
