@@ -65,6 +65,13 @@ def _add_p(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _float_field(name: str, value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of float range") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -116,8 +123,8 @@ def _cmd_tau_bounds(args: argparse.Namespace) -> int:
         "max_row": x.max_row,
         "lower": str(cheap.lo),
         "upper": str(cheap.hi),
-        "lower_float": float(cheap.lo),
-        "upper_float": float(cheap.hi),
+        "lower_float": _float_field("lower_float", cheap.lo),
+        "upper_float": _float_field("upper_float", cheap.hi),
         "refined": False,
     }
     code = 0
@@ -137,9 +144,9 @@ def _cmd_tau_bounds(args: argparse.Namespace) -> int:
                 "tolerance": str(tol),
                 "lower": str(refined.lo),
                 "upper": str(refined.hi),
-                "lower_float": float(refined.lo),
-                "upper_float": float(refined.hi),
-                "width_float": float(refined.hi - refined.lo),
+                "lower_float": _float_field("lower_float", refined.lo),
+                "upper_float": _float_field("upper_float", refined.hi),
+                "width_float": _float_field("width_float", refined.hi - refined.lo),
             }
         )
     _emit(canonical_json(payload), args.out)

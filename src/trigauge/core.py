@@ -276,22 +276,28 @@ def lorentz_le_sq(
 ) -> bool:
     """Decide sup_n a*_n n^(1/p) <= c given the squares a_n^2 and bound = c^power.
 
-    power is 2 (bound c^2) or 4 (bound c^4); the test is exact in integers.
+    power is 2 (bound c^2) or 4 (bound c^4).  The test is exact in
+    integers: with k = num * power/2, e = den * power, v = a*_n^2 and
+    bound = B/D, (v.num)^k n^e D^num <= B^num (v.den)^k is the power test
+    multiplied through by the positive denominators.
     """
     if power not in (2, 4):
         raise ValueError("power must be 2 or 4")
-    bound = Fraction(bound)
+    if not isinstance(bound, Fraction):
+        bound = Fraction(bound)
     if bound < 0:
         raise ValueError("negative bound")
-    squares = [Fraction(v) for v in values_sq]
+    squares = [v if isinstance(v, Fraction) else Fraction(v) for v in values_sq]
     if any(v2 < 0 for v2 in squares):
         raise ValueError("negative square in data")
-    rhs = bound**p.num
-    half = power // 2
+    rhs_num = bound.numerator**p.num
+    rhs_den = bound.denominator**p.num
+    k = power // 2 * p.num
+    e = power * p.den
     for n, v2 in enumerate(sorted(squares, reverse=True), start=1):
         if v2 == 0:
             break
-        if v2 ** (half * p.num) * n ** (power * p.den) > rhs:
+        if v2.numerator**k * n**e * rhs_den > rhs_num * v2.denominator**k:
             return False
     return True
 

@@ -18,6 +18,8 @@ Conventions:
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -161,15 +163,49 @@ def pow_enclosure(x: Rational, e_num: int, e_den: int, bits: int = 64) -> Interv
     return root_enclosure(f ** e_num, e_den, bits)
 
 
+# compiled on first use (re caches it), which keeps it out of import time
+_DECIMAL = r"""([-+]?)(?=\d|\.\d)
+    (\d*|\d+(?:_\d+)*)                 # integer digits
+    (?:\.(\d*|\d+(?:_\d+)*))?          # fractional digits
+    (?:e([-+]?\d+(?:_\d+)*))?          # exponent
+"""
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse 'a/b' or 'a' (also decimal literals like '0.25') to a Fraction."""
+    """Parse 'a/b' or 'a' (also decimal literals like '0.25' or '1e-3') to a Fraction.
+
+    A literal whose numerator or denominator in lowest terms would have
+    more than ``sys.get_int_max_str_digits()`` digits (0: no limit) is
+    rejected with ValueError, and an exponent far past that limit is
+    rejected before any power of ten is built.
+    """
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
         if int(den) == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
-    return Fraction(text)
+    match = re.fullmatch(_DECIMAL, text, re.VERBOSE | re.IGNORECASE)
+    if match is None:
+        raise ValueError(f"invalid fraction literal {text!r}")
+    sign, whole, frac, exp = match.groups()
+    frac = (frac or "").replace("_", "")
+    mantissa = int(whole + frac or "0")
+    if not mantissa:
+        return Fraction(0)
+    shift = int(exp or "0") - len(frac)
+    limit = sys.get_int_max_str_digits()
+    # the mantissa has at most len(whole + frac) digits, so past these
+    # shifts the numerator or the reduced denominator exceeds the limit
+    if limit and (shift > limit or -shift > limit + len(whole + frac)):
+        raise ValueError(f"number needs more than {limit} digits: {text[:40]!r}")
+    if shift >= 0:
+        value = Fraction(mantissa * 10**shift)
+    else:
+        value = Fraction(mantissa, 10**-shift)
+    if limit and max(value.numerator, value.denominator) >= 10**limit:
+        raise ValueError(f"number needs more than {limit} digits: {text[:40]!r}")
+    return -value if sign == "-" else value
 
 
 def format_fraction(x: Rational) -> str:

@@ -128,12 +128,80 @@ def _floor_frac(x: Fraction, den: int = 10**12) -> Fraction:
     return Fraction(int(x * den), den)
 
 
+@lru_cache(maxsize=None)
+def _covered(group: tuple[int, ...], cells: tuple[Cell, ...]) -> tuple[tuple[int, ...], ...]:
+    """Positions in cells (increasing) that each generator on the group
+    covers, distinct and maximal under inclusion.
+
+    A covered subset never sums to more than a superset of it: the values
+    summed are positive (``_ceiling`` keeps only y > 0) and rounded
+    addition is monotone, so dropping it leaves the hull maximum
+    bit-identical.
+    """
+    found = {
+        tuple(k for k, (i, j) in enumerate(cells) if i <= len(seq.m) and j <= seq.m[i - 1])
+        for seq in _gens_on(group)
+    }
+    return tuple(sorted(pos for pos in found if not any(set(pos) < set(o) for o in found)))
+
+
+class _GroupCeiling:
+    """The rank-independent part of one row group's ceiling, for fixed y.
+
+    ``hull`` is the largest y mass any generator covers.  Pieces stay
+    within [0, 1] per cell, so a row contributes at most its y mass;
+    through the seminorm ball it contributes at most beta * i * max(y on
+    the row).  ``routes`` holds, for each choice of the rows that take
+    the mass route, that mass and the upper root of the other rows'
+    squared peaks (None when they vanish), so a rank's bound is the
+    minimum over routes of mass + beta * root.
+    """
+
+    __slots__ = ("hull", "routes", "by_rank")
+
+    def __init__(self, cells, vals, group, zero, sqrt_hi) -> None:
+        hull = zero
+        for pos in _covered(group, cells):
+            hull = max(hull, sum((vals[k] for k in pos), zero))
+        row_mass: dict[int, Number] = {}
+        row_peak: dict[int, Number] = {}
+        for (i, _), w in zip(cells, vals):
+            row_mass[i] = row_mass.get(i, zero) + w
+            row_peak[i] = max(row_peak.get(i, zero), w)
+        active = sorted(row_mass)
+        routes = []
+        for size in range(len(active) + 1):
+            for taken in itertools.combinations(active, size):
+                rest_sq = sum(
+                    ((i * row_peak[i]) ** 2 for i in active if i not in taken),
+                    zero,
+                )
+                mass = sum((row_mass[i] for i in taken), zero)
+                routes.append((mass, sqrt_hi(rest_sq) if rest_sq else None))
+        self.hull = hull
+        self.routes = routes
+        self.by_rank: dict[int, Number] = {}
+
+    def bound(self, rank: int, budget: Callable[[int], Number]) -> Number:
+        bound = self.by_rank.get(rank)
+        if bound is None:
+            beta = budget(rank)
+            capped = None
+            for mass, root in self.routes:
+                val = mass if root is None else mass + beta * root
+                if capped is None or val < capped:
+                    capped = val
+            bound = self.by_rank[rank] = min(self.hull, capped)
+        return bound
+
+
 def _ceiling(
     y: Mapping[Cell, Number],
     rows: tuple[int, ...],
     zero: Number,
     budget: Callable[[int], Number],
     sqrt_hi: Callable[[Number], Number],
+    memo: dict | None = None,
 ) -> Number:
     """Upper bound for <y, a> over unit members on the rows.
 
@@ -141,57 +209,32 @@ def _ceiling(
     least rank^(-1/p) and ``sqrt_hi`` an upper root, the bound is
     certified (``_exact_bounds``); with floats it only steers the dual
     search (``_float_bounds``).
+
+    Each row group's hull and capped routes depend on y's positive cells
+    in that group, not on the rank, so they are built once per group
+    (``_GroupCeiling``) and every (group, rank) slot only applies its
+    budget.  ``memo`` carries them across calls, keyed by the group, its
+    cells in y's key order and their values; it may only be shared by
+    calls with the same number type, budget and root.  Every sum adds the
+    same terms in the same order from ``zero`` as a per-slot evaluation
+    would, so float results are bit-identical and Fractions equal.
     """
-    key_cache: dict[tuple[tuple[int, ...], int], Number] = {}
-
-    def key_bound(group: tuple[int, ...], rank: int) -> Number:
-        cached = key_cache.get((group, rank))
-        if cached is not None:
-            return cached
-        cells = [c for c in y if c[0] in group and y[c] > 0]
-        if not cells:
-            key_cache[group, rank] = zero
-            return zero
-        hull = zero
-        for seq in _gens_on(group):
-            m = seq.m
-            val = sum(
-                (y[c] for c in cells if c[0] <= len(m) and c[1] <= m[c[0] - 1]),
-                zero,
-            )
-            hull = max(hull, val)
-        # Pieces stay within [0, 1] per cell, so a row contributes at most
-        # its y mass; through the seminorm ball it contributes at most
-        # beta * i * max(y on the row).  Minimize over which rows take
-        # the mass route.
-        row_mass: dict[int, Number] = {}
-        row_peak: dict[int, Number] = {}
-        for (i, _), w in ((c, y[c]) for c in cells):
-            row_mass[i] = row_mass.get(i, zero) + w
-            row_peak[i] = max(row_peak.get(i, zero), w)
-        beta = budget(rank)
-        active = sorted(row_mass)
-        capped = None
-        for size in range(len(active) + 1):
-            for taken in itertools.combinations(active, size):
-                rest_sq = sum(
-                    ((i * row_peak[i]) ** 2 for i in active if i not in taken),
-                    zero,
-                )
-                val = sum((row_mass[i] for i in taken), zero)
-                if rest_sq:
-                    val += beta * sqrt_hi(rest_sq)
-                if capped is None or val < capped:
-                    capped = val
-        bound = min(hull, capped)
-        key_cache[group, rank] = bound
-        return bound
-
+    if memo is None:
+        memo = {}
+    groups: dict[tuple[int, ...], _GroupCeiling | None] = {}
     best = zero
     for pattern in _patterns(rows):
         total = zero
         for group, rank in pattern:
-            total += key_bound(group, rank)
+            if group not in groups:
+                cells = tuple(c for c in y if c[0] in group and y[c] > 0)
+                vals = tuple(y[c] for c in cells)
+                key = (group, cells, vals)
+                if key not in memo:
+                    memo[key] = _GroupCeiling(cells, vals, group, zero, sqrt_hi) if cells else None
+                groups[group] = memo[key]
+            part = groups[group]
+            total += zero if part is None else part.bound(rank, budget)
         best = max(best, total)
     return best
 
@@ -228,12 +271,15 @@ def _ascend_dual(
     y = {c: max(float(start.get(c, 0)), floor) for c in cells}
 
     bounds = _float_bounds(p)
+    weights = [float(target[c]) for c in cells]
+    # a trial moves one cell, so only the groups holding its row miss here
+    memo: dict = {}
 
     def ratio(cand: Mapping[Cell, float]) -> float:
-        ceiling = _ceiling(cand, rows, 0.0, *bounds)
+        ceiling = _ceiling(cand, rows, 0.0, *bounds, memo)
         if ceiling <= 0:
             return 0.0
-        return sum(cand[c] * float(target[c]) for c in cells) / ceiling
+        return sum(cand[c] * w for c, w in zip(cells, weights)) / ceiling
 
     best = ratio(y)
     for delta in (1.0, 0.25, 0.05, 0.01, 0.002, 0.0004, 0.00008):
@@ -363,6 +409,12 @@ def _trimmed_pieces(
     return out
 
 
+def _element_key(x: TriVector) -> tuple[tuple[Cell, int, int], ...]:
+    """Hashable identity of a vector in plain ints: hashing Fractions
+    computes a modular inverse each time."""
+    return tuple((c, v.numerator, v.denominator) for c, v in x.items())
+
+
 def _pattern_atoms(
     rows: tuple[int, ...],
     p: LorentzParam,
@@ -392,7 +444,7 @@ def _pattern_atoms(
             total = TriVector()
             for piece, _ in combo:
                 total = total + piece
-            key = tuple(total.items())
+            key = _element_key(total)
             if key in seen or key in known:
                 continue
             seen[key] = make_disjoint_rep(
@@ -471,8 +523,7 @@ def tau_micro_oracle(
     pool: dict[tuple, DisjointRep] = {}
 
     def add_atom(rep: DisjointRep) -> None:
-        key = tuple(rep.element().items())
-        pool.setdefault(key, rep)
+        pool.setdefault(_element_key(rep.element()), rep)
 
     for rep in best.upper.reps:
         add_atom(rep)

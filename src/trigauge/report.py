@@ -196,7 +196,10 @@ def _check_fields(part: Any, types: Mapping[str, Any], where: str) -> None:
 
 
 def load_report_payload(text: str) -> dict[str, Any]:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("report JSON nests too deeply") from None
     if not isinstance(data, dict) or "config" not in data:
         raise ValueError("not a sweep report")
     if data.get("version") != REPORT_VERSION:

@@ -198,3 +198,27 @@ def test_wrong_field_type_exits_two(tmp_path, capsys, command, path, value):
     capsys.readouterr()
     assert main([command, str(out)]) == 2
     assert path[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "replay"])
+def test_deeply_nested_report_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "r.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, str(path)]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("literal", "message"),
+    [
+        ("1e400", "lower_float is out of float range"),
+        ("1e20000", "more than"),
+        ("1e2000000", "more than"),
+    ],
+)
+def test_huge_vector_entry_exits_two(tmp_path, capsys, literal, message):
+    path = tmp_path / "x.txt"
+    path.write_text(f"trivector 1\n1 1 {literal}\n")
+    assert main(["tau-bounds", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1

@@ -1,10 +1,11 @@
 """Core vector type and Lorentz comparisons against independent oracles."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from trigauge.core import (
     DEFAULT_P,
@@ -249,6 +250,76 @@ def test_lorentz_variants_agree(values, c_sq):
     p = LorentzParam(7, 5)
     squares = [v * v for v in values]
     assert lorentz_le_sq(squares, c_sq * c_sq, p, power=4) == lorentz_le_sq(squares, c_sq, p)
+
+
+def lorentz_le_sq_reference(values_sq, bound, p, power=2):
+    """The body of ``lorentz_le_sq`` as it was in Fractions, before the
+    integer form, unchanged."""
+    if power not in (2, 4):
+        raise ValueError("power must be 2 or 4")
+    bound = Fraction(bound)
+    if bound < 0:
+        raise ValueError("negative bound")
+    squares = [Fraction(v) for v in values_sq]
+    if any(v2 < 0 for v2 in squares):
+        raise ValueError("negative square in data")
+    rhs = bound**p.num
+    half = power // 2
+    for n, v2 in enumerate(sorted(squares, reverse=True), start=1):
+        if v2 == 0:
+            break
+        if v2 ** (half * p.num) * n ** (power * p.den) > rhs:
+            return False
+    return True
+
+
+# the test reads only p.num and p.den, so 2 and 7/3 (outside LorentzParam's
+# range) stand in as plain pairs to vary the exponents further
+REFERENCE_PS = (
+    DEFAULT_P,
+    LorentzParam(5, 3),
+    SimpleNamespace(num=2, den=1),
+    SimpleNamespace(num=7, den=3),
+)
+int_or_fraction = st.one_of(
+    st.integers(0, 9), st.fractions(min_value=0, max_value=9, max_denominator=12)
+)
+
+
+@st.composite
+def boundary_cases(draw):
+    """v2 and n = m^num with v2^k n^e == bound^num: bound is
+    v2^(power/2) m^(power den), so the n-th of n equal squares v2 sits
+    exactly on the bound."""
+    p = draw(st.sampled_from(REFERENCE_PS))
+    power = draw(st.sampled_from((2, 4)))
+    m = draw(st.integers(1, 2))
+    v2 = draw(int_or_fraction.filter(bool))
+    bound = Fraction(v2) ** (power // 2) * m ** (power * p.den)
+    return v2, m**p.num, bound, p, power
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(int_or_fraction, max_size=8),
+    st.one_of(st.just(0), st.just(Fraction(0)), int_or_fraction),
+    st.sampled_from(REFERENCE_PS),
+    st.sampled_from((2, 4)),
+)
+def test_lorentz_le_matches_fraction_reference(values_sq, bound, p, power):
+    want = lorentz_le_sq_reference(values_sq, bound, p, power)
+    assert lorentz_le_sq(values_sq, bound, p, power) == want
+
+
+@settings(max_examples=100)
+@given(boundary_cases())
+def test_lorentz_le_exact_boundary(case):
+    v2, n, bound, p, power = case
+    for count, holds in ((n, True), (n + 1, False)):
+        assert lorentz_le_sq_reference([v2] * count, bound, p, power) is holds
+        assert lorentz_le_sq([v2] * count, bound, p, power) is holds
+    if bound.denominator == 1:
+        assert lorentz_le_sq([v2] * n, int(bound), p, power)
 
 
 def test_lorentz_value_encloses_oracle():
