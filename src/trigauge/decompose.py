@@ -580,6 +580,27 @@ def make_disjoint_rep(
     return DisjointRep(pieces, certs, norms, p, bound)
 
 
+def join_disjoint_reps(reps: Sequence[DisjointRep], p: LorentzParam) -> DisjointRep:
+    """Concatenation of representatives, each built by ``make_disjoint_rep``.
+
+    The inputs must come from ``make_disjoint_rep``: their hull
+    certificates were validated against their pieces and their seminorms
+    computed there, and both are reused here, not re-derived.  Only what
+    concatenating adds is checked: the pieces stay row-disjoint and their
+    seminorms pass the Lorentz test with bound 1.  The fields are those
+    ``make_disjoint_rep`` gives the concatenated pieces and certificates.
+    """
+    pieces = tuple(piece for rep in reps for piece in rep.pieces)
+    if not is_row_disjoint(*pieces):
+        raise ValueError("pieces share a row")
+    norms = tuple(norm for rep in reps for norm in rep.norms_sq)
+    bound = Fraction(1)
+    if not lorentz_le_sq(norms, bound, p):
+        raise ValueError("piece seminorms break the Lorentz bound")
+    certs = tuple(cert for rep in reps for cert in rep.certs)
+    return DisjointRep(pieces, certs, norms, p, bound)
+
+
 @dataclass(frozen=True, slots=True)
 class MergeResult:
     """Selected subsequence, its concatenation, and the block structure.

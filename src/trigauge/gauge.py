@@ -9,18 +9,18 @@ that re-validates independently:
 * upper bounds come as ``GaugeCertificate`` objects exhibiting x inside
   scale * co(A) through explicit representatives;
 * lower bounds come as ``GaugeLowerWitness`` objects naming a linear
-  functional (a coordinate, the row-average seminorm, or a pairing with
-  a unit vector) together with its certified ceiling on the body.
+  functional (a coordinate, the row-average seminorm, or a nonnegative
+  cell functional) together with its certified ceiling on the body.
 
-The seminorm and pairing routes divide by the series constant, whose
-enclosure's upper end keeps the direction sound.
+The seminorm route divides by the series constant, whose enclosure's
+upper end keeps the direction sound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     DEFAULT_P,
@@ -210,7 +210,7 @@ def gauge_upper_from_average(
 def _dual_ceiling(cells: Sequence, weights: Sequence, p: LorentzParam) -> Fraction:
     """The micro enclosure's certified bound of <y, a> over unit members a,
     for the cell functional y, over the rows its cells touch."""
-    from .micro import SUPPORT_ROW_CAP, _ceiling, _exact_bounds  # micro imports this module
+    from .micro import SUPPORT_ROW_CAP, _ceiling  # micro imports this module
 
     if len(set(cells)) != len(cells):
         raise AssertionError("dual cells repeat")
@@ -218,7 +218,7 @@ def _dual_ceiling(cells: Sequence, weights: Sequence, p: LorentzParam) -> Fracti
         raise AssertionError(f"dual cells must lie within rows 1..{SUPPORT_ROW_CAP}")
     y = {cell: Fraction(w) for cell, w in zip(cells, weights)}
     rows = tuple(sorted({i for i, _ in cells}))
-    return _ceiling(y, rows, Fraction(0), *_exact_bounds(p))
+    return _ceiling(y, rows, p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,14 +228,12 @@ class GaugeLowerWitness:
     kind 'sup': coordinate functional at detail = (i, j); every body
     element stays within [-1, 1] there.  kind 'seminorm': the row-average
     seminorm over its body ceiling (the series constant's upper end).
-    kind 'pairing': inner product of the row averages with the unit
-    vector in detail, over the same ceiling.  kind 'dual': a nonnegative
-    cell functional, detail = (cells, weights), whose ceiling the micro
-    enclosure certified over the body.
+    kind 'dual': a nonnegative cell functional, detail = (cells,
+    weights), whose ceiling the micro enclosure certified over the body.
 
-    ``validate`` re-derives every ceiling: 'sup' needs 1, 'seminorm' and
-    'pairing' need at least the upper end of the series constant for
-    ``p``, and 'dual' needs at least the micro enclosure's certified
+    ``validate`` re-derives every ceiling: 'sup' needs 1, 'seminorm'
+    needs at least the upper end of the series constant for ``p``, and
+    'dual' needs at least the micro enclosure's certified
     bound for its functional over the rows its cells touch, which must
     lie within the enclosure's rows.
     """
@@ -249,7 +247,7 @@ class GaugeLowerWitness:
     def validate(self, x: TriVector) -> None:
         if self.value < 0 or self.ceiling <= 0:
             raise AssertionError("witness values must be nonnegative")
-        if self.kind in ("seminorm", "pairing") and self.ceiling < lorentz_l2_constant(self.p).hi:
+        if self.kind == "seminorm" and self.ceiling < lorentz_l2_constant(self.p).hi:
             raise AssertionError("ceiling below the series constant")
         if self.kind == "sup":
             i, j = self.detail
@@ -258,12 +256,6 @@ class GaugeLowerWitness:
         elif self.kind == "seminorm":
             if (self.value * self.ceiling) ** 2 > row_norm_sq(x):
                 raise AssertionError("seminorm witness does not reach its value")
-        elif self.kind == "pairing":
-            b = self.detail
-            if l2_norm_sq(b) != 1:
-                raise AssertionError("pairing direction is not a unit vector")
-            if abs(row_pairing(x, b)) < self.value * self.ceiling:
-                raise AssertionError("pairing witness does not reach its value")
         elif self.kind == "dual":
             cells, weights = self.detail
             if len(cells) != len(weights) or any(Fraction(w) < 0 for w in weights):
@@ -287,42 +279,22 @@ class GaugeLowerWitness:
         return GaugeLowerWitness(self.value * f, self.kind, self.detail, self.ceiling, self.p)
 
 
-def gauge_lower(
-    x: TriVector,
-    p: LorentzParam,
-    *,
-    directions: Iterable[Sequence[Rational]] = (),
-) -> GaugeLowerWitness:
-    """Best lower bound among the coordinate, seminorm, and pairing routes.
+def gauge_lower(x: TriVector, p: LorentzParam) -> GaugeLowerWitness:
+    """The better of the coordinate and seminorm routes.
 
-    Directions must be exact unit vectors in the squared-sum sense; each
-    contributes |<row averages, b>| / C_hi.  The seminorm route divides
-    the lower end of the seminorm enclosure by the same constant.
+    The seminorm route divides the lower end of the seminorm enclosure
+    by the upper end of the series constant.
     """
     if x.is_zero():
         return GaugeLowerWitness(Fraction(0), "sup", (1, 1), Fraction(1), p)
-    best: GaugeLowerWitness | None = None
-
-    def push(w: GaugeLowerWitness) -> None:
-        nonlocal best
-        if best is None or w.value > best.value:
-            best = w
-
     cell, value = max(x.items(), key=lambda kv: (abs(kv[1]), kv[0]))
-    push(GaugeLowerWitness(abs(value), "sup", cell, Fraction(1), p))
-
+    best = GaugeLowerWitness(abs(value), "sup", cell, Fraction(1), p)
     c_hi = lorentz_l2_constant(p).hi
-    push(
-        GaugeLowerWitness(
-            sqrt_enclosure(row_norm_sq(x)).lo / c_hi, "seminorm", (), c_hi, p
-        )
+    seminorm = GaugeLowerWitness(
+        sqrt_enclosure(row_norm_sq(x)).lo / c_hi, "seminorm", (), c_hi, p
     )
-    for b in directions:
-        b = tuple(Fraction(v) for v in b)
-        if l2_norm_sq(b) != 1:
-            raise ValueError("pairing directions must have unit squared sum")
-        push(GaugeLowerWitness(abs(row_pairing(x, b)) / c_hi, "pairing", b, c_hi, p))
-    assert best is not None
+    if seminorm.value > best.value:
+        best = seminorm
     best.validate(x)
     return best
 

@@ -46,7 +46,8 @@ class GridSeq:
         for i, count in enumerate(m, start=1):
             if not isinstance(count, int) or not 0 <= count <= i:
                 raise ValueError(f"count {count} invalid for row {i}")
-            budget += Fraction(count, i) ** 2
+            if count:
+                budget += Fraction(count, i) ** 2
         if budget > 1:
             raise ValueError(f"squared coefficient sum {budget} exceeds 1")
 

@@ -26,10 +26,13 @@ def subset_values(
         length = rng.randint(2, max_len)
     values = [Fraction(rng.randint(0, 32), 32) for _ in range(length)]
     if sum(values) <= 1:
-        # force feasibility: one full entry plus one positive companion
+        # force feasibility: one full entry plus one positive companion,
+        # unless the draw already held a second full entry
         values[rng.randrange(length)] = Fraction(1)
         other = rng.randrange(length - 1)
-        values[other if values[other] != 1 else length - 1] += Fraction(1, 32)
+        companion = other if values[other] != 1 else length - 1
+        if values[companion] != 1:
+            values[companion] += Fraction(1, 32)
     return values
 
 

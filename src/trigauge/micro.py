@@ -2,7 +2,7 @@
 
 The general bounds in gauge.py can leave a wide gap: the upper
 certificate tries a fixed list of splitting strategies and the lower
-witnesses are three fixed functionals.  On a support confined to rows
+witnesses are two fixed functionals.  On a support confined to rows
 1..3 the relevant part of the body is small enough to squeeze from both
 sides until the enclosure passes a tolerance.
 
@@ -10,7 +10,8 @@ Upper side.  Any nonnegative weights nu with sum_r nu_r * a_r >= |x|
 over validated unit members a_r certify gauge(x) <= sum(nu); by
 solidity the signed x is covered too.  The members are built from
 budget-trimmed generator mixtures, one piece per group of a row
-partition, and the best cover is an exact linear program.
+partition, and the best cover is an exact linear program.  Each trimmed
+piece is certified once per call and reused by every member holding it.
 
 Lower side.  For a cell functional y >= 0 and a rational ceiling H
 with <y, a> <= H for every unit member a, a cover of |x| at scale t
@@ -19,11 +20,13 @@ restricted to the support cells is still a member, so H only has to
 dominate families living on the support rows: the ceiling is the
 maximum over partition/rank patterns of per-group bounds, each the
 minimum of a hull maximum (budget ignored) and capped Cauchy-Schwarz
-routes through the seminorm ball (hull cap ignored).  The linear
-program's duals are natural candidates for y.
+routes through the seminorm ball (hull cap ignored).  Every candidate y
+is exact: the linear program's duals, duals constant along each row that
+equalize the members the cover uses, and |x| itself.  Each distinct
+candidate is certified once per call.
 
 Both sides use the safe end of every irrational budget, so the interval
-is sound for any input; when the configured refinement rounds cannot
+is sound for any input; when ``MAX_ROUNDS`` refinement rounds cannot
 close the gap the best enclosure is raised inside a dedicated error
 rather than silently widened.
 """
@@ -34,10 +37,10 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import DEFAULT_P, LorentzParam, Rational, TriVector, row_norm_sq
-from .decompose import DisjointRep, make_disjoint_rep
+from .decompose import DisjointRep, join_disjoint_reps, make_disjoint_rep
 from .exact import Interval, pow_enclosure, sqrt_enclosure
 from .gauge import (
     GaugeCertificate,
@@ -51,10 +54,10 @@ from .lp import solve_lp
 
 SUPPORT_ROW_CAP = 3
 DEFAULT_TOL = Fraction(1, 1000)
+MAX_ROUNDS = 3  # refinement rounds before ToleranceUnreachableError
 BITS = 96  # enclosure precision of every budget and square root
 
 Cell = tuple[int, int]
-Number = Fraction | float
 
 
 class ToleranceUnreachableError(RuntimeError):
@@ -134,9 +137,8 @@ def _covered(group: tuple[int, ...], cells: tuple[Cell, ...]) -> tuple[tuple[int
     covers, distinct and maximal under inclusion.
 
     A covered subset never sums to more than a superset of it: the values
-    summed are positive (``_ceiling`` keeps only y > 0) and rounded
-    addition is monotone, so dropping it leaves the hull maximum
-    bit-identical.
+    summed are positive (``_ceiling`` keeps only y > 0), so dropping it
+    leaves the hull maximum unchanged.
     """
     found = {
         tuple(k for k, (i, j) in enumerate(cells) if i <= len(seq.m) and j <= seq.m[i - 1])
@@ -154,17 +156,19 @@ class _GroupCeiling:
     the row).  ``routes`` holds, for each choice of the rows that take
     the mass route, that mass and the upper root of the other rows'
     squared peaks (None when they vanish), so a rank's bound is the
-    minimum over routes of mass + beta * root.
+    minimum over routes of mass + beta * root, with beta the upper end
+    of the rank's budget.
     """
 
     __slots__ = ("hull", "routes", "by_rank")
 
-    def __init__(self, cells, vals, group, zero, sqrt_hi) -> None:
+    def __init__(self, cells, vals, group) -> None:
+        zero = Fraction(0)
         hull = zero
         for pos in _covered(group, cells):
             hull = max(hull, sum((vals[k] for k in pos), zero))
-        row_mass: dict[int, Number] = {}
-        row_peak: dict[int, Number] = {}
+        row_mass: dict[int, Fraction] = {}
+        row_peak: dict[int, Fraction] = {}
         for (i, _), w in zip(cells, vals):
             row_mass[i] = row_mass.get(i, zero) + w
             row_peak[i] = max(row_peak.get(i, zero), w)
@@ -177,15 +181,15 @@ class _GroupCeiling:
                     zero,
                 )
                 mass = sum((row_mass[i] for i in taken), zero)
-                routes.append((mass, sqrt_hi(rest_sq) if rest_sq else None))
+                routes.append((mass, sqrt_enclosure(rest_sq, BITS).hi if rest_sq else None))
         self.hull = hull
         self.routes = routes
-        self.by_rank: dict[int, Number] = {}
+        self.by_rank: dict[int, Fraction] = {}
 
-    def bound(self, rank: int, budget: Callable[[int], Number]) -> Number:
+    def bound(self, rank: int, p: LorentzParam) -> Fraction:
         bound = self.by_rank.get(rank)
         if bound is None:
-            beta = budget(rank)
+            beta = _budget(rank, p.num, p.den).hi
             capped = None
             for mass, root in self.routes:
                 val = mass if root is None else mass + beta * root
@@ -195,116 +199,28 @@ class _GroupCeiling:
         return bound
 
 
-def _ceiling(
-    y: Mapping[Cell, Number],
-    rows: tuple[int, ...],
-    zero: Number,
-    budget: Callable[[int], Number],
-    sqrt_hi: Callable[[Number], Number],
-    memo: dict | None = None,
-) -> Number:
-    """Upper bound for <y, a> over unit members on the rows.
-
-    Generic over the number type: with Fraction data, ``budget(rank)`` at
-    least rank^(-1/p) and ``sqrt_hi`` an upper root, the bound is
-    certified (``_exact_bounds``); with floats it only steers the dual
-    search (``_float_bounds``).
+def _ceiling(y: Mapping[Cell, Fraction], rows: tuple[int, ...], p: LorentzParam) -> Fraction:
+    """Certified upper bound for <y, a> over unit members on the rows.
 
     Each row group's hull and capped routes depend on y's positive cells
     in that group, not on the rank, so they are built once per group
     (``_GroupCeiling``) and every (group, rank) slot only applies its
-    budget.  ``memo`` carries them across calls, keyed by the group, its
-    cells in y's key order and their values; it may only be shared by
-    calls with the same number type, budget and root.  Every sum adds the
-    same terms in the same order from ``zero`` as a per-slot evaluation
-    would, so float results are bit-identical and Fractions equal.
+    budget.
     """
-    if memo is None:
-        memo = {}
     groups: dict[tuple[int, ...], _GroupCeiling | None] = {}
-    best = zero
+    best = Fraction(0)
     for pattern in _patterns(rows):
-        total = zero
+        total = Fraction(0)
         for group, rank in pattern:
             if group not in groups:
                 cells = tuple(c for c in y if c[0] in group and y[c] > 0)
                 vals = tuple(y[c] for c in cells)
-                key = (group, cells, vals)
-                if key not in memo:
-                    memo[key] = _GroupCeiling(cells, vals, group, zero, sqrt_hi) if cells else None
-                groups[group] = memo[key]
+                groups[group] = _GroupCeiling(cells, vals, group) if cells else None
             part = groups[group]
-            total += zero if part is None else part.bound(rank, budget)
+            if part is not None:
+                total += part.bound(rank, p)
         best = max(best, total)
     return best
-
-
-def _exact_bounds(p: LorentzParam) -> tuple[Callable, Callable]:
-    return (
-        lambda rank: _budget(rank, p.num, p.den).hi,
-        lambda s: sqrt_enclosure(s, BITS).hi,
-    )
-
-
-def _float_bounds(p: LorentzParam) -> tuple[Callable, Callable]:
-    inv_p = p.den / p.num
-    return (lambda rank: rank**-inv_p, lambda s: s**0.5)
-
-
-def _ascend_dual(
-    start: Mapping[Cell, Fraction],
-    target: Mapping[Cell, Fraction],
-    rows: tuple[int, ...],
-    p: LorentzParam,
-    sweeps: int,
-) -> dict[Cell, float]:
-    """Coordinate search improving <y, target> / ceiling(y) in floats.
-
-    The result is only a candidate; the caller re-certifies it exactly.
-    Zero coordinates get a kick-start value so the search can leave the
-    degenerate duals the covering program tends to produce, and the step
-    grid shrinks once coarse moves stop helping, since the ceiling is
-    piecewise and its maxima sit at kinks.
-    """
-    cells = tuple(sorted(target))
-    floor = max(float(v) for v in target.values()) * 1e-3
-    y = {c: max(float(start.get(c, 0)), floor) for c in cells}
-
-    bounds = _float_bounds(p)
-    weights = [float(target[c]) for c in cells]
-    # a trial moves one cell, so only the groups holding its row miss here
-    memo: dict = {}
-
-    def ratio(cand: Mapping[Cell, float]) -> float:
-        ceiling = _ceiling(cand, rows, 0.0, *bounds, memo)
-        if ceiling <= 0:
-            return 0.0
-        return sum(cand[c] * w for c, w in zip(cells, weights)) / ceiling
-
-    best = ratio(y)
-    for delta in (1.0, 0.25, 0.05, 0.01, 0.002, 0.0004, 0.00008):
-        steps = (1.0 + delta, 1.0 / (1.0 + delta))
-        for _ in range(sweeps):
-            improved = False
-            for c in cells:
-                for step in steps:
-                    trial = dict(y)
-                    trial[c] = y[c] * step
-                    val = ratio(trial)
-                    if val > best * (1 + 1e-12):
-                        y, best, improved = trial, val, True
-            if not improved:
-                break
-    return y
-
-
-def _snapped(y: Mapping[Cell, float]) -> list[dict[Cell, Fraction]]:
-    """Rational candidates for a float dual: exact kinks have small
-    denominators, so snap coarsely first and keep a fine fallback."""
-    out = []
-    for den in (6, 12, 60, 10**6):
-        out.append({c: Fraction(v).limit_denominator(den) for c, v in y.items()})
-    return out
 
 
 def _solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -363,49 +279,58 @@ def _trimmed_pieces(
     p: LorentzParam,
     support: frozenset[Cell],
     round_: int,
-) -> list[tuple[TriVector, HullCertificate]]:
+    made: dict[tuple, object],
+) -> list[DisjointRep]:
     """Candidate pieces for one pattern slot, scaled into the rank budget.
 
     Round 0 scales single generators; later rounds add generator
     mixtures on a weight grid.  Every piece keeps a hull certificate at
-    the scale actually used, so the assembled member validates exactly.
+    the scale actually used and comes back as a one-piece representative
+    from ``make_disjoint_rep``, so it is validated once and the assembled
+    member validates exactly.  ``made`` holds what earlier slots and
+    rounds of the same call built: under (seqs, weights) the untrimmed
+    mixture and its seminorm, under (rank, seqs, weights) the certified
+    piece, or None when trimming leaves nothing.
     """
     budget_lo = _budget_sq(rank, p.num, p.den).lo
-    gens = [
-        (seq, _restrict_cells(seq.indicator(), support)) for seq in _gens_on(group)
-    ]
-    gens = [(seq, piece) for seq, piece in gens if not piece.is_zero()]
-    out: list[tuple[TriVector, HullCertificate]] = []
+    pieces = {seq: _restrict_cells(seq.indicator(), support) for seq in _gens_on(group)}
+    gens = [seq for seq, piece in pieces.items() if not piece.is_zero()]
+    out: list[DisjointRep] = []
 
-    def push(seqs: tuple[GridSeq, ...], weights: tuple[Fraction, ...], mix: TriVector) -> None:
-        nsq = row_norm_sq(mix)
-        if nsq <= budget_lo:
+    def push(seqs: tuple[GridSeq, ...], weights: tuple[Fraction, ...]) -> None:
+        key = (rank, seqs, weights)
+        if key not in made:
+            if (seqs, weights) not in made:
+                mix = TriVector()
+                for seq, w in zip(seqs, weights):
+                    mix = mix + pieces[seq].scale(w)
+                made[seqs, weights] = (mix, row_norm_sq(mix))
+            mix, nsq = made[seqs, weights]
             gamma = Fraction(1)
-        else:
-            gamma = _floor_frac(sqrt_enclosure(budget_lo / nsq, BITS).lo)
-            if gamma <= 0:
-                return
-            mix = mix.scale(gamma)
-        out.append((mix, HullCertificate(seqs, weights, gamma)))
+            if nsq > budget_lo:
+                gamma = _floor_frac(sqrt_enclosure(budget_lo / nsq, BITS).lo)
+                mix = mix.scale(gamma) if gamma > 0 else None
+            made[key] = None if mix is None else make_disjoint_rep(
+                [mix], p, certs=[HullCertificate(seqs, weights, gamma)]
+            )
+        if made[key] is not None:
+            out.append(made[key])
 
-    for seq, piece in gens:
-        push((seq,), (Fraction(1),), piece)
+    for seq in gens:
+        push((seq,), (Fraction(1),))
     if round_ >= 1:
         grid = (
             [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
             if round_ == 1
             else [Fraction(k, 8) for k in range(1, 8)]
         )
-        for (sa, pa), (sb, pb) in itertools.combinations(gens, 2):
+        for pair in itertools.combinations(gens, 2):
             for w in grid:
-                push((sa, sb), (w, 1 - w), pa.scale(w) + pb.scale(1 - w))
+                push(pair, (w, 1 - w))
     if round_ >= 2:
         thirds = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-        for combo in itertools.combinations(gens, 3):
-            mix = TriVector()
-            for w, (_, piece) in zip(thirds, combo):
-                mix = mix + piece.scale(w)
-            push(tuple(seq for seq, _ in combo), thirds, mix)
+        for triple in itertools.combinations(gens, 3):
+            push(triple, thirds)
     return out
 
 
@@ -421,20 +346,23 @@ def _pattern_atoms(
     support: frozenset[Cell],
     round_: int,
     known: set[tuple],
+    made: dict[tuple, object],
 ) -> list[DisjointRep]:
     """Unit members assembled from per-slot pieces, deduplicated by element.
 
-    Elements already in `known` (earlier rounds) are skipped before the
-    validation work, since later rounds regenerate the earlier grids.
+    Elements already in `known` (earlier rounds) are skipped before they
+    are joined, since later rounds regenerate the earlier grids.  Each
+    member joins certified one-piece representatives, so only its
+    row-disjointness and Lorentz test are checked here.
     """
     seen: dict[tuple, DisjointRep] = {}
-    slot_cache: dict[tuple, list] = {}
+    slot_cache: dict[tuple, list[DisjointRep]] = {}
     for pattern in _patterns(rows):
         slots = []
         for group, rank in pattern:
             cached = slot_cache.get((group, rank))
             if cached is None:
-                cached = _trimmed_pieces(group, rank, p, support, round_)
+                cached = _trimmed_pieces(group, rank, p, support, round_, made)
                 slot_cache[group, rank] = cached
             if cached:
                 slots.append(cached)
@@ -442,14 +370,12 @@ def _pattern_atoms(
             continue
         for combo in itertools.product(*slots):
             total = TriVector()
-            for piece, _ in combo:
-                total = total + piece
+            for rep in combo:
+                total = total + rep.pieces[0]
             key = _element_key(total)
             if key in seen or key in known:
                 continue
-            seen[key] = make_disjoint_rep(
-                [piece for piece, _ in combo], p, certs=[cert for _, cert in combo]
-            )
+            seen[key] = join_disjoint_reps(combo, p)
     return list(seen.values())
 
 
@@ -475,10 +401,10 @@ def _dual_witness(
     rows: tuple[int, ...],
     p: LorentzParam,
 ) -> GaugeLowerWitness | None:
-    y = {c: Fraction(v) for c, v in y.items() if Fraction(v) > 0}
+    y = {c: v for c, v in y.items() if v > 0}
     if not y:
         return None
-    ceiling = _ceiling(y, rows, Fraction(0), *_exact_bounds(p))
+    ceiling = _ceiling(y, rows, p)
     if ceiling <= 0:
         return None
     paired = sum((w * x_abs.entry(*c) for c, w in y.items()), Fraction(0))
@@ -492,16 +418,14 @@ def tau_micro_oracle(
     x: TriVector,
     p: LorentzParam = DEFAULT_P,
     tol: Rational = DEFAULT_TOL,
-    *,
-    max_rounds: int = 3,
 ) -> GaugeInterval:
     """Enclose the gauge of x to width tol; support must stay in rows 1..3.
 
     Starts from the general certificates and, while the gap is too wide,
     alternates an exact covering program over a growing pool of unit
-    members (upper) with certified dual functionals seeded by the
-    program's own duals (lower).  Raises ValueError for wide supports
-    and ToleranceUnreachableError when the rounds run out; the error
+    members (upper) with certified dual functionals taken from the
+    program's own solution (lower).  Raises ValueError for wide supports
+    and ToleranceUnreachableError after ``MAX_ROUNDS`` rounds; the error
     carries the best certified interval.
     """
     tol = Fraction(tol)
@@ -531,9 +455,11 @@ def tau_micro_oracle(
     lower = best.lower
     upper = best.upper
     rounds = 0
-    for round_ in range(max_rounds):
+    made: dict[tuple, object] = {}  # trimmed pieces, shared by every round
+    tried: set[tuple] = set()  # dual candidates already certified
+    for round_ in range(MAX_ROUNDS):
         rounds = round_ + 1
-        for rep in _pattern_atoms(active, p, support, round_, set(pool)):
+        for rep in _pattern_atoms(active, p, support, round_, set(pool), made):
             add_atom(rep)
         atoms = list(pool.values())
         objective, weights, duals = _cover_program(atoms, cells, target)
@@ -545,12 +471,14 @@ def tau_micro_oracle(
                 objective,
             )
             upper.validate(x)
-        sweeps = 20 * (round_ + 1)
         candidates = _row_uniform_candidates(atoms, weights, active, cells)
         candidates += [duals, target]
-        for start in (duals, target):
-            candidates.extend(_snapped(_ascend_dual(start, target, active, p, sweeps)))
         for y in candidates:
+            # a repeat certifies the same value, which cannot beat lower
+            key = tuple(sorted((c, v.numerator, v.denominator) for c, v in y.items() if v > 0))
+            if key in tried:
+                continue
+            tried.add(key)
             witness = _dual_witness(y, x_abs, active, p)
             if witness is not None and witness.value > lower.value:
                 witness.validate(x)

@@ -18,6 +18,7 @@ from trigauge.decompose import (
     block_conditions_sq,
     column_blocking,
     decompose_average,
+    join_disjoint_reps,
     make_disjoint_rep,
     merge_representatives,
     partition_matrix,
@@ -459,6 +460,35 @@ class TestDisjointRep:
             norms_sq=rep.norms_sq * 2,
         )
         assert not doubled.is_unit_member()
+
+
+class TestJoinDisjointReps:
+    def test_equals_make_on_concatenated_pieces(self):
+        groups = [
+            [],
+            [[full_row(1)]],
+            [[full_row(1)], [single_cell(2)]],
+            [[single_cell(3), single_cell(4)], [full_row(2).scale(F(1, 2))]],
+            [[single_cell(2)], [single_cell(4)], [full_row(3).scale(F(1, 3))]],
+        ]
+        for group in groups:
+            reps = [make_disjoint_rep(pieces, P) for pieces in group]
+            joined = join_disjoint_reps(reps, P)
+            pieces = [piece for rep in reps for piece in rep.pieces]
+            certs = [cert for rep in reps for cert in rep.certs]
+            assert joined == make_disjoint_rep(pieces, P, certs=certs)
+            assert joined.is_unit_member()
+
+    def test_shared_rows_rejected(self):
+        reps = [make_disjoint_rep([full_row(2)], P), make_disjoint_rep([single_cell(2)], P)]
+        with pytest.raises(ValueError, match="share a row"):
+            join_disjoint_reps(reps, P)
+
+    def test_lorentz_violation_rejected(self):
+        # each unit row passes alone; two pieces at seminorm 1 do not
+        reps = [make_disjoint_rep([full_row(1)], P), make_disjoint_rep([full_row(2)], P)]
+        with pytest.raises(ValueError, match="Lorentz"):
+            join_disjoint_reps(reps, P)
 
 
 class TestMerge:

@@ -35,6 +35,18 @@ def test_subset_values_exact_length():
         assert sum(values) > 1
 
 
+def test_subset_values_two_full_entries_stay_in_range():
+    # a short draw of one full entry and zeros gets a second full entry
+    # from the feasibility step; its companion must not push either past 1
+    hits = 0
+    for s in range(5000):
+        values = inst.subset_values(random.Random(s), length=2)
+        assert all(0 <= v <= 1 for v in values)
+        assert sum(values) > 1
+        hits += values == [1, 1]
+    assert hits
+
+
 def test_sorted_unit_matrix_columns_sorted():
     for s in SEEDS:
         cols = inst.sorted_unit_matrix(random.Random(s))

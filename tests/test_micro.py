@@ -1,7 +1,6 @@
 """Tests for the refining gauge enclosure on small supports."""
 
 import itertools
-import random
 from fractions import Fraction as F
 from typing import Callable, Mapping
 
@@ -10,21 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigauge import micro
-from trigauge.core import DEFAULT_P, LorentzParam, TriVector, lorentz_l2_constant
+from trigauge.core import DEFAULT_P, LorentzParam, TriVector, lorentz_l2_constant, row_norm_sq
+from trigauge.decompose import DisjointRep, make_disjoint_rep
+from trigauge.exact import sqrt_enclosure
 from trigauge.gauge import GaugeLowerWitness, gauge_interval
-from trigauge.generators import GridSeq
+from trigauge.generators import GridSeq, HullCertificate
 from trigauge.micro import (
+    BITS,
     Cell,
-    Number,
     DEFAULT_TOL,
     SUPPORT_ROW_CAP,
     ToleranceUnreachableError,
-    _ascend_dual,
+    _budget_sq,
     _ceiling,
-    _exact_bounds,
-    _float_bounds,
+    _element_key,
+    _floor_frac,
     _gens_on,
+    _pattern_atoms,
     _patterns,
+    _restrict_cells,
     tau_micro_oracle,
 )
 
@@ -183,11 +186,12 @@ class TestValidationErrors:
 
 
 class TestUnreachable:
-    def test_zero_rounds_reports_cheap_interval(self):
+    def test_zero_rounds_reports_cheap_interval(self, monkeypatch):
         x = TriVector({(1, 1): F(1), (2, 1): F(1), (2, 2): F(1)})
         cheap = gauge_interval(x, P)
+        monkeypatch.setattr(micro, "MAX_ROUNDS", 0)
         with pytest.raises(ToleranceUnreachableError) as info:
-            tau_micro_oracle(x, P, max_rounds=0)
+            tau_micro_oracle(x, P)
         err = info.value
         assert err.rounds == 0
         assert err.tol == DEFAULT_TOL
@@ -197,10 +201,11 @@ class TestUnreachable:
         err.interval.upper.validate(x)
         err.interval.lower.validate(x)
 
-    def test_message_names_the_gap(self):
+    def test_message_names_the_gap(self, monkeypatch):
         x = TriVector({(1, 1): F(1), (2, 1): F(1), (2, 2): F(1)})
+        monkeypatch.setattr(micro, "MAX_ROUNDS", 0)
         with pytest.raises(ToleranceUnreachableError, match="refinement rounds"):
-            tau_micro_oracle(x, P, max_rounds=0)
+            tau_micro_oracle(x, P)
 
 
 class TestDeterminism:
@@ -250,23 +255,25 @@ class TestSoundness:
         iv.lower.validate(x)
 
 
+
+
 # -- the ceiling against a per-slot evaluation ---------------------------------
 
 
 def ceiling_reference(
-    y: Mapping[Cell, Number],
+    y: Mapping[Cell, F],
     rows: tuple[int, ...],
-    zero: Number,
-    budget: Callable[[int], Number],
-    sqrt_hi: Callable[[Number], Number],
-) -> Number:
+    zero: F,
+    budget: Callable[[int], F],
+    sqrt_hi: Callable[[F], F],
+) -> F:
     """The micro ceiling as it was before row groups were shared across
-    ranks, verbatim but for its name and this docstring: each (group,
-    rank) slot is evaluated from scratch.  ``micro._ceiling`` must
-    reproduce it bit for bit."""
-    key_cache: dict[tuple[tuple[int, ...], int], Number] = {}
+    ranks, verbatim but for its name, this docstring and its number
+    annotations: each (group, rank) slot is evaluated from scratch.
+    ``micro._ceiling`` must reproduce it exactly."""
+    key_cache: dict[tuple[tuple[int, ...], int], F] = {}
 
-    def key_bound(group: tuple[int, ...], rank: int) -> Number:
+    def key_bound(group: tuple[int, ...], rank: int) -> F:
         cached = key_cache.get((group, rank))
         if cached is not None:
             return cached
@@ -286,8 +293,8 @@ def ceiling_reference(
         # its y mass; through the seminorm ball it contributes at most
         # beta * i * max(y on the row).  Minimize over which rows take
         # the mass route.
-        row_mass: dict[int, Number] = {}
-        row_peak: dict[int, Number] = {}
+        row_mass: dict[int, F] = {}
+        row_peak: dict[int, F] = {}
         for (i, _), w in ((c, y[c]) for c in cells):
             row_mass[i] = row_mass.get(i, zero) + w
             row_peak[i] = max(row_peak.get(i, zero), w)
@@ -318,20 +325,17 @@ def ceiling_reference(
     return best
 
 
+def exact_bounds(p: LorentzParam) -> tuple[Callable[[int], F], Callable[[F], F]]:
+    """The upper ends of the rank budgets and roots that ``_ceiling`` uses."""
+    return (
+        lambda rank: micro._budget(rank, p.num, p.den).hi,
+        lambda s: sqrt_enclosure(s, BITS).hi,
+    )
+
+
 MICRO_CELLS = [(i, j) for i in range(1, 4) for j in range(1, i + 1)]
 CEILING_PS = (DEFAULT_P, LorentzParam(5, 3), LorentzParam(7, 4))
 
-# quotients of large ints round in their last bit, so a reordered sum of
-# three or more of them shows; zeros, negatives and tiny values mix in
-ugly_floats = st.builds(lambda a, b: a / b, st.integers(1, 10**9), st.integers(10**8, 10**9))
-float_entries = st.one_of(
-    ugly_floats,
-    ugly_floats,
-    ugly_floats,
-    st.just(0.0),
-    st.floats(-2, 0),
-    st.floats(1e-300, 1e-150),  # squares underflow to 0.0
-)
 fraction_entries = st.one_of(
     st.just(F(0)),
     st.fractions(min_value=-2, max_value=2, max_denominator=60),
@@ -348,72 +352,190 @@ def ceiling_cases(draw, entries):
 
 
 class TestCeilingIdentity:
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(ceiling_cases(float_entries), min_size=1, max_size=4))
-    def test_float_bit_identical(self, cases):
-        shared = _float_bounds(DEFAULT_P)
-        memo = {}  # one memo across the cases, each looked up twice, as in the dual search
-        for y, rows, p in cases:
-            bounds = _float_bounds(p)
-            assert _ceiling(y, rows, 0.0, *bounds).hex() == ceiling_reference(y, rows, 0.0, *bounds).hex()
-            want = ceiling_reference(y, rows, 0.0, *shared).hex()
-            for _ in range(2):
-                assert _ceiling(y, rows, 0.0, *shared, memo).hex() == want
-
     @settings(max_examples=60, deadline=None)
     @given(st.lists(ceiling_cases(fraction_entries), min_size=1, max_size=3))
     def test_fraction_equal(self, cases):
-        shared = _exact_bounds(DEFAULT_P)
-        memo = {}
         for y, rows, p in cases:
-            bounds = _exact_bounds(p)
-            got = _ceiling(y, rows, F(0), *bounds)
-            want = ceiling_reference(y, rows, F(0), *bounds)
+            got = _ceiling(y, rows, p)
+            want = ceiling_reference(y, rows, F(0), *exact_bounds(p))
             assert type(got) is type(want) and got == want
-            want = ceiling_reference(y, rows, F(0), *shared)
-            for _ in range(2):
-                assert _ceiling(y, rows, F(0), *shared, memo) == want
-
-    def test_random_walk_bit_identical(self):
-        # one-cell moves as in the dual search, with cells leaving and
-        # re-entering the support and the key order reshuffled; a hull
-        # binds on three or more summed values in only a few percent of
-        # supports, so this walk is long
-        bounds = _float_bounds(DEFAULT_P)
-        rng = random.Random(5)
-        memo = {}
-        y = {c: rng.uniform(0.01, 3) for c in MICRO_CELLS}
-        for _ in range(600):
-            c = rng.choice(MICRO_CELLS)
-            y[c] = rng.choice((y[c] * rng.uniform(0.5, 2), 0.0, rng.uniform(0.01, 3)))
-            order = list(y)
-            rng.shuffle(order)
-            y = {k: y[k] for k in order}
-            want = ceiling_reference(y, (1, 2, 3), 0.0, *bounds).hex()
-            assert _ceiling(y, (1, 2, 3), 0.0, *bounds).hex() == want
-            assert _ceiling(y, (1, 2, 3), 0.0, *bounds, memo).hex() == want
 
 
 FAILING_SUPPORTS = (
     {(1, 1): F(-7, 8), (2, 1): F(3, 2), (2, 2): F(5, 4), (3, 1): F(1), (3, 3): F(13, 8)},
     {(2, 1): F(3, 4), (2, 2): F(15, 8), (3, 1): F(13, 8), (3, 2): F(-13, 8), (3, 3): F(3, 2)},
 )
-
-
-@pytest.mark.parametrize("cells", FAILING_SUPPORTS, ids=["five-cells-rows-1-3", "five-cells-rows-2-3"])
-def test_ascend_dual_matches_reference_ceiling(cells, monkeypatch):
-    target = {c: abs(v) for c, v in sorted(cells.items())}
-    rows = tuple(sorted({i for i, _ in target}))
-    start = {c: v / 2 for c, v in list(target.items())[::2]}
-    got = [_ascend_dual(s, target, rows, P, 20) for s in (start, target)]
-    monkeypatch.setattr(
-        micro,
-        "_ceiling",
-        lambda y, rows, zero, budget, sqrt_hi, memo=None: ceiling_reference(
-            y, rows, zero, budget, sqrt_hi
+FAILING_IDS = ["five-cells-rows-1-3", "five-cells-rows-2-3"]
+# the bounds both supports stall at after MAX_ROUNDS rounds; any change to
+# the members, the cover program or the dual candidates shows here
+FAILING_BOUNDS = (
+    (
+        F(13, 8),
+        F(
+            "23660105655013664808457595656872306155000000000"
+            "/14068036339914405274197853434677056543954484809"
         ),
+    ),
+    (F(15, 8), F("165069014933354013982058978061/79228162514264337593543950336")),
+)
+# two full rows at 3/4 and 1, as the sandwich suite's band family draws them
+BAND_SUPPORT = {(2, 1): F(3, 4), (2, 2): F(3, 4), (3, 1): F(1), (3, 2): F(1), (3, 3): F(1)}
+
+
+@pytest.mark.parametrize("cells, bounds", zip(FAILING_SUPPORTS, FAILING_BOUNDS), ids=FAILING_IDS)
+def test_failing_supports_keep_their_bounds(cells, bounds):
+    x = TriVector(cells)
+    with pytest.raises(ToleranceUnreachableError) as info:
+        tau_micro_oracle(x, P)
+    err = info.value
+    assert err.rounds == micro.MAX_ROUNDS
+    assert (err.interval.lo, err.interval.hi) == bounds
+    err.interval.upper.validate(x)
+    err.interval.lower.validate(x)
+
+
+def test_each_dual_candidate_certified_once(monkeypatch):
+    # every round offers the LP duals, the row-uniform duals and |x|; only
+    # the positive part of a candidate matters, and a repeat is skipped
+    def key(y):
+        return tuple(sorted((c, v) for c, v in y.items() if v > 0))
+
+    offered, certified = [], []
+    row_uniform, cover, witness = (
+        micro._row_uniform_candidates,
+        micro._cover_program,
+        micro._dual_witness,
     )
-    want = [_ascend_dual(s, target, rows, P, 20) for s in (start, target)]
-    assert [{c: v.hex() for c, v in d.items()} for d in got] == [
-        {c: v.hex() for c, v in d.items()} for d in want
+
+    def record_uniform(*args):
+        out = row_uniform(*args)
+        offered.extend(out)
+        return out
+
+    def record_cover(atoms, cells, target):
+        out = cover(atoms, cells, target)
+        offered.extend([out[2], target])
+        return out
+
+    def record_witness(y, *args):
+        certified.append(key(y))
+        return witness(y, *args)
+
+    monkeypatch.setattr(micro, "_row_uniform_candidates", record_uniform)
+    monkeypatch.setattr(micro, "_cover_program", record_cover)
+    monkeypatch.setattr(micro, "_dual_witness", record_witness)
+    with pytest.raises(ToleranceUnreachableError):
+        tau_micro_oracle(TriVector(FAILING_SUPPORTS[0]), P)
+    assert len(certified) == len(set(certified))
+    assert set(certified) == {key(y) for y in offered}
+    assert len(offered) > len(certified)
+
+
+# -- member assembly against the per-combination validation --------------------
+
+
+def trimmed_pieces_reference(
+    group: tuple[int, ...],
+    rank: int,
+    p: LorentzParam,
+    support: frozenset[Cell],
+    round_: int,
+) -> list[tuple[TriVector, HullCertificate]]:
+    """``micro._trimmed_pieces`` as it was before pieces were certified
+    once per call, verbatim but for its name and this docstring."""
+    budget_lo = _budget_sq(rank, p.num, p.den).lo
+    gens = [
+        (seq, _restrict_cells(seq.indicator(), support)) for seq in _gens_on(group)
     ]
+    gens = [(seq, piece) for seq, piece in gens if not piece.is_zero()]
+    out: list[tuple[TriVector, HullCertificate]] = []
+
+    def push(seqs: tuple[GridSeq, ...], weights: tuple[F, ...], mix: TriVector) -> None:
+        nsq = row_norm_sq(mix)
+        if nsq <= budget_lo:
+            gamma = F(1)
+        else:
+            gamma = _floor_frac(sqrt_enclosure(budget_lo / nsq, BITS).lo)
+            if gamma <= 0:
+                return
+            mix = mix.scale(gamma)
+        out.append((mix, HullCertificate(seqs, weights, gamma)))
+
+    for seq, piece in gens:
+        push((seq,), (F(1),), piece)
+    if round_ >= 1:
+        grid = (
+            [F(1, 2), F(1, 4), F(3, 4)]
+            if round_ == 1
+            else [F(k, 8) for k in range(1, 8)]
+        )
+        for (sa, pa), (sb, pb) in itertools.combinations(gens, 2):
+            for w in grid:
+                push((sa, sb), (w, 1 - w), pa.scale(w) + pb.scale(1 - w))
+    if round_ >= 2:
+        thirds = (F(1, 3), F(1, 3), F(1, 3))
+        for combo in itertools.combinations(gens, 3):
+            mix = TriVector()
+            for w, (_, piece) in zip(thirds, combo):
+                mix = mix + piece.scale(w)
+            push(tuple(seq for seq, _ in combo), thirds, mix)
+    return out
+
+
+def pattern_atoms_reference(
+    rows: tuple[int, ...],
+    p: LorentzParam,
+    support: frozenset[Cell],
+    round_: int,
+    known: set[tuple],
+) -> list[DisjointRep]:
+    """``micro._pattern_atoms`` as it was before pieces were certified once
+    per call, verbatim but for its name, this docstring and the name of
+    the pieces helper: every member goes through ``make_disjoint_rep``."""
+    seen: dict[tuple, DisjointRep] = {}
+    slot_cache: dict[tuple, list] = {}
+    for pattern in _patterns(rows):
+        slots = []
+        for group, rank in pattern:
+            cached = slot_cache.get((group, rank))
+            if cached is None:
+                cached = trimmed_pieces_reference(group, rank, p, support, round_)
+                slot_cache[group, rank] = cached
+            if cached:
+                slots.append(cached)
+        if not slots:
+            continue
+        for combo in itertools.product(*slots):
+            total = TriVector()
+            for piece, _ in combo:
+                total = total + piece
+            key = _element_key(total)
+            if key in seen or key in known:
+                continue
+            seen[key] = make_disjoint_rep(
+                [piece for piece, _ in combo], p, certs=[cert for _, cert in combo]
+            )
+    return list(seen.values())
+
+
+def _fields(rep: DisjointRep) -> tuple:
+    return (rep.pieces, rep.certs, rep.norms_sq, rep.p, rep.lorentz_sq_bound)
+
+
+@pytest.mark.parametrize(
+    "cells", FAILING_SUPPORTS + (BAND_SUPPORT,), ids=FAILING_IDS + ["band-rows-2-3"]
+)
+def test_pattern_atoms_match_reference(cells):
+    # rounds 0-2 as tau_micro_oracle runs them: one store of pieces for the
+    # whole call, and the pool's elements skipped in each later round
+    x = TriVector(cells)
+    support = frozenset(x.support())
+    rows = x.active_rows()
+    known = {_element_key(rep.element()) for rep in gauge_interval(x, P).upper.reps}
+    made: dict = {}
+    for round_ in range(3):
+        want = pattern_atoms_reference(rows, P, support, round_, set(known))
+        got = _pattern_atoms(rows, P, support, round_, set(known), made)
+        assert [_fields(rep) for rep in got] == [_fields(rep) for rep in want]
+        assert all(rep.is_unit_member() for rep in got)
+        known |= {_element_key(rep.element()) for rep in got}

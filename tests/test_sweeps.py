@@ -38,6 +38,14 @@ def test_small_run_passes_and_is_deterministic(suite):
     assert payload["aggregate"]["trials"] >= trials
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 5, 8, 13])
+def test_sandwich_closes_across_seeds(seed):
+    # the sandwich trial count of the benchmark's sweep workload: a single
+    # trial that misses the tolerance fails the whole report
+    report = run_suite(SweepConfig("sandwich", seed=seed, trials=8))
+    assert report.passed, report.failures[:1]
+
+
 def test_different_seeds_differ():
     a = run_suite(SweepConfig(suite="blocks", trials=5, seed=1))
     b = run_suite(SweepConfig(suite="blocks", trials=5, seed=2))
