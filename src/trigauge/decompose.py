@@ -166,8 +166,18 @@ def partition_matrix(cols) -> PartitionResult:
 
 
 def _validate_partition(cols, parts) -> None:
+    """Raise unless parts partition the cells, each holding at most one
+    cell per column with sum <= 1, in at most 2M + k parts (M the mass,
+    k the deepest column)."""
+    mass = sum((v for col in cols for v in col), Fraction(0))
+    deepest = max((len(col) for col in cols), default=0)
+    if len(parts) > 2 * mass + deepest:
+        raise AssertionError("part count above 2M + k")
+    cells = {(d, j) for j, col in enumerate(cols) for d in range(len(col))}
     seen: set[tuple[int, int]] = set()
     for part in parts:
+        if not part <= cells:
+            raise AssertionError("cell outside the matrix in a part")
         by_col: set[int] = set()
         total = Fraction(0)
         for depth, j in part:
@@ -180,9 +190,8 @@ def _validate_partition(cols, parts) -> None:
         if part & seen:
             raise AssertionError("cell in two parts")
         seen |= part
-    expect = {(d, j) for j, col in enumerate(cols) for d in range(len(col))}
-    if seen != expect:
-        raise AssertionError("cells lost or invented by partition")
+    if seen != cells:
+        raise AssertionError("cells lost by partition")
 
 
 def column_blocking(masses: Sequence[Rational], threshold: Rational) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -43,9 +43,6 @@ class SweepConfig:
             raise ValueError("tolerance must be positive")
         if self.epsilon is not None and not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
-
-    def with_trials(self, trials: int) -> "SweepConfig":
-        return replace(self, trials=trials)
 
     def echo(self) -> dict[str, Any]:
         return {

@@ -8,6 +8,7 @@ import pytest
 from trigauge.cli import build_parser, main
 from trigauge.core import TriVector
 from trigauge.generators import GridSeq, seq_file_text
+from trigauge.micro import SUPPORT_ROW_CAP
 from trigauge.report import load_report_payload
 
 
@@ -112,6 +113,18 @@ def test_tau_bounds_deep_support_skips_refinement(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["refined"] is False
     assert payload["max_row"] == 6
+
+
+@pytest.mark.parametrize(
+    "row, refined", [(SUPPORT_ROW_CAP, True), (SUPPORT_ROW_CAP + 1, False)]
+)
+def test_tau_bounds_refines_up_to_the_row_cap(tmp_path, capsys, row, refined):
+    x = TriVector({(row, 1): F(1, 2)})
+    path = tmp_path / "x.txt"
+    path.write_text(x.to_text())
+    assert main(["tau-bounds", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_row"] == row and payload["refined"] is refined
 
 
 def test_tau_bounds_nine_rows_finishes(tmp_path, capsys):

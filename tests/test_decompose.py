@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from trigauge.core import DEFAULT_P, TriVector, lorentz_le_sq
 from trigauge.decompose import (
     DisjointRep,
+    _validate_partition,
     block_conditions_sq,
     column_blocking,
     decompose_average,
@@ -206,6 +207,31 @@ class TestPartitionMatrix:
             assert res.reductions < 2 * total
         max_depth = max((len(c) for c in cols), default=0)
         assert len(res.parts) <= res.reductions + max_depth
+
+
+class TestValidatePartition:
+    """Each rejection of the partition checker, on hand-built bogus parts."""
+
+    @pytest.mark.parametrize(
+        "cols, parts, message",
+        [
+            # a zero column of depth 1 allows 2 * 0 + 1 parts
+            (((F(0),),), ({(0, 0)}, set()), "part count above 2M \\+ k"),
+            (((F(1, 2),),), ({(0, 0), (1, 0)},), "outside the matrix"),
+            (((F(1, 4), F(1, 4)),), ({(0, 0), (1, 0)},), "two cells of one column"),
+            (((F(1),), (F(1),)), ({(0, 0), (0, 1)},), "part sum exceeds 1"),
+            (((F(1, 2),),), ({(0, 0)}, {(0, 0)}), "cell in two parts"),
+            (((F(1, 2),), (F(1, 2),)), ({(0, 0)},), "cells lost"),
+        ],
+        ids=["2M+k", "invented", "column-twice", "sum", "overlap", "lost"],
+    )
+    def test_rejects(self, cols, parts, message):
+        with pytest.raises(AssertionError, match=message):
+            _validate_partition(cols, tuple(frozenset(part) for part in parts))
+
+    def test_accepts_a_valid_partition(self):
+        cols = ((F(1), F(1, 2)), (F(1, 2),))
+        _validate_partition(cols, (frozenset({(0, 0)}), frozenset({(1, 0), (0, 1)})))
 
 
 # -- column blocking and the threshold -----------------------------------------

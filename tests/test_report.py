@@ -62,11 +62,6 @@ class TestSweepConfig:
         echoed = json.loads(json.dumps(cfg.echo()))
         assert SweepConfig.from_echo(echoed) == cfg
 
-    def test_with_trials(self):
-        cfg = SweepConfig(suite="blocks", trials=5)
-        assert cfg.with_trials(9).trials == 9
-        assert cfg.trials == 5
-
 
 class TestCanonicalJson:
     def test_sorted_keys_and_trailing_newline(self):

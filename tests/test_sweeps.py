@@ -1,11 +1,23 @@
 """Sweep runner: determinism, per-suite success on small runs, failure capture."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
+from trigauge import instances
+from trigauge.core import DEFAULT_P
+from trigauge.decompose import make_disjoint_rep, merge_representatives
+from trigauge.generators import HullCertificate
 from trigauge.report import SweepConfig, load_report_payload
-from trigauge.sweeps import DEFAULT_TRIALS, SUITES, _execute, run_suite, trial_rng
+from trigauge.sweeps import (
+    DEFAULT_TRIALS,
+    SUITES,
+    _execute,
+    _halved_prefixes_ok,
+    run_suite,
+    trial_rng,
+)
 
 
 def test_trial_rng_is_reproducible_and_spread():
@@ -108,3 +120,61 @@ def test_failure_reports_render_and_fail_the_report():
     )
     assert not rep.passed
     assert '"pass": false' in rep.to_json()
+
+
+# -- the merge trial's prefix check -------------------------------------------
+
+
+def prefix_loop_reference(result):
+    """The per-prefix check the one-pass check replaced: build half of
+    every selected prefix with make_disjoint_rep and test it."""
+    pieces = [piece.scale(F(1, 2)) for piece in result.merged.pieces]
+    certs = [HullCertificate(c.seqs, c.weights, c.scale / 2) for c in result.merged.certs]
+    ok = True
+    for cut in result.breakpoints[1:]:
+        halved = make_disjoint_rep(pieces[:cut], DEFAULT_P, certs=certs[:cut])
+        ok = ok and halved.is_unit_member()
+    return ok
+
+
+def verdict(check, result):
+    try:
+        return check(result)
+    except (AssertionError, ValueError):
+        return False
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_halved_prefixes_match_the_prefix_loop(seed):
+    family = instances.merge_family(trial_rng("merge", seed, 0), DEFAULT_P, count=50)
+    result = merge_representatives(family, DEFAULT_P)
+    assert verdict(_halved_prefixes_ok, result) is True
+    assert verdict(prefix_loop_reference, result) is True
+
+
+def test_forged_halved_certificate_fails_both_checks():
+    family = instances.merge_family(trial_rng("merge", 1, 0), DEFAULT_P, count=50)
+    result = merge_representatives(family, DEFAULT_P)
+    # piece 5 claims half its true hull scale, so its halved certificate
+    # no longer covers the halved piece
+    certs = list(result.merged.certs)
+    certs[5] = dataclasses.replace(certs[5], scale=certs[5].scale / 2)
+    forged = dataclasses.replace(
+        result, merged=dataclasses.replace(result.merged, certs=tuple(certs))
+    )
+    assert verdict(_halved_prefixes_ok, forged) is False
+    assert verdict(prefix_loop_reference, forged) is False
+
+
+def test_merge_suite_validates_each_certificate_a_bounded_number_of_times(monkeypatch):
+    calls = []
+    validate = HullCertificate.validate
+
+    def counted(cert, x):
+        calls.append(cert)
+        return validate(cert, x)
+
+    monkeypatch.setattr(HullCertificate, "validate", counted)
+    assert run_suite(SweepConfig("merge", seed=1, trials=2)).passed
+    # 5,400 while every prefix was rebuilt and checked twice
+    assert len(calls) <= 500
