@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import DEFAULT_P, LorentzParam, TriVector, lorentz_l2_constant
-from .decompose import decompose_average, verify_decomposition
+from .decompose import decompose_average
 from .exact import parse_fraction
 from .gauge import gauge_interval, pairing_witness
 from .generators import parse_seq_file
@@ -98,21 +98,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     seqs = parse_seq_file(Path(args.file).read_text())
-    cert = decompose_average(seqs, args.epsilon, args.p)
-    problems = verify_decomposition(cert, seqs)
-    payload = {
-        "epsilon": str(args.epsilon),
-        "p": str(args.p),
-        "m": cert.m_count,
-        "k": cert.k,
-        "blocks": len(cert.blocks),
-        "breakpoints": list(cert.breakpoints),
-        "scale": str(cert.scale),
-        "scale_float": float(cert.scale),
-        "problems": problems,
-    }
+    payload = {"epsilon": str(args.epsilon), "p": str(args.p)}
+    try:
+        cert = decompose_average(seqs, args.epsilon, args.p)
+    except AssertionError as exc:
+        # decompose_average re-checks its certificate and raises on any problem
+        payload["problems"] = [str(exc)]
+    else:
+        payload.update(
+            m=cert.m_count,
+            k=cert.k,
+            blocks=len(cert.blocks),
+            breakpoints=list(cert.breakpoints),
+            scale=str(cert.scale),
+            scale_float=float(cert.scale),
+            problems=[],
+        )
     _emit(canonical_json(payload), args.out)
-    return 0 if not problems else 1
+    return 1 if payload["problems"] else 0
 
 
 def _cmd_tau_bounds(args: argparse.Namespace) -> int:

@@ -28,6 +28,7 @@ from .core import (
     TriVector,
     l2_norm_sq,
     lorentz_l2_constant,
+    lorentz_le_sq,
     lorentz_value_sq,
     row_norm_sq,
     row_pairing,
@@ -41,7 +42,11 @@ from .decompose import (
 from .exact import Rational, sqrt_enclosure
 from .generators import EnumerationBudgetError, GridSeq, HullCertificate, hull_min_scale
 
-MAX_PARTITION_ROWS = 5  # above this, gauge_upper skips the row-partition search
+# Up to this many active rows gauge_upper scores every row partition (203
+# on 6 rows); above it, only the whole support as one hull piece.  The row
+# sup and weak-Lorentz bounds drop a partition before any LP only when it
+# cannot beat the best so far, so the cap costs time, not bound quality.
+MAX_PARTITION_ROWS = 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,16 +144,32 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
 
     Tries the per-row split whose hull scales are plain row suprema,
     every partition of the active rows into hull pieces (small supports
-    only), and otherwise the whole support as one hull piece.  Each row
-    group's covering LP is solved once; the scales are compared first and
-    only the first smallest one is built into a certificate.  The bound
-    is never claimed minimal.
+    only), and otherwise the whole support as one hull piece.  Only the
+    first partition with the smallest scale is built into a certificate.
+    The bound is never claimed minimal.
+
+    A partition's scale is max(hull scale of each group, Lorentz value
+    of the group seminorms), and only a strictly smaller scale replaces
+    the best so far.  Two exact lower bounds on it need no LP, so they
+    run first.  Every hull scale is at least the largest |x_ij| on its
+    rows, so the search ends once the best reaches the largest entry.
+    ``lorentz_le_sq``, then the enclosure's upper end, drops a partition
+    whose Lorentz value is not below the best.  The groups of a partition
+    that survives are solved, already solved and smaller groups first,
+    until one's hull scale is not below the best.  Each test skips only
+    partitions that could not have replaced the best, so the result is
+    the one that solving every group would give.  Each group's covering
+    LP is solved at most once per call.
+
+    On six rows the partitions include the whole support as one group,
+    the only candidate tried above ``MAX_PARTITION_ROWS``.
     """
     target = abs(x)
     if target.is_zero():
         return GaugeCertificate((), (), Fraction(0))
     rows = target.active_rows()
     hulls: dict[tuple[int, ...], tuple[Fraction, HullCertificate] | None] = {}
+    norms: dict[tuple[int, ...], Fraction] = {}
 
     def hull(group: tuple[int, ...]) -> tuple[Fraction, HullCertificate] | None:
         if group not in hulls:
@@ -158,6 +179,15 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
                 hulls[group] = None  # enumeration too large for this grouping
         return hulls[group]
 
+    def hull_below(group: tuple[int, ...], bound: Fraction) -> bool:
+        solved = hull(group)
+        return solved is not None and solved[0] < bound
+
+    def norm_sq(group: tuple[int, ...]) -> Fraction:
+        if group not in norms:
+            norms[group] = sum((row_sq[i] for i in group), Fraction(0))
+        return norms[group]
+
     # per-row split: no enumeration, always available
     row_certs, sups = zip(*(_full_row_cert(target, i) for i in rows))
     row_sq = {i: row_norm_sq(target.restrict_rows([i])) for i in rows}
@@ -165,16 +195,24 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     best = (scale, tuple((i,) for i in rows), row_certs)
 
     if len(rows) <= MAX_PARTITION_ROWS:
+        floor = max(sups)  # no partition's scale is below the largest |x_ij|
         for partition in _set_partitions(rows):
+            bound = best[0]
+            if bound <= floor:
+                break
             if len(partition) == len(rows):
                 continue  # the singleton partition is the per-row split
-            solved = [hull(group) for group in partition]
-            if None in solved:
+            group_sq = [norm_sq(group) for group in partition]
+            if not lorentz_le_sq(group_sq, bound**2, p):
                 continue
-            norms = [sum((row_sq[i] for i in group), Fraction(0)) for group in partition]
-            scale = max(max(lam for lam, _ in solved), lorentz_value_sq(norms, p).hi)
-            if scale < best[0]:
-                best = (scale, partition, tuple(cert for _, cert in solved))
+            scale = lorentz_value_sq(group_sq, p).hi
+            if scale >= bound:
+                continue
+            # solved groups cost nothing; then fewer rows means a smaller LP
+            order = sorted(partition, key=lambda group: (group not in hulls, len(group)))
+            if all(hull_below(group, bound) for group in order):
+                scale = max(scale, *(hulls[group][0] for group in partition))
+                best = (scale, partition, tuple(hulls[group][1] for group in partition))
     else:
         solved = hull(rows)
         if solved is not None and solved[0] < best[0]:

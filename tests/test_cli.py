@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from trigauge import cli
 from trigauge.cli import build_parser, main
 from trigauge.core import TriVector
 from trigauge.generators import GridSeq, seq_file_text
@@ -81,17 +82,36 @@ def test_report_summary_and_csv(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("trial,ok,digest,detail")
 
 
+DECOMPOSE_SEQS = [GridSeq.make([1]), GridSeq.make([0, 2]), GridSeq.make([0, 0, 3])]
+DECOMPOSE_SEQS += [GridSeq.make([])] * 9
+
+
 def test_decompose_command(tmp_path, capsys):
-    seqs = [GridSeq.make([1]), GridSeq.make([0, 2]), GridSeq.make([0, 0, 3])]
-    seqs += [GridSeq.make([])] * 9
     path = tmp_path / "seqs.txt"
-    path.write_text(seq_file_text(seqs))
+    path.write_text(seq_file_text(DECOMPOSE_SEQS))
     code = main(["decompose", str(path), "--epsilon", "1/4"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["problems"] == []
     assert payload["m"] == 12
     assert payload["k"] == 3
+
+
+def test_decompose_failed_check_exits_one(tmp_path, capsys, monkeypatch):
+    def failing(seqs, epsilon, p):
+        raise AssertionError("theta below the blocking threshold")
+
+    monkeypatch.setattr(cli, "decompose_average", failing)
+    path = tmp_path / "seqs.txt"
+    path.write_text(seq_file_text(DECOMPOSE_SEQS))
+    code = main(["decompose", str(path), "--epsilon", "1/4"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload == {
+        "epsilon": "1/4",
+        "p": "3/2",
+        "problems": ["theta below the blocking threshold"],
+    }
 
 
 def test_tau_bounds_unit_indicator(tmp_path, capsys):

@@ -12,6 +12,7 @@ from trigauge.core import (
     TriVector,
     l2_norm_sq,
     lorentz_l2_constant,
+    lorentz_value_sq,
     row_norm_sq,
     row_pairing,
 )
@@ -27,7 +28,12 @@ from trigauge.gauge import (
     pairing_witness,
 )
 from trigauge import gauge
-from trigauge.generators import EnumerationBudgetError, GridSeq, HullCertificate
+from trigauge.generators import (
+    EnumerationBudgetError,
+    GridSeq,
+    HullCertificate,
+    hull_min_scale,
+)
 
 P = DEFAULT_P
 C_HI = lorentz_l2_constant(P).hi
@@ -35,6 +41,55 @@ C_HI = lorentz_l2_constant(P).hi
 
 def full_row(i):
     return GridSeq.make(0 if r != i else i for r in range(1, i + 1)).indicator()
+
+
+REFERENCE_PARTITION_ROWS = 5
+
+
+def gauge_upper_reference(x, p):
+    """gauge_upper before its LP-free partition bounds, kept as the
+    reference: it solves every group of every partition on up to 5 rows."""
+    target = abs(x)
+    if target.is_zero():
+        return GaugeCertificate((), (), F(0))
+    rows = target.active_rows()
+    hulls = {}
+
+    def hull(group):
+        if group not in hulls:
+            try:
+                hulls[group] = hull_min_scale(target.restrict_rows(group))
+            except EnumerationBudgetError:
+                hulls[group] = None  # enumeration too large for this grouping
+        return hulls[group]
+
+    # per-row split: no enumeration, always available
+    row_certs, sups = zip(*(gauge._full_row_cert(target, i) for i in rows))
+    row_sq = {i: row_norm_sq(target.restrict_rows([i])) for i in rows}
+    scale = max(max(sups), lorentz_value_sq(row_sq.values(), p).hi)
+    best = (scale, tuple((i,) for i in rows), row_certs)
+
+    if len(rows) <= REFERENCE_PARTITION_ROWS:
+        for partition in gauge._set_partitions(rows):
+            if len(partition) == len(rows):
+                continue  # the singleton partition is the per-row split
+            solved = [hull(group) for group in partition]
+            if None in solved:
+                continue
+            norms = [sum((row_sq[i] for i in group), F(0)) for group in partition]
+            scale = max(max(lam for lam, _ in solved), lorentz_value_sq(norms, p).hi)
+            if scale < best[0]:
+                best = (scale, partition, tuple(cert for _, cert in solved))
+    else:
+        solved = hull(rows)
+        if solved is not None and solved[0] < best[0]:
+            best = (solved[0], (rows,), (solved[1],))
+
+    scale, groups, certs = best
+    pieces = [target.restrict_rows(group) for group in groups]
+    cert = gauge._single_rep_certificate(pieces, certs, scale, p)
+    cert.validate(x)
+    return cert
 
 
 class TestGaugeUpper:
@@ -93,27 +148,123 @@ class TestGaugeUpper:
         cert.validate(x)
         assert cert.scale >= F(1, 10)
 
+    # ones on rows 1..2: the one partition {1, 2} survives the bounds
+    # (Lorentz value sqrt 2 < 2^(2/3)) and reaches its LP
+    ONES_2 = TriVector({(1, 1): 1, (2, 1): 1, (2, 2): 1})
+
     def test_enumeration_budget_falls_back_to_row_split(self, monkeypatch):
-        x = TriVector({(1, 1): F(1, 2), (2, 1): F(1, 2), (2, 2): F(1, 4)})
+        calls = []
 
         def over_budget(target):
+            calls.append(target)
             raise EnumerationBudgetError("generator enumeration exceeds the budget")
 
         monkeypatch.setattr(gauge, "hull_min_scale", over_budget)
-        cert = gauge_upper(x, P)
-        cert.validate(x)
+        cert = gauge_upper(self.ONES_2, P)
+        cert.validate(self.ONES_2)
+        assert calls == [self.ONES_2]
         (rep,) = cert.reps
         assert [piece.active_rows() for piece in rep.pieces] == [(1,), (2,)]
 
     def test_other_runtime_errors_propagate(self, monkeypatch):
-        x = TriVector({(1, 1): F(1, 2), (2, 1): F(1, 2), (2, 2): F(1, 4)})
+        calls = []
 
         def broken(target):
+            calls.append(target)
             raise RuntimeError("not a budget error")
 
         monkeypatch.setattr(gauge, "hull_min_scale", broken)
         with pytest.raises(RuntimeError, match="not a budget error"):
-            gauge_upper(x, P)
+            gauge_upper(self.ONES_2, P)
+        assert calls == [self.ONES_2]
+
+
+def ones(n):
+    return TriVector({(i, j): 1 for i in range(1, n + 1) for j in range(1, i + 1)})
+
+
+def decr(n):
+    return TriVector(
+        {(i, j): F(2 * i - j, 2 * i) for i in range(1, n + 1) for j in range(1, i + 1)}
+    )
+
+
+# One magnitude per vector times a few signed factors, so that rows share
+# their largest entry and partitions often tie or win.  Magnitudes above 1
+# make best**2 and best differ in both directions.
+MAGNITUDES = (F(1, 2), F(1), F(3, 2))
+FACTORS = (F(1), F(-1), F(-1, 2))
+
+
+@st.composite
+def supports(draw, max_row, min_rows, max_rows):
+    rows = draw(st.sets(st.integers(1, max_row), min_size=min_rows, max_size=max_rows))
+    scale = draw(st.sampled_from(MAGNITUDES))
+    entries = {}
+    for i in rows:
+        for j in draw(st.sets(st.integers(1, i), min_size=1)):
+            entries[(i, j)] = scale * draw(st.sampled_from(FACTORS))
+    return entries
+
+
+class TestBoundedPartitionSearch:
+    """gauge_upper against the search that solves every partition's LPs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(supports(7, 1, 5))
+    def test_identical_up_to_five_rows(self, entries):
+        x = TriVector(entries)
+        assert gauge_upper(x, P) == gauge_upper_reference(x, P)
+
+    @pytest.mark.parametrize("scale", MAGNITUDES)
+    @pytest.mark.parametrize("family", [ones, decr])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_identical_on_families(self, n, family, scale):
+        x = family(n).scale(scale)
+        assert gauge_upper(x, P) == gauge_upper_reference(x, P)
+
+    @settings(max_examples=8, deadline=None)
+    @given(supports(6, 6, 6))
+    def test_six_rows_never_worse(self, entries):
+        x = TriVector(entries)
+        cert = gauge_upper(x, P)
+        cert.validate(x)
+        assert cert.scale <= gauge_upper_reference(x, P).scale
+
+    def test_six_row_families_pinned(self):
+        # 2.520 and 1.451; the whole-support hull alone gave 3.302 and 1.828
+        pinned = [
+            (ones(6), F(49910614848106779105989319563, 19807040628566084398385987584)),
+            (decr(6), F(14366056065741671398268257819, 9903520314283042199192993792)),
+        ]
+        for x, scale in pinned:
+            cert = gauge_upper(x, P)
+            assert cert.scale == scale
+            assert cert.scale < gauge_upper_reference(x, P).scale
+            cert.validate(x)
+
+    @pytest.mark.parametrize(
+        "x, lps",
+        [
+            # solving every group of every partition takes 31 LPs here
+            (decr(5), 22),
+            # the row split already reaches the largest entry; 1 LP before
+            (TriVector({(1, 1): F(1, 4), (3, 1): F(1)}), 0),
+        ],
+        ids=["decr5", "sup-bound"],
+    )
+    def test_lp_count(self, monkeypatch, x, lps):
+        calls = []
+        solve = gauge.hull_min_scale
+
+        def counted(target):
+            calls.append(target)
+            return solve(target)
+
+        monkeypatch.setattr(gauge, "hull_min_scale", counted)
+        assert gauge_upper(x, P) == gauge_upper_reference(x, P)
+        assert len(calls) == lps
+        assert len(set(calls)) == len(calls)
 
 
 class TestGaugeUpperFromAverage:
