@@ -62,7 +62,32 @@ from .generators import (
     indicator_sum,
 )
 
-Matrix = tuple[tuple[Fraction, ...], ...]  # columns, each sorted nonincreasing
+
+def _integer_columns(cols) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Columns of rationals as numerators over D, the lcm of their denominators."""
+    cols = [[Fraction(v) for v in col] for col in cols]
+    denom = lcm(*(v.denominator for col in cols for v in col))
+    nums = tuple(tuple(v.numerator * (denom // v.denominator) for v in col) for col in cols)
+    return nums, denom
+
+
+def _select_over(values: Sequence[int], denom: int) -> tuple[int, ...]:
+    """``select_subset`` on values given as numerators over denom.
+
+    The caller guarantees values in [0, denom] with total above denom.
+    """
+    for idx, v in enumerate(values):
+        if 2 * v >= denom:
+            return (idx,)
+    chosen: list[int] = []
+    acc = 0
+    for idx, v in enumerate(values):
+        if v:
+            chosen.append(idx)
+            acc += v
+            if 2 * acc >= denom:
+                return tuple(chosen)
+    raise AssertionError("unreachable: total exceeds 1")
 
 
 def select_subset(values: Sequence[Rational]) -> tuple[int, ...]:
@@ -71,40 +96,15 @@ def select_subset(values: Sequence[Rational]) -> tuple[int, ...]:
     Requires values in [0, 1] with total > 1.  Takes the first single
     value >= 1/2 when one exists, otherwise the shortest prefix of the
     positive entries reaching 1/2; either way the selected sum cannot
-    exceed 1.
+    exceed 1.  Works in integers: the values become numerators over D,
+    the lcm of their denominators, and v >= 1/2 reads 2v >= D.
     """
-    vals = [Fraction(v) for v in values]
-    if any(v < 0 or v > 1 for v in vals):
+    (nums,), denom = _integer_columns((values,))
+    if any(v < 0 or v > denom for v in nums):
         raise ValueError("values must lie in [0, 1]")
-    if sum(vals) <= 1:
+    if sum(nums) <= denom:
         raise ValueError("total must exceed 1")
-    half = Fraction(1, 2)
-    for idx, v in enumerate(vals):
-        if v >= half:
-            return (idx,)
-    chosen: list[int] = []
-    acc = Fraction(0)
-    for idx, v in enumerate(vals):
-        if v == 0:
-            continue
-        chosen.append(idx)
-        acc += v
-        if acc >= half:
-            return tuple(chosen)
-    raise AssertionError("unreachable: total exceeds 1")
-
-
-def _check_entries(cols: Matrix) -> None:
-    for col in cols:
-        for v in col:
-            if v < 0 or v > 1:
-                raise ValueError("matrix entries must lie in [0, 1]")
-
-
-def _check_sorted(cols: Matrix) -> None:
-    for col in cols:
-        if any(a < b for a, b in zip(col, col[1:])):
-            raise ValueError("columns must be sorted nonincreasing")
+    return _select_over(nums, denom)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,35 +124,42 @@ def partition_matrix(cols) -> PartitionResult:
     reductions is less than twice the total mass.  Cell addresses are
     (depth from the top of the column, column index); every cell lands
     in exactly one part, zero cells always in a leftover part.
+
+    Works in integers: entries become numerators over D, the lcm of
+    their denominators, and the sum of the column tops is kept running,
+    updated only for the columns each reduction picks.
     """
-    cols = tuple(tuple(Fraction(v) for v in col) for col in cols)
-    _check_entries(cols)
-    _check_sorted(cols)
+    cols, denom = _integer_columns(cols)
+    if any(v < 0 or v > denom for col in cols for v in col):
+        raise ValueError("matrix entries must lie in [0, 1]")
+    if any(a < b for col in cols for a, b in zip(col, col[1:])):
+        raise ValueError("columns must be sorted nonincreasing")
     # Each round removes the top remaining cell of a column subset whose
-    # tops sum to at least 1/2 (``select_subset``); cells above pointers[j]
-    # are removed.  Sortedness puts nonzero cells first, so pointers only
-    # ever traverse nonzero prefixes.
+    # tops sum to at least 1/2 (``select_subset``'s rule); cells above
+    # pointers[j] are removed.  Sortedness puts nonzero cells first, so
+    # pointers only ever traverse nonzero prefixes, and ``active`` lists
+    # the columns with a nonzero cell left, in column order.
     pointers = [0] * len(cols)
     nonzero = [sum(1 for v in col if v) for col in cols]
+    active = [j for j in range(len(cols)) if nonzero[j]]
+    top_sum = sum(cols[j][0] for j in active)
     parts: list[frozenset[tuple[int, int]]] = []
-    total = sum((v for col in cols for v in col), Fraction(0))
-    while True:
-        tops = [
-            (j, cols[j][pointers[j]])
-            for j in range(len(cols))
-            if pointers[j] < nonzero[j]
-        ]
-        if sum((v for _, v in tops), Fraction(0)) <= 1:
-            break
-        picked = select_subset([v for _, v in tops])
+    while top_sum > denom:
+        picked = _select_over([cols[j][pointers[j]] for j in active], denom)
         part = []
         for i in picked:
-            j = tops[i][0]
-            part.append((pointers[j], j))
-            pointers[j] += 1
+            j = active[i]
+            depth = pointers[j]
+            part.append((depth, j))
+            top_sum -= cols[j][depth]
+            pointers[j] = depth + 1
+            if depth + 1 < nonzero[j]:
+                top_sum += cols[j][depth + 1]
         parts.append(frozenset(part))
+        active = [j for j in active if pointers[j] < nonzero[j]]
     reductions = len(parts)
-    if total > 0 and reductions >= 2 * total:
+    total = sum(map(sum, cols))
+    if total > 0 and reductions * denom >= 2 * total:
         raise AssertionError("reduction count reached 2 * mass")
     max_depth = max((len(col) for col in cols), default=0)
     for depth in range(max_depth):
@@ -161,17 +168,17 @@ def partition_matrix(cols) -> PartitionResult:
         )
         if part:
             parts.append(part)
-    _validate_partition(cols, parts)
+    _validate_partition(cols, denom, parts)
     return PartitionResult(tuple(parts), reductions)
 
 
-def _validate_partition(cols, parts) -> None:
+def _validate_partition(cols, denom: int, parts) -> None:
     """Raise unless parts partition the cells, each holding at most one
     cell per column with sum <= 1, in at most 2M + k parts (M the mass,
-    k the deepest column)."""
-    mass = sum((v for col in cols for v in col), Fraction(0))
+    k the deepest column).  Entries are numerators over denom."""
+    mass = sum(map(sum, cols))
     deepest = max((len(col) for col in cols), default=0)
-    if len(parts) > 2 * mass + deepest:
+    if len(parts) * denom > 2 * mass + deepest * denom:
         raise AssertionError("part count above 2M + k")
     cells = {(d, j) for j, col in enumerate(cols) for d in range(len(col))}
     seen: set[tuple[int, int]] = set()
@@ -179,13 +186,13 @@ def _validate_partition(cols, parts) -> None:
         if not part <= cells:
             raise AssertionError("cell outside the matrix in a part")
         by_col: set[int] = set()
-        total = Fraction(0)
+        total = 0
         for depth, j in part:
             if j in by_col:
                 raise AssertionError("two cells of one column in a part")
             by_col.add(j)
             total += cols[j][depth]
-        if total > 1:
+        if total > denom:
             raise AssertionError("part sum exceeds 1")
         if part & seen:
             raise AssertionError("cell in two parts")
@@ -306,18 +313,20 @@ def decompose_average(
     columns = tuple(sorted({i for s in seqs for i in s.active_rows()}))
 
     # Sorted squared-coefficient matrix: one column per active coordinate,
-    # entries the squared coefficients of the sequences active there, in
-    # decreasing order with ties by sequence index.  Donors ride along.
+    # entries the squared coefficients (count / i)^2 of the sequences
+    # active there, in decreasing order with ties by sequence index.
+    # Donors ride along.
     cols: list[tuple[Fraction, ...]] = []
     donors: list[tuple[int, ...]] = []
+    masses: list[Fraction] = []
     for i in columns:
         pairs = sorted(
-            ((s.coeff(i) ** 2, q) for q, s in enumerate(seqs) if s.coeff(i)),
+            ((s.m[i - 1], q) for q, s in enumerate(seqs) if i <= len(s.m) and s.m[i - 1]),
             key=lambda t: (-t[0], t[1]),
         )
-        cols.append(tuple(v for v, _ in pairs))
+        cols.append(tuple(Fraction(c * c, i * i) for c, _ in pairs))
         donors.append(tuple(q for _, q in pairs))
-    masses = [sum(col, Fraction(0)) for col in cols]
+        masses.append(Fraction(sum(c * c for c, _ in pairs), i * i))
     breaks = column_blocking(masses, theta * mm)
 
     blocks: list[DecompositionBlock] = []
@@ -441,7 +450,7 @@ def verify_decomposition(
         problems.append("stored columns differ from the active coordinates")
         return problems
     masses = [
-        sum((s.coeff(i) ** 2 for s in seqs if s.coeff(i)), Fraction(0)) for i in columns
+        Fraction(sum(s.m[i - 1] ** 2 for s in seqs if i <= len(s.m)), i * i) for i in columns
     ]
     problems += blocking_problems(masses, cert.breakpoints, cert.theta, eps, p, mm)
     if len(cert.blocks) != len(cert.breakpoints) - 1:
@@ -463,22 +472,23 @@ def verify_decomposition(
         for piece in blk.pieces:
             if not set(piece.active_rows()) <= cols_m:
                 problems.append(f"block {m}: piece leaves the block columns")
-        if row_norm_sq(cert.block_vector(m)) != blk.block_norm_sq:
+        y_m = cert.block_vector(m)
+        if row_norm_sq(y_m) != blk.block_norm_sq:
             problems.append(f"block {m}: stored seminorm square is wrong")
         try:
-            cert.hull_witness(m).validate(cert.block_vector(m))
+            cert.hull_witness(m).validate(y_m)
         except AssertionError as exc:
             problems.append(f"block {m}: hull witness invalid ({exc})")
 
     # Exact reassembly: per coordinate, the nonzero counts of the pieces
     # must be a permutation of the nonzero counts of the input sequences.
     for i in columns:
-        want = Counter(s.m[i - 1] for s in seqs if s.coeff(i))
+        want = Counter(s.m[i - 1] for s in seqs if i <= len(s.m) and s.m[i - 1])
         got = Counter(
             piece.m[i - 1]
             for blk in cert.blocks
             for piece in blk.pieces
-            if piece.coeff(i)
+            if i <= len(piece.m) and piece.m[i - 1]
         )
         if want != got:
             problems.append(f"coordinate {i}: counts not preserved")

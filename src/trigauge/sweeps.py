@@ -2,8 +2,10 @@
 
 Each suite draws its instances from a per-trial generator seeded by
 (suite, seed, trial), so any single trial can be regenerated without
-running the others.  A trial that throws becomes a failure transcript
-instead of aborting the sweep; the report then fails as a whole.
+running the others.  A trial draws its instance and renders it as text
+before anything checks it, so a trial whose check throws still records
+the instance; it becomes a failure transcript instead of aborting the
+sweep, and the report then fails as a whole.
 
 A suite is its list of trials and its summary statistics (``Suite``);
 ``run_suite`` runs the trials and assembles the report.
@@ -19,6 +21,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import instances as inst
 from .core import (
+    TriVector,
     l2_norm_sq,
     lorentz_l2_constant,
     lorentz_le_sq,
@@ -39,7 +42,9 @@ from .generators import average_indicators, disjointness_degree, seq_file_text
 from .micro import tau_micro_oracle
 from .report import Report, SweepConfig, jsonable, make_record
 
-TrialFn = Callable[[random.Random, int, SweepConfig], tuple[bool, dict, str | None]]
+Check = Callable[[], tuple[bool, dict]]
+# draws one instance; returns its text and the check to run on it
+TrialFn = Callable[[random.Random, int, SweepConfig], tuple[str, Check]]
 # (rng label, trial function, failure text when the property fails)
 Trial = tuple[int | str, TrialFn, str]
 PROPERTY_VIOLATED = "property violated"
@@ -58,10 +63,12 @@ def _execute(cfg: SweepConfig, trials: Iterable[Trial]) -> tuple[list, list, lis
     records, failures, details = [], [], []
     for t, (label, trial_fn, error) in enumerate(trials):
         rng = trial_rng(cfg.suite, cfg.seed, label)
+        text = None
         try:
-            ok, detail, text = trial_fn(rng, t, cfg)
+            text, check = trial_fn(rng, t, cfg)
+            ok, detail = check()
         except Exception as exc:
-            ok, detail, text = False, {"error": repr(exc)}, None
+            ok, detail = False, {"error": repr(exc)}
         records.append(make_record(t, ok, detail))
         details.append(detail)
         if not ok:
@@ -116,8 +123,7 @@ def _brute_feasible(values: list[Fraction]) -> bool:
 
 def _select_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     values = inst.subset_values(rng, max_len=64)
-    ok, detail = _select_check(values)
-    return ok, detail, " ".join(str(v) for v in values)
+    return " ".join(str(v) for v in values), lambda: _select_check(values)
 
 
 def _exhaustive_trial(length: int) -> TrialFn:
@@ -125,10 +131,14 @@ def _exhaustive_trial(length: int) -> TrialFn:
 
     def trial(rng: random.Random, trial_idx: int, cfg: SweepConfig):
         values = inst.subset_values(rng, max_len=64, length=length)
-        ok, detail = _select_check(values)
-        feasible = _brute_feasible(values)
-        detail.update({"phase": "exhaustive", "brute_feasible": feasible})
-        return ok and feasible, detail, " ".join(str(v) for v in values)
+
+        def check():
+            ok, detail = _select_check(values)
+            feasible = _brute_feasible(values)
+            detail.update({"phase": "exhaustive", "brute_feasible": feasible})
+            return ok and feasible, detail
+
+        return " ".join(str(v) for v in values), check
 
     return trial
 
@@ -155,18 +165,20 @@ def _select_stats(cfg: SweepConfig, details: list[dict]) -> dict:
 
 
 def _partition_trial(rng: random.Random, trial: int, cfg: SweepConfig):
-    # partition_matrix checks every part and the 2M and 2M + k bounds
     cols = inst.sorted_unit_matrix(rng)
-    res = partition_matrix(cols)
-    detail = {
-        "cols": len(cols),
-        "deepest": max((len(col) for col in cols), default=0),
-        "mass": sum((v for col in cols for v in col), Fraction(0)),
-        "parts": len(res.parts),
-        "reductions": res.reductions,
-    }
-    text = "\n".join(" ".join(str(v) for v in col) for col in cols)
-    return True, detail, text
+
+    def check():
+        # partition_matrix checks every part and the 2M and 2M + k bounds
+        res = partition_matrix(cols)
+        return True, {
+            "cols": len(cols),
+            "deepest": max((len(col) for col in cols), default=0),
+            "mass": sum((v for col in cols for v in col), Fraction(0)),
+            "parts": len(res.parts),
+            "reductions": res.reductions,
+        }
+
+    return "\n".join(" ".join(str(v) for v in col) for col in cols), check
 
 
 def _partition_stats(cfg: SweepConfig, details: list[dict]) -> dict:
@@ -181,23 +193,25 @@ def _partition_stats(cfg: SweepConfig, details: list[dict]) -> dict:
 
 def _kdisjoint_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     k, vecs = inst.kdisjoint_family(rng)
-    n = len(vecs)
-    coords = len(vecs[0]) if vecs else 0
-    ok = True
-    counts = [0] * coords
-    sums = [Fraction(0)] * coords
-    for v in vecs:
-        nonzero = [(c, e) for c, e in enumerate(v) if e]
-        if l2_norm_sq(e for _, e in nonzero) > 1:
-            ok = False
-        for c, e in nonzero:
-            counts[c] += 1
-            sums[c] += e
-    norm = l2_norm_sq(e for e in sums if e)
-    ok = ok and max(counts, default=0) <= k and norm <= k * n
-    detail = {"k": k, "n": n, "coords": coords, "sum_norm_sq": norm, "bound": k * n}
-    text = "\n".join(" ".join(str(e) for e in v) for v in vecs)
-    return ok, detail, text
+
+    def check():
+        n = len(vecs)
+        coords = len(vecs[0]) if vecs else 0
+        ok = True
+        counts = [0] * coords
+        sums = [Fraction(0)] * coords
+        for v in vecs:
+            nonzero = [(c, e) for c, e in enumerate(v) if e]
+            if l2_norm_sq(e for _, e in nonzero) > 1:
+                ok = False
+            for c, e in nonzero:
+                counts[c] += 1
+                sums[c] += e
+        norm = l2_norm_sq(e for e in sums if e)
+        ok = ok and max(counts, default=0) <= k and norm <= k * n
+        return ok, {"k": k, "n": n, "coords": coords, "sum_norm_sq": norm, "bound": k * n}
+
+    return "\n".join(" ".join(str(e) for e in v) for v in vecs), check
 
 
 def _kdisjoint_stats(cfg: SweepConfig, details: list[dict]) -> dict:
@@ -215,22 +229,25 @@ def _kdisjoint_stats(cfg: SweepConfig, details: list[dict]) -> dict:
 def _smallsup_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     eps = _eps_for(cfg, trial, EPS_SMALL)
     seqs = inst.covered_generators(rng, eps, max_m=cfg.max_m, max_row=cfg.max_row)
-    avg = average_indicators(seqs)
-    degree = disjointness_degree(seqs)
-    rho_sq = row_norm_sq(avg)
-    ok = (
-        degree <= int(eps * len(seqs))
-        and avg.sup_norm() <= eps
-        and rho_sq <= eps
-    )
-    detail = {
-        "epsilon": eps,
-        "m": len(seqs),
-        "degree": degree,
-        "sup": avg.sup_norm(),
-        "rho_sq": rho_sq,
-    }
-    return ok, detail, seq_file_text(seqs)
+
+    def check():
+        avg = average_indicators(seqs)
+        degree = disjointness_degree(seqs)
+        rho_sq = row_norm_sq(avg)
+        ok = (
+            degree <= int(eps * len(seqs))
+            and avg.sup_norm() <= eps
+            and rho_sq <= eps
+        )
+        return ok, {
+            "epsilon": eps,
+            "m": len(seqs),
+            "degree": degree,
+            "sup": avg.sup_norm(),
+            "rho_sq": rho_sq,
+        }
+
+    return seq_file_text(seqs), check
 
 
 def _smallsup_trials(cfg: SweepConfig) -> list[Trial]:
@@ -252,20 +269,23 @@ def _smallsup_stats(cfg: SweepConfig, details: list[dict]) -> dict:
 
 def _blocks_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     values_sq, breaks = inst.blocked_squares(rng)
-    passed = block_conditions_sq(values_sq, breaks, cfg.p)
-    bounded = lorentz_le_sq(values_sq, 4, cfg.p)
-    globally_one = lorentz_le_sq(values_sq, 1, cfg.p)
-    detail = {
-        "length": len(values_sq),
-        "blocks": len(breaks) - 1,
-        "conditions": passed,
-        "within_4": bounded,
-        "within_1": globally_one,  # often false; the factor 4 is the content
-    }
+
+    def check():
+        passed = block_conditions_sq(values_sq, breaks, cfg.p)
+        bounded = lorentz_le_sq(values_sq, 4, cfg.p)
+        globally_one = lorentz_le_sq(values_sq, 1, cfg.p)
+        return passed and bounded, {
+            "length": len(values_sq),
+            "blocks": len(breaks) - 1,
+            "conditions": passed,
+            "within_4": bounded,
+            "within_1": globally_one,  # often false; the factor 4 is the content
+        }
+
     text = " ".join(str(v) for v in values_sq) + "\nbreaks " + " ".join(
         str(b) for b in breaks
     )
-    return passed and bounded, detail, text
+    return text, check
 
 
 def _blocks_stats(cfg: SweepConfig, details: list[dict]) -> dict:
@@ -282,16 +302,19 @@ def _mainlemma_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     seqs = inst.covered_generators(
         rng, eps, max_m=cfg.max_m, max_row=cfg.max_row, max_waves=10
     )
-    # decompose_average runs verify_decomposition, scale^4 <= 625 eps included
-    cert = decompose_average(seqs, eps, cfg.p)
-    detail = {
-        "epsilon": eps,
-        "m": cert.m_count,
-        "k": cert.k,
-        "blocks": len(cert.blocks),
-        "scale": cert.scale,
-    }
-    return True, detail, seq_file_text(seqs)
+
+    def check():
+        # decompose_average runs verify_decomposition, scale^4 <= 625 eps included
+        cert = decompose_average(seqs, eps, cfg.p)
+        return True, {
+            "epsilon": eps,
+            "m": cert.m_count,
+            "k": cert.k,
+            "blocks": len(cert.blocks),
+            "scale": cert.scale,
+        }
+
+    return seq_file_text(seqs), check
 
 
 def _mainlemma_trials(cfg: SweepConfig) -> list[Trial]:
@@ -313,21 +336,23 @@ def _mainlemma_stats(cfg: SweepConfig, details: list[dict]) -> dict:
 
 def _quotient_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     b = inst.unit_vector(rng)
-    witness = pairing_witness(b, cfg.p)  # validated against b by its builder
-    floor_ok = witness.pairing >= Fraction(2, 9)
     v, _, _ = inst.body_element(rng, cfg.p)
     b2 = inst.unit_vector(rng)
-    z = row_pairing(v, b2)
-    cap_ok = abs(z) <= lorentz_l2_constant(cfg.p).hi
-    detail = {
-        "pairing": witness.pairing,
-        "branch": witness.branch,
-        "z_pair": z,
-        "floor_ok": floor_ok,
-        "cap_ok": cap_ok,
-    }
-    text = "b " + " ".join(str(v) for v in b) + "\n" + v.to_text()
-    return floor_ok and cap_ok, detail, text
+
+    def check():
+        witness = pairing_witness(b, cfg.p)  # validated against b by its builder
+        floor_ok = witness.pairing >= Fraction(2, 9)
+        z = row_pairing(v, b2)
+        cap_ok = abs(z) <= lorentz_l2_constant(cfg.p).hi
+        return floor_ok and cap_ok, {
+            "pairing": witness.pairing,
+            "branch": witness.branch,
+            "z_pair": z,
+            "floor_ok": floor_ok,
+            "cap_ok": cap_ok,
+        }
+
+    return "b " + " ".join(str(e) for e in b) + "\n" + v.to_text(), check
 
 
 def _quotient_failures(cfg: SweepConfig) -> list[dict]:
@@ -362,24 +387,27 @@ def _quotient_stats(cfg: SweepConfig, details: list[dict]) -> dict:
 
 def _sandwich_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     x, is_unit = inst.micro_instance(rng)
-    cheap = gauge_interval(x, cfg.p)
-    refined = tau_micro_oracle(x, cfg.p, tol=cfg.tolerance)
-    ok = (
-        cheap.lo <= refined.lo <= refined.hi <= cheap.hi
-        and refined.hi - refined.lo <= cfg.tolerance
-    )
-    if is_unit:
-        c_hi = lorentz_l2_constant(cfg.p).hi
-        ok = ok and refined.lo >= 1 / c_hi - Fraction(1, 1000) and refined.hi <= 1
-    detail = {
-        "unit_case": is_unit,
-        "lo": float(refined.lo),
-        "hi": float(refined.hi),
-        "width": float(refined.hi - refined.lo),
-        "cheap_lo": float(cheap.lo),
-        "cheap_hi": float(cheap.hi),
-    }
-    return ok, detail, x.to_text()
+
+    def check():
+        cheap = gauge_interval(x, cfg.p)
+        refined = tau_micro_oracle(x, cfg.p, tol=cfg.tolerance)
+        ok = (
+            cheap.lo <= refined.lo <= refined.hi <= cheap.hi
+            and refined.hi - refined.lo <= cfg.tolerance
+        )
+        if is_unit:
+            c_hi = lorentz_l2_constant(cfg.p).hi
+            ok = ok and refined.lo >= 1 / c_hi - Fraction(1, 1000) and refined.hi <= 1
+        return ok, {
+            "unit_case": is_unit,
+            "lo": float(refined.lo),
+            "hi": float(refined.hi),
+            "width": float(refined.hi - refined.lo),
+            "cheap_lo": float(cheap.lo),
+            "cheap_hi": float(cheap.hi),
+        }
+
+    return x.to_text(), check
 
 
 def _sandwich_stats(cfg: SweepConfig, details: list[dict]) -> dict:
@@ -393,18 +421,24 @@ def _sandwich_stats(cfg: SweepConfig, details: list[dict]) -> dict:
 
 
 def _split_trial(rng: random.Random, trial: int, cfg: SweepConfig):
-    # split_element runs verify_split: reassembly and gauge_bound^8 <= 5^8 eps
     eps = _eps_for(cfg, trial, EPS_MAIN)
     weights, reps = inst.split_instance(rng, cfg.p, eps)
-    result = split_element(weights, reps, eps, cfg.p)
-    detail = {
-        "epsilon": eps,
-        "reps": len(reps),
-        "slices": len(result.slices),
-        "front_count": result.front_count,
-        "gauge_bound": result.gauge_bound,
-    }
-    return True, detail, (result.front() + result.remainder).to_text()
+    element = TriVector()
+    for a, rep in zip(weights, reps):
+        element = element + rep.element().scale(a)
+
+    def check():
+        # split_element runs verify_split: reassembly and gauge_bound^8 <= 5^8 eps
+        result = split_element(weights, reps, eps, cfg.p)
+        return True, {
+            "epsilon": eps,
+            "reps": len(reps),
+            "slices": len(result.slices),
+            "front_count": result.front_count,
+            "gauge_bound": result.gauge_bound,
+        }
+
+    return element.to_text(), check
 
 
 def _split_stats(cfg: SweepConfig, details: list[dict]) -> dict:
@@ -435,17 +469,19 @@ def _halved_prefixes_ok(result: MergeResult) -> bool:
 
 def _merge_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     family = inst.merge_family(rng, cfg.p, count=50)
-    result = merge_representatives(family, cfg.p)
-    kept_all = result.selected == tuple(range(len(family)))
-    prefixes_ok = _halved_prefixes_ok(result)
-    detail = {
-        "family": len(family),
-        "kept": len(result.selected),
-        "pieces": result.merged.length,
-        "prefixes_ok": prefixes_ok,
-    }
-    text = "\n".join(rep.element().to_text() for rep in family)
-    return kept_all and prefixes_ok, detail, text
+
+    def check():
+        result = merge_representatives(family, cfg.p)
+        kept_all = result.selected == tuple(range(len(family)))
+        prefixes_ok = _halved_prefixes_ok(result)
+        return kept_all and prefixes_ok, {
+            "family": len(family),
+            "kept": len(result.selected),
+            "pieces": result.merged.length,
+            "prefixes_ok": prefixes_ok,
+        }
+
+    return "\n".join(rep.element().to_text() for rep in family), check
 
 
 def _merge_stats(cfg: SweepConfig, details: list[dict]) -> dict:

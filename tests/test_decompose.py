@@ -3,18 +3,22 @@
 The partition tests drive a stateless oracle built from reduce_step (a
 one-reduction reference kept here) and compare it against the pointer
 implementation cell for cell; subset selection is checked against brute
-force over all subsets.
+force over all subsets.  The integer partition layer is also compared,
+results and errors alike, with the Fraction code it replaced.
 """
 
 import dataclasses
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigauge import decompose
 from trigauge.core import DEFAULT_P, TriVector, lorentz_le_sq
 from trigauge.decompose import (
     DisjointRep,
+    PartitionResult,
     _validate_partition,
     block_conditions_sq,
     column_blocking,
@@ -109,7 +113,7 @@ def reduce_step(cols):
     tops = [(j, next(v for v in col if v)) for j, col in enumerate(cols) if any(col)]
     if sum((v for _, v in tops), F(0)) <= 1:
         return None
-    selected = frozenset(tops[i][0] for i in select_subset([v for _, v in tops]))
+    selected = frozenset(tops[i][0] for i in select_subset_reference([v for _, v in tops]))
     new_cols = []
     for j, col in enumerate(cols):
         if j in selected:
@@ -208,30 +212,279 @@ class TestPartitionMatrix:
         max_depth = max((len(c) for c in cols), default=0)
         assert len(res.parts) <= res.reductions + max_depth
 
+    def test_reduction_bound_fires_on_a_weak_selection(self, monkeypatch):
+        # Picking one column of 1/4 per reduction removes too little mass:
+        # mass 2 takes four reductions, reaching the 2M bound the real
+        # selection rule stays under.
+        monkeypatch.setattr(decompose, "_select_over", lambda values, denom: (0,))
+        with pytest.raises(AssertionError, match="reduction count reached 2 \\* mass"):
+            partition_matrix(((F(1, 4),),) * 8)
+
 
 class TestValidatePartition:
-    """Each rejection of the partition checker, on hand-built bogus parts."""
+    """Each rejection of the partition checker, on hand-built bogus parts.
+
+    Columns are numerators over the denominator that follows them.
+    """
 
     @pytest.mark.parametrize(
-        "cols, parts, message",
+        "cols, denom, parts, message",
         [
             # a zero column of depth 1 allows 2 * 0 + 1 parts
-            (((F(0),),), ({(0, 0)}, set()), "part count above 2M \\+ k"),
-            (((F(1, 2),),), ({(0, 0), (1, 0)},), "outside the matrix"),
-            (((F(1, 4), F(1, 4)),), ({(0, 0), (1, 0)},), "two cells of one column"),
-            (((F(1),), (F(1),)), ({(0, 0), (0, 1)},), "part sum exceeds 1"),
-            (((F(1, 2),),), ({(0, 0)}, {(0, 0)}), "cell in two parts"),
-            (((F(1, 2),), (F(1, 2),)), ({(0, 0)},), "cells lost"),
+            (((0,),), 1, ({(0, 0)}, set()), "part count above 2M \\+ k"),
+            (((1,),), 2, ({(0, 0), (1, 0)},), "outside the matrix"),
+            (((1, 1),), 4, ({(0, 0), (1, 0)},), "two cells of one column"),
+            (((1,), (1,)), 1, ({(0, 0), (0, 1)},), "part sum exceeds 1"),
+            (((1,),), 2, ({(0, 0)}, {(0, 0)}), "cell in two parts"),
+            (((1,), (1,)), 2, ({(0, 0)},), "cells lost"),
         ],
         ids=["2M+k", "invented", "column-twice", "sum", "overlap", "lost"],
     )
-    def test_rejects(self, cols, parts, message):
+    def test_rejects(self, cols, denom, parts, message):
         with pytest.raises(AssertionError, match=message):
-            _validate_partition(cols, tuple(frozenset(part) for part in parts))
+            _validate_partition(cols, denom, tuple(frozenset(part) for part in parts))
 
     def test_accepts_a_valid_partition(self):
-        cols = ((F(1), F(1, 2)), (F(1, 2),))
-        _validate_partition(cols, (frozenset({(0, 0)}), frozenset({(1, 0), (0, 1)})))
+        cols = ((2, 1), (1,))  # (1, 1/2) and (1/2) over 2
+        _validate_partition(cols, 2, (frozenset({(0, 0)}), frozenset({(1, 0), (0, 1)})))
+
+
+# -- the integer partition layer against the Fraction code it replaced ---------
+#
+# select_subset, partition_matrix and _validate_partition as they were when
+# they computed in Fractions, kept verbatim as references (names suffixed,
+# parameter annotations dropped, Fraction imported as F).
+
+
+def select_subset_reference(values) -> tuple[int, ...]:
+    """Indices (0-based) of a subset with sum in [1/2, 1].
+
+    Requires values in [0, 1] with total > 1.  Takes the first single
+    value >= 1/2 when one exists, otherwise the shortest prefix of the
+    positive entries reaching 1/2; either way the selected sum cannot
+    exceed 1.
+    """
+    vals = [F(v) for v in values]
+    if any(v < 0 or v > 1 for v in vals):
+        raise ValueError("values must lie in [0, 1]")
+    if sum(vals) <= 1:
+        raise ValueError("total must exceed 1")
+    half = F(1, 2)
+    for idx, v in enumerate(vals):
+        if v >= half:
+            return (idx,)
+    chosen: list[int] = []
+    acc = F(0)
+    for idx, v in enumerate(vals):
+        if v == 0:
+            continue
+        chosen.append(idx)
+        acc += v
+        if acc >= half:
+            return tuple(chosen)
+    raise AssertionError("unreachable: total exceeds 1")
+
+
+def _check_entries_reference(cols) -> None:
+    for col in cols:
+        for v in col:
+            if v < 0 or v > 1:
+                raise ValueError("matrix entries must lie in [0, 1]")
+
+
+def _check_sorted_reference(cols) -> None:
+    for col in cols:
+        if any(a < b for a, b in zip(col, col[1:])):
+            raise ValueError("columns must be sorted nonincreasing")
+
+
+def partition_matrix_reference(cols) -> PartitionResult:
+    """Partition the cells of a sorted [0,1] matrix.
+
+    Runs reductions until the top entries sum to at most 1, then sweeps
+    the leftover cells at each depth into one part apiece (their sums
+    are dominated by the final top sums, hence <= 1).  The number of
+    reductions is less than twice the total mass.  Cell addresses are
+    (depth from the top of the column, column index); every cell lands
+    in exactly one part, zero cells always in a leftover part.
+    """
+    cols = tuple(tuple(F(v) for v in col) for col in cols)
+    _check_entries_reference(cols)
+    _check_sorted_reference(cols)
+    # Each round removes the top remaining cell of a column subset whose
+    # tops sum to at least 1/2 (``select_subset``); cells above pointers[j]
+    # are removed.  Sortedness puts nonzero cells first, so pointers only
+    # ever traverse nonzero prefixes.
+    pointers = [0] * len(cols)
+    nonzero = [sum(1 for v in col if v) for col in cols]
+    parts: list[frozenset[tuple[int, int]]] = []
+    total = sum((v for col in cols for v in col), F(0))
+    while True:
+        tops = [
+            (j, cols[j][pointers[j]])
+            for j in range(len(cols))
+            if pointers[j] < nonzero[j]
+        ]
+        if sum((v for _, v in tops), F(0)) <= 1:
+            break
+        picked = select_subset_reference([v for _, v in tops])
+        part = []
+        for i in picked:
+            j = tops[i][0]
+            part.append((pointers[j], j))
+            pointers[j] += 1
+        parts.append(frozenset(part))
+    reductions = len(parts)
+    if total > 0 and reductions >= 2 * total:
+        raise AssertionError("reduction count reached 2 * mass")
+    max_depth = max((len(col) for col in cols), default=0)
+    for depth in range(max_depth):
+        part = frozenset(
+            (depth, j) for j in range(len(cols)) if pointers[j] <= depth < len(cols[j])
+        )
+        if part:
+            parts.append(part)
+    _validate_partition_reference(cols, parts)
+    return PartitionResult(tuple(parts), reductions)
+
+
+def _validate_partition_reference(cols, parts) -> None:
+    """Raise unless parts partition the cells, each holding at most one
+    cell per column with sum <= 1, in at most 2M + k parts (M the mass,
+    k the deepest column)."""
+    mass = sum((v for col in cols for v in col), F(0))
+    deepest = max((len(col) for col in cols), default=0)
+    if len(parts) > 2 * mass + deepest:
+        raise AssertionError("part count above 2M + k")
+    cells = {(d, j) for j, col in enumerate(cols) for d in range(len(col))}
+    seen: set[tuple[int, int]] = set()
+    for part in parts:
+        if not part <= cells:
+            raise AssertionError("cell outside the matrix in a part")
+        by_col: set[int] = set()
+        total = F(0)
+        for depth, j in part:
+            if j in by_col:
+                raise AssertionError("two cells of one column in a part")
+            by_col.add(j)
+            total += cols[j][depth]
+        if total > 1:
+            raise AssertionError("part sum exceeds 1")
+        if part & seen:
+            raise AssertionError("cell in two parts")
+        seen |= part
+    if seen != cells:
+        raise AssertionError("cells lost by partition")
+
+
+def outcome(fn, *args):
+    """What fn returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+# exact halves and ones make the 2v >= D and part-sum boundaries bite
+boundary_01 = st.one_of(fractions_01, st.sampled_from([F(0), F(1, 4), F(1, 2), F(1)]))
+select_inputs = st.one_of(
+    st.lists(boundary_01, min_size=1, max_size=12),
+    st.lists(st.fractions(-1, 2, max_denominator=4), min_size=1, max_size=6),
+)
+# the benchmark's partition draws: up to 20 columns of up to 20 values k/16
+sixteenths = st.lists(
+    st.lists(st.integers(0, 16).map(lambda k: F(k, 16)), min_size=1, max_size=20),
+    min_size=1,
+    max_size=20,
+).map(sorted_matrix)
+boundary_matrices = st.lists(
+    st.lists(boundary_01, min_size=0, max_size=5), min_size=0, max_size=6
+).map(sorted_matrix)
+# unsorted, possibly out of range: both input errors
+raw_matrices = st.lists(
+    st.lists(st.fractions(F(-1, 4), F(5, 4), max_denominator=8), max_size=4), max_size=4
+)
+
+
+@st.composite
+def squared_coefficient_matrices(draw):
+    """Columns of (count / i)^2 for rows i up to 12, as decompose_average
+    builds them; mixing rows gives common denominators near lcm(1..12)^2."""
+    cols = []
+    for _ in range(draw(st.integers(1, 8))):
+        i = draw(st.integers(1, 12))
+        counts = draw(st.lists(st.integers(0, i), min_size=1, max_size=12))
+        cols.append(tuple(F(c * c, i * i) for c in sorted(counts, reverse=True)))
+    return tuple(cols)
+
+
+any_matrix = st.one_of(
+    matrices, boundary_matrices, sixteenths, squared_coefficient_matrices(), raw_matrices
+)
+
+
+def over_common_denominator(cols):
+    denom = lcm(*(F(v).denominator for col in cols for v in col))
+    return tuple(tuple(int(F(v) * denom) for v in col) for col in cols), denom
+
+
+@st.composite
+def edited_partitions(draw):
+    """A matrix with its reference partition after up to three random edits:
+    cells added (possibly outside the matrix) or removed, parts added or
+    dropped.  Most edits break the partition in one of the checked ways."""
+    cols = draw(st.one_of(matrices, boundary_matrices, squared_coefficient_matrices()))
+    parts = [set(part) for part in partition_matrix_reference(cols).parts]
+    depth = max((len(col) for col in cols), default=0)
+    cell = st.tuples(st.integers(0, depth), st.integers(0, len(cols)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("add", "remove", "new", "drop")))
+        if kind == "new" or not parts:
+            parts.append(set(draw(st.lists(cell, max_size=3))))
+            continue
+        part = parts[draw(st.integers(0, len(parts) - 1))]
+        if kind == "add":
+            part.add(draw(cell))
+        elif kind == "remove" and part:
+            part.discard(draw(st.sampled_from(sorted(part))))
+        elif kind == "drop":
+            parts.remove(part)
+    return cols, tuple(frozenset(part) for part in parts)
+
+
+class TestIntegerPartitionIdentity:
+    """Same results and same errors as the Fraction reference."""
+
+    @given(select_inputs)
+    @settings(max_examples=200)
+    def test_select_subset(self, values):
+        assert outcome(select_subset, values) == outcome(select_subset_reference, values)
+
+    @given(any_matrix)
+    @settings(max_examples=200)
+    def test_partition_matrix(self, cols):
+        assert outcome(partition_matrix, cols) == outcome(partition_matrix_reference, cols)
+
+    @given(edited_partitions())
+    @settings(max_examples=200)
+    def test_validate_partition(self, case):
+        cols, parts = case
+        ints, denom = over_common_denominator(cols)
+        assert outcome(_validate_partition, ints, denom, parts) == outcome(
+            _validate_partition_reference, cols, parts
+        )
+
+    @pytest.mark.parametrize(
+        "values, picked",
+        [
+            ([F(1, 4), F(1, 2), F(3, 4)], (1,)),
+            ([F(1, 4), F(1, 4), F(3, 8), F(3, 8)], (0, 1)),
+            ([F(0), F(1), F(1)], (1,)),
+        ],
+        ids=["half-first", "prefix-half", "ones"],
+    )
+    def test_select_boundaries(self, values, picked):
+        assert select_subset(values) == select_subset_reference(values) == picked
 
 
 # -- column blocking and the threshold -----------------------------------------

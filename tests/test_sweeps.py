@@ -5,13 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from trigauge import instances
-from trigauge.core import DEFAULT_P
+from trigauge import decompose, instances
+from trigauge.core import DEFAULT_P, TriVector
 from trigauge.decompose import make_disjoint_rep, merge_representatives
-from trigauge.generators import HullCertificate
+from trigauge.gauge import PairingWitness
+from trigauge.generators import HullCertificate, parse_seq_file
 from trigauge.report import SweepConfig, load_report_payload
 from trigauge.sweeps import (
     DEFAULT_TRIALS,
+    EPS_MAIN,
     SUITES,
     _execute,
     _halved_prefixes_ok,
@@ -95,9 +97,12 @@ def test_execute_turns_exceptions_into_failures():
     cfg = SweepConfig(suite="blocks", trials=3, seed=0)
 
     def boom(rng, trial, _cfg):
-        if trial == 1:
-            raise RuntimeError("synthetic")
-        return True, {"fine": trial}, None
+        def check():
+            if trial == 1:
+                raise RuntimeError("synthetic")
+            return True, {"fine": trial}
+
+        return f"instance {trial}", check
 
     trials = [(t, boom, "property violated") for t in range(cfg.trials)]
     records, failures, details = _execute(cfg, trials)
@@ -105,6 +110,65 @@ def test_execute_turns_exceptions_into_failures():
     assert len(failures) == 1
     assert "synthetic" in failures[0]["error"]
     assert failures[0]["trial"] == 1
+    assert failures[0]["instance"] == "instance 1"
+
+
+# -- a builder's failed check keeps the drawn instance --------------------------
+
+
+def forced_failure(*args, **kwargs):
+    raise AssertionError("forced check failure")
+
+
+def parse_matrix(text):
+    return tuple(tuple(F(v) for v in line.split()) for line in text.splitlines())
+
+
+def parse_quotient(text):
+    head, _, rest = text.partition("\n")
+    assert head.startswith("b ")
+    return tuple(F(v) for v in head.split()[1:]), TriVector.from_text(rest)
+
+
+def drawn_partition(rng, cfg):
+    return instances.sorted_unit_matrix(rng)
+
+
+def drawn_mainlemma(rng, cfg):
+    return instances.covered_generators(
+        rng, EPS_MAIN[0], max_m=cfg.max_m, max_row=cfg.max_row, max_waves=10
+    )
+
+
+def drawn_quotient(rng, cfg):
+    b = instances.unit_vector(rng)
+    return b, instances.body_element(rng, cfg.p)[0]
+
+
+def drawn_split(rng, cfg):
+    weights, reps = instances.split_instance(rng, cfg.p, EPS_MAIN[0])
+    return sum((rep.element().scale(a) for a, rep in zip(weights, reps)), TriVector())
+
+
+@pytest.mark.parametrize(
+    "suite, owner, check, parse, drawn",
+    [
+        ("partition", decompose, "_validate_partition", parse_matrix, drawn_partition),
+        ("mainlemma", decompose, "verify_decomposition", parse_seq_file, drawn_mainlemma),
+        ("quotient", PairingWitness, "validate", parse_quotient, drawn_quotient),
+        ("split", decompose, "verify_split", TriVector.from_text, drawn_split),
+    ],
+    ids=["partition", "mainlemma", "quotient", "split"],
+)
+def test_failed_builder_check_keeps_the_instance(monkeypatch, suite, owner, check, parse, drawn):
+    monkeypatch.setattr(owner, check, forced_failure)
+    cfg = SweepConfig(suite, seed=1, trials=2)
+    report = run_suite(cfg)
+    assert not report.passed
+    failure = report.failures[0]
+    assert failure["trial"] == 0 and "forced check failure" in failure["error"]
+    assert failure["instance"] is not None
+    assert parse(failure["instance"]) == drawn(trial_rng(suite, 1, 0), cfg)
 
 
 def test_failure_reports_render_and_fail_the_report():
