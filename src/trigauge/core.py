@@ -265,7 +265,10 @@ def row_norm_sq(x: TriVector) -> Fraction:
 
 
 def l2_norm_sq(values: Iterable[Rational]) -> Fraction:
-    return sum((Fraction(v) ** 2 for v in values), Fraction(0))
+    """Sum of squares, in integers over the lcm of the denominators."""
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in vals))
+    return Fraction(sum((v.numerator * (den // v.denominator)) ** 2 for v in vals), den * den)
 
 
 # -- weak Lorentz comparisons ----------------------------------------------

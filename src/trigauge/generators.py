@@ -8,13 +8,17 @@ when |x| is dominated componentwise by scale times a subconvex
 combination of indicators.
 
 Membership and the minimal covering scale are decided by exact covering
-LPs over the maximal support-pruned generators of x.  Restricting to the
+LPs over the maximal record-pruned generators of x.  Restricting to the
 rows where x lives loses nothing: dropping rows from a valid sequence
-keeps it valid and keeps the domination on those rows.  On row i only the
-counts 0 and the support columns of x matter: lowering m_i to the largest
-such value at most m_i covers the same support cells at no greater
-budget, and among those tuples a maximal one (no row can step up to its
-next support column within the budget) dominates every other.
+keeps it valid and keeps the domination on those rows.  Coverage of row
+i is non-increasing in j, so only the record cells bind: those where
+|x_ij| exceeds every value to their right.  Covering a record cell at
+least |x_ij| covers every cell to its left that is no larger, so the
+other cells' constraints are implied and dropped.  On row i only the
+counts 0 and the record columns of x then matter: lowering m_i to the
+largest such value at most m_i covers the same record cells at no
+greater budget, and among those tuples a maximal one (no row can step up
+to its next record column within the budget) dominates every other.
 """
 
 from __future__ import annotations
@@ -255,17 +259,25 @@ def _maximal_counts(support: dict[int, set[int]]) -> list[tuple[int, ...]]:
 def hull_min_scale(x: TriVector) -> tuple[Fraction, HullCertificate]:
     """Exact minimal scale with x in scale * U, plus the covering witness.
 
-    Solves min sum W_q  s.t.  sum W_q indicator_q >= |x| over the maximal
-    support-pruned generators of x (see the module docstring); the
-    optimum is the gauge of U at |x| (the witness weights are W /
-    optimum).  Every dropped generator's column is dominated by a kept
-    one, so the nonnegative dual stays feasible for it and the optimum is
-    the one over all generators.  Raises EnumerationBudgetError past
-    ``_MAX_CANDIDATES`` walked tuples.
+    Solves min sum W_q  s.t.  sum W_q indicator_q >= |x| on the record
+    cells of x, over the maximal generators pruned to its record columns
+    (see the module docstring); the optimum is the gauge of U at |x| (the
+    witness weights are W / optimum).  Every dropped generator's column is
+    dominated by a kept one, so the nonnegative dual stays feasible for
+    it and the optimum is the one over all generators.  Raises
+    EnumerationBudgetError past ``_MAX_CANDIDATES`` walked tuples.
     """
     if x.is_zero():
         return Fraction(0), HullCertificate((), (), Fraction(0))
-    cells = [(cell, abs(v)) for cell, v in x.items()]
+    # record cells, found right to left along each row
+    cells = []
+    peak: dict[int, Fraction] = {}
+    for (i, j), v in reversed(list(x.items())):
+        v = abs(v)
+        if v > peak.get(i, 0):
+            peak[i] = v
+            cells.append(((i, j), v))
+    cells.reverse()
     support: dict[int, set[int]] = {}
     for (i, j), _ in cells:
         support.setdefault(i, set()).add(j)

@@ -43,10 +43,8 @@ def sorted_unit_matrix(
     cols = []
     for _ in range(rng.randint(1, max_cols)):
         depth = rng.randint(1, max_depth)
-        col = sorted(
-            (Fraction(rng.randint(0, 16), 16) for _ in range(depth)), reverse=True
-        )
-        cols.append(tuple(col))
+        col = sorted((rng.randint(0, 16) for _ in range(depth)), reverse=True)
+        cols.append(tuple(Fraction(k, 16) for k in col))
     return tuple(cols)
 
 

@@ -11,7 +11,9 @@ is stored once, as integer numerators over its own common denominator,
 and the state between pivots is only the exact row transform M = B^-1
 (each row as integers over one denominator) and the basic values.  Rows
 whose rhs is not positive start with their surplus basic, so M starts as
-the diagonal of row signs.
+the diagonal of row signs.  ``solve_lp`` builds the structural columns
+and hands them to ``_solve_columns``; a caller that keeps its columns
+between solves calls that directly.
 
 Pricing needs no Fraction per column: y = c_B M goes over one common
 denominator D, and column j (numerators a_j over d_j, cost c_j d_j) may
@@ -85,8 +87,20 @@ def solve_lp(
     m = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("row length does not match objective length")
-    cost = [Fraction(v) for v in c]
-    rhs0 = [Fraction(v) for v in b]
+    data = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r] for r in rows]
+    cols = [
+        _column([(i, data[i][j]) for i in range(m) if data[i][j]], Fraction(c[j]))
+        for j in range(n)
+    ]
+    return _solve_columns(cols, [Fraction(v) for v in b])
+
+
+def _solve_columns(columns: Sequence[_Column], rhs0: list[Fraction]) -> LPResult:
+    """``solve_lp`` on prebuilt structural columns (``_column`` form) and
+    the rhs as Fractions."""
+    n = len(columns)
+    m = len(rhs0)
+    cost = [Fraction(col.cost_num, col.den) for col in columns]
     if m == 0:
         if any(v < 0 for v in cost):
             return LPResult("unbounded")
@@ -96,9 +110,8 @@ def solve_lp(
     # surplus -e_i per row, then one artificial e_i per row whose rhs is
     # positive.  Elsewhere the surplus starts basic and the row is negated
     # so the rhs stays nonnegative; M carries that sign from the start.
-    data = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r] for r in rows]
     art_rows = [i for i in range(m) if rhs0[i] > 0]
-    cols = [_column([(i, data[i][j]) for i in range(m) if data[i][j]], cost[j]) for j in range(n)]
+    cols = list(columns)
     cols += [_Column((i,), (-1,), 1, 0) for i in range(m)]
     cols += [_Column((i,), (1,), 1, 0) for i in art_rows]
     n_total = len(cols)
@@ -198,7 +211,7 @@ def solve_lp(
     for r, j in enumerate(basis):
         if j < n:
             x[j] = rhs[r]
-    objective = sum((cost[j] * x[j] for j in range(n)), Fraction(0))
+    objective = sum((cost[j] * x[j] for j in range(n) if x[j]), Fraction(0))
     y, den = multipliers(phase2)
     duals = tuple(Fraction(v, den) for v in y)
 

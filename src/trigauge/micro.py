@@ -10,8 +10,13 @@ Upper side.  Any nonnegative weights nu with sum_r nu_r * a_r >= |x|
 over validated unit members a_r certify gauge(x) <= sum(nu); by
 solidity the signed x is covered too.  The members are built from
 budget-trimmed generator mixtures, one piece per group of a row
-partition, and the best cover is an exact linear program.  Each trimmed
-piece is certified once per call and reused by every member holding it.
+partition, and the best cover is an exact linear program.  One call
+does each exact step once: a trimmed piece is built once (keyed by
+integer weight codes) and certified the first time a new member uses
+it; a member is keyed by merging its pieces' integer keys, and a
+combination of pieces the previous round already listed is not
+re-examined; each pooled member's LP column is built once, from its
+key, and every round's program reuses it.
 
 Lower side.  For a cell functional y >= 0 and a rational ceiling H
 with <y, a> <= H for every unit member a, a cover of |x| at scale t
@@ -28,7 +33,8 @@ candidate is certified once per call.
 Both sides use the safe end of every irrational budget, so the interval
 is sound for any input; when ``MAX_ROUNDS`` refinement rounds cannot
 close the gap the best enclosure is raised inside a dedicated error
-rather than silently widened.
+rather than silently widened.  The error is raised after the rounds'
+frame has returned, so a caller holding it does not hold their pool.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Mapping, Sequence
+from math import gcd, lcm
+from typing import Container, Mapping, Sequence
 
 from .core import DEFAULT_P, LorentzParam, Rational, TriVector, row_norm_sq
 from .decompose import DisjointRep, join_disjoint_reps, make_disjoint_rep
@@ -50,7 +56,7 @@ from .gauge import (
     gauge_interval,
 )
 from .generators import GridSeq, HullCertificate, enumerate_grid_seqs
-from .lp import solve_lp
+from .lp import _Column, _solve_columns
 
 SUPPORT_ROW_CAP = 3
 DEFAULT_TOL = Fraction(1, 1000)
@@ -273,64 +279,118 @@ def _row_uniform_candidates(
     return out
 
 
+_GRID = 24  # mixture weights are codes / _GRID: eighths and thirds
+
+
+class _Piece:
+    """One trimmed mixture with its hull certificate and integer key.
+
+    ``rep`` is the certified one-piece representative, built by
+    ``make_disjoint_rep`` the first time a new member uses the piece.
+    """
+
+    __slots__ = ("vector", "cert", "key", "rep")
+
+    def __init__(self, vector: TriVector, cert: HullCertificate) -> None:
+        self.vector = vector
+        self.cert = cert
+        self.key = _element_key(vector)
+        self.rep: DisjointRep | None = None
+
+    def certified(self, p: LorentzParam) -> DisjointRep:
+        if self.rep is None:
+            self.rep = make_disjoint_rep([self.vector], p, certs=[self.cert])
+        return self.rep
+
+
+class _PieceStore:
+    """What one oracle call builds once and every round reuses.
+
+    ``gens`` maps a row group to its generators' nonzero restrictions to
+    the support (as cell tuples); ``mixes`` maps (seqs, codes) to the
+    untrimmed mixture and its seminorm; ``pieces`` maps (rank, seqs,
+    codes) to the trimmed piece, or None when trimming leaves nothing;
+    ``listed`` maps a slot (group, rank) to the pieces it listed in the
+    latest round.
+    """
+
+    __slots__ = ("gens", "mixes", "pieces", "listed")
+
+    def __init__(self) -> None:
+        self.gens: dict[tuple[int, ...], list[tuple[GridSeq, tuple[Cell, ...]]]] = {}
+        self.mixes: dict[tuple, tuple[TriVector, Fraction]] = {}
+        self.pieces: dict[tuple, _Piece | None] = {}
+        self.listed: dict[tuple[tuple[int, ...], int], set[_Piece]] = {}
+
+
 def _trimmed_pieces(
     group: tuple[int, ...],
     rank: int,
     p: LorentzParam,
     support: frozenset[Cell],
     round_: int,
-    made: dict[tuple, object],
-) -> list[DisjointRep]:
+    store: _PieceStore,
+) -> list[_Piece]:
     """Candidate pieces for one pattern slot, scaled into the rank budget.
 
     Round 0 scales single generators; later rounds add generator
     mixtures on a weight grid.  Every piece keeps a hull certificate at
-    the scale actually used and comes back as a one-piece representative
-    from ``make_disjoint_rep``, so it is validated once and the assembled
-    member validates exactly.  ``made`` holds what earlier slots and
-    rounds of the same call built: under (seqs, weights) the untrimmed
-    mixture and its seminorm, under (rank, seqs, weights) the certified
-    piece, or None when trimming leaves nothing.
+    the scale actually used.  Only the first piece of each trimmed vector
+    is listed: a member holding a later one has an earlier twin with the
+    same element.  Mixtures and pieces come from ``store`` when an
+    earlier slot or round of the same call built them.
     """
     budget_lo = _budget_sq(rank, p.num, p.den).lo
-    pieces = {seq: _restrict_cells(seq.indicator(), support) for seq in _gens_on(group)}
-    gens = [seq for seq, piece in pieces.items() if not piece.is_zero()]
-    out: list[DisjointRep] = []
+    gens = store.gens.get(group)
+    if gens is None:
+        gens = store.gens[group] = [
+            (seq, piece.support())
+            for seq in _gens_on(group)
+            if not (piece := _restrict_cells(seq.indicator(), support)).is_zero()
+        ]
+    cells_of = dict(gens)
+    out: list[_Piece] = []
+    vectors: set[tuple] = set()  # keys of the listed pieces
 
-    def push(seqs: tuple[GridSeq, ...], weights: tuple[Fraction, ...]) -> None:
-        key = (rank, seqs, weights)
-        if key not in made:
-            if (seqs, weights) not in made:
-                mix = TriVector()
-                for seq, w in zip(seqs, weights):
-                    mix = mix + pieces[seq].scale(w)
-                made[seqs, weights] = (mix, row_norm_sq(mix))
-            mix, nsq = made[seqs, weights]
+    def push(seqs: tuple[GridSeq, ...], codes: tuple[int, ...]) -> None:
+        key = (rank, seqs, codes)
+        if key not in store.pieces:
+            if (seqs, codes) not in store.mixes:
+                counts: dict[Cell, int] = {}
+                for seq, code in zip(seqs, codes):
+                    for cell in cells_of[seq]:
+                        counts[cell] = counts.get(cell, 0) + code
+                mix = TriVector({c: Fraction(v, _GRID) for c, v in counts.items()})
+                store.mixes[seqs, codes] = (mix, row_norm_sq(mix))
+            mix, nsq = store.mixes[seqs, codes]
             gamma = Fraction(1)
             if nsq > budget_lo:
                 gamma = _floor_frac(sqrt_enclosure(budget_lo / nsq, BITS).lo)
                 mix = mix.scale(gamma) if gamma > 0 else None
-            made[key] = None if mix is None else make_disjoint_rep(
-                [mix], p, certs=[HullCertificate(seqs, weights, gamma)]
+            weights = tuple(Fraction(c, _GRID) for c in codes)
+            store.pieces[key] = None if mix is None else _Piece(
+                mix, HullCertificate(seqs, weights, gamma)
             )
-        if made[key] is not None:
-            out.append(made[key])
+        piece = store.pieces[key]
+        if piece is not None and piece.key not in vectors:
+            vectors.add(piece.key)
+            out.append(piece)
 
-    for seq in gens:
-        push((seq,), (Fraction(1),))
+    seqs = [seq for seq, _ in gens]
+    for seq in seqs:
+        push((seq,), (_GRID,))
     if round_ >= 1:
         grid = (
-            [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
+            [_GRID // 2, _GRID // 4, 3 * _GRID // 4]
             if round_ == 1
-            else [Fraction(k, 8) for k in range(1, 8)]
+            else [k * _GRID // 8 for k in range(1, 8)]
         )
-        for pair in itertools.combinations(gens, 2):
+        for pair in itertools.combinations(seqs, 2):
             for w in grid:
-                push(pair, (w, 1 - w))
+                push(pair, (w, _GRID - w))
     if round_ >= 2:
-        thirds = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-        for triple in itertools.combinations(gens, 3):
-            push(triple, thirds)
+        for triple in itertools.combinations(seqs, 3):
+            push(triple, (_GRID // 3,) * 3)
     return out
 
 
@@ -345,48 +405,72 @@ def _pattern_atoms(
     p: LorentzParam,
     support: frozenset[Cell],
     round_: int,
-    known: set[tuple],
-    made: dict[tuple, object],
-) -> list[DisjointRep]:
-    """Unit members assembled from per-slot pieces, deduplicated by element.
+    known: Container[tuple],
+    store: _PieceStore,
+) -> dict[tuple, DisjointRep]:
+    """Unit members assembled from per-slot pieces, by element key.
 
-    Elements already in `known` (earlier rounds) are skipped before they
-    are joined, since later rounds regenerate the earlier grids.  Each
-    member joins certified one-piece representatives, so only its
-    row-disjointness and Lorentz test are checked here.
+    ``known`` holds the keys of every member earlier rounds assembled, so
+    a combination whose pieces all sat in the previous round's slot lists
+    is skipped unexamined (each round lists the same single generators
+    first, so the same slots are nonempty and the previous round tried
+    that combination), and any other element already known is skipped
+    before it is joined.  A combination's key merges its pieces' keys:
+    the pieces sit on disjoint rows, so the sorted concatenation is the
+    key of their sum.  Each member joins certified one-piece
+    representatives, so only its row-disjointness and Lorentz test are
+    checked here.
     """
     seen: dict[tuple, DisjointRep] = {}
-    slot_cache: dict[tuple, list[DisjointRep]] = {}
+    slot_cache: dict[tuple, tuple[list[_Piece], set[_Piece]]] = {}
     for pattern in _patterns(rows):
-        slots = []
+        slots, olds = [], []
         for group, rank in pattern:
             cached = slot_cache.get((group, rank))
             if cached is None:
-                cached = _trimmed_pieces(group, rank, p, support, round_, made)
+                pieces = _trimmed_pieces(group, rank, p, support, round_, store)
+                cached = (pieces, store.listed.get((group, rank), set()))
                 slot_cache[group, rank] = cached
-            if cached:
-                slots.append(cached)
+                store.listed[group, rank] = set(pieces)
+            pieces, old = cached
+            if pieces:
+                slots.append(pieces)
+                olds.append(old)
         if not slots:
             continue
         for combo in itertools.product(*slots):
-            total = TriVector()
-            for rep in combo:
-                total = total + rep.pieces[0]
-            key = _element_key(total)
+            if all(piece in old for piece, old in zip(combo, olds)):
+                continue
+            if len(combo) == 1:
+                key = combo[0].key
+            else:
+                key = tuple(sorted(itertools.chain.from_iterable(piece.key for piece in combo)))
             if key in seen or key in known:
                 continue
-            seen[key] = join_disjoint_reps(combo, p)
-    return list(seen.values())
+            seen[key] = join_disjoint_reps([piece.certified(p) for piece in combo], p)
+    return seen
+
+
+def _member_column(key: tuple[tuple[Cell, int, int], ...], position: Mapping[Cell, int]) -> _Column:
+    """A member's cover-program column, built from its element key: its
+    entries on the support cells (row ``position[cell]``) at unit cost, as
+    ``lp._column`` builds them."""
+    entries = [(position[c], num, den) for c, num, den in key if c in position]
+    common = lcm(*(den for _, _, den in entries))
+    return _Column(
+        tuple(row for row, _, _ in entries),
+        tuple(num * (common // den) for _, num, den in entries),
+        common,
+        common,
+    )
 
 
 def _cover_program(
-    atoms: Sequence[DisjointRep], cells: tuple[Cell, ...], target: Mapping[Cell, Fraction]
+    columns: Sequence[_Column], cells: tuple[Cell, ...], target: Mapping[Cell, Fraction]
 ) -> tuple[Fraction, tuple[Fraction, ...], dict[Cell, Fraction]]:
-    """Exact minimal-weight cover of the target by the pooled members."""
-    columns = [atom.element() for atom in atoms]
-    rows = [[col.entry(*cell) for col in columns] for cell in cells]
-    rhs = [target[cell] for cell in cells]
-    res = solve_lp([Fraction(1)] * len(atoms), rows, rhs)
+    """Exact minimal-weight cover of the target by the pooled members,
+    given as their ``_member_column`` columns."""
+    res = _solve_columns(columns, [target[cell] for cell in cells])
     if res.status != "optimal":
         raise AssertionError(f"cover program came back {res.status}")
     duals = {
@@ -439,30 +523,47 @@ def tau_micro_oracle(
     best = gauge_interval(x, p)
     if best.hi - best.lo <= tol:
         return best
+    # the error is raised here, after the refinement's frame is gone, so
+    # its traceback does not keep the pool and the pieces alive
+    interval, rounds = _refine(x, p, tol, best)
+    if interval.lo > interval.hi:
+        raise AssertionError("certified bounds crossed; this is a bug")
+    if interval.hi - interval.lo > tol:
+        raise ToleranceUnreachableError(interval, rounds, tol)
+    return interval
 
+
+def _refine(
+    x: TriVector, p: LorentzParam, tol: Fraction, best: GaugeInterval
+) -> tuple[GaugeInterval, int]:
+    """The refinement rounds of ``tau_micro_oracle`` from the cheap
+    interval ``best``: the best interval reached and the rounds run."""
+    active = x.active_rows()
     x_abs = abs(x)
     support = frozenset(x_abs.support())
     cells = tuple(sorted(support))
+    position = {cell: k for k, cell in enumerate(cells)}
     target = {cell: x_abs.entry(*cell) for cell in cells}
-    pool: dict[tuple, DisjointRep] = {}
-
-    def add_atom(rep: DisjointRep) -> None:
-        pool.setdefault(_element_key(rep.element()), rep)
-
+    # each pooled member next to its cover-program column, by element key
+    pool: dict[tuple, tuple[DisjointRep, _Column]] = {}
     for rep in best.upper.reps:
-        add_atom(rep)
+        key = _element_key(rep.element())
+        if key not in pool:
+            pool[key] = (rep, _member_column(key, position))
 
     lower = best.lower
     upper = best.upper
     rounds = 0
-    made: dict[tuple, object] = {}  # trimmed pieces, shared by every round
+    store = _PieceStore()  # mixtures and trimmed pieces, shared by every round
     tried: set[tuple] = set()  # dual candidates already certified
     for round_ in range(MAX_ROUNDS):
         rounds = round_ + 1
-        for rep in _pattern_atoms(active, p, support, round_, set(pool), made):
-            add_atom(rep)
-        atoms = list(pool.values())
-        objective, weights, duals = _cover_program(atoms, cells, target)
+        for key, rep in _pattern_atoms(active, p, support, round_, pool, store).items():
+            pool[key] = (rep, _member_column(key, position))
+        atoms = [rep for rep, _ in pool.values()]
+        objective, weights, duals = _cover_program(
+            [col for _, col in pool.values()], cells, target
+        )
         if objective < upper.scale:
             kept = [(w, rep) for w, rep in zip(weights, atoms) if w > 0]
             upper = GaugeCertificate(
@@ -485,9 +586,4 @@ def tau_micro_oracle(
                 lower = witness
         if upper.scale - lower.value <= tol:
             break
-    interval = GaugeInterval(lower, upper)
-    if interval.lo > interval.hi:
-        raise AssertionError("certified bounds crossed; this is a bug")
-    if interval.hi - interval.lo > tol:
-        raise ToleranceUnreachableError(interval, rounds, tol)
-    return interval
+    return GaugeInterval(lower, upper), rounds

@@ -197,6 +197,13 @@ def test_l2_norm_sq():
     assert l2_norm_sq([]) == 0
 
 
+@given(st.lists(st.one_of(wide_fraction, st.integers(-9, 9)), max_size=30))
+def test_l2_norm_sq_matches_fraction_sum(values):
+    got = l2_norm_sq(iter(values))
+    assert got == sum((Fraction(v) ** 2 for v in values), Fraction(0))
+    assert type(got) is Fraction
+
+
 # -- Lorentz comparisons -------------------------------------------------------
 
 

@@ -57,6 +57,18 @@ def test_sorted_unit_matrix_columns_sorted():
             assert list(col) == sorted(col, reverse=True)
 
 
+def test_sorted_unit_matrix_draws_sorted_fractions():
+    # the same matrices as sorting each column's Fractions directly
+    for s in SEEDS:
+        rng = random.Random(s)
+        want = []
+        for _ in range(rng.randint(1, 20)):
+            depth = rng.randint(1, 20)
+            col = sorted((F(rng.randint(0, 16), 16) for _ in range(depth)), reverse=True)
+            want.append(tuple(col))
+        assert inst.sorted_unit_matrix(random.Random(s)) == tuple(want)
+
+
 def test_kdisjoint_family_respects_coverage_and_norms():
     for s in SEEDS:
         k, vecs = inst.kdisjoint_family(random.Random(s))

@@ -11,7 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from trigauge.exact import Rational
-from trigauge.lp import LPResult, _check_certificate as check_certificate, _column, solve_lp
+from trigauge.lp import (
+    LPResult,
+    _check_certificate as check_certificate,
+    _column,
+    _solve_columns,
+    solve_lp,
+)
 
 
 def test_single_variable_bound():
@@ -382,7 +388,8 @@ def test_matches_tableau_reference(lp):
 def test_wide_cover_program_matches_tableau_reference(seed):
     """Cover programs shaped like the micro oracle's: 200 or more member
     columns over at most six cells, each a 0/1 pattern or a two-pattern
-    mixture trimmed by a factor over 10^12, at unit cost."""
+    mixture trimmed by a factor over 10^12, at unit cost.  ``solve_lp``
+    and ``_solve_columns`` on the same columns both match the tableau."""
     rng = random.Random(seed)
     m = rng.randint(2, 6)
     n = rng.randint(200, 240)
@@ -396,4 +403,8 @@ def test_wide_cover_program_matches_tableau_reference(seed):
         columns.append([gamma * (w * a[i] + (1 - w) * z[i]) for i in range(m)])
     rows = [[col[i] for col in columns] for i in range(m)]
     b = [Fraction(rng.randint(1, 16), 8) for _ in range(m)]
-    assert solve_lp([1] * n, rows, b) == tableau_reference([1] * n, rows, b)
+    want = tableau_reference([1] * n, rows, b)
+    assert solve_lp([1] * n, rows, b) == want
+    # the prebuilt-column entry the micro oracle uses, on the same program
+    prebuilt = [_column([(i, v) for i, v in enumerate(col) if v], Fraction(1)) for col in columns]
+    assert _solve_columns(prebuilt, b) == want

@@ -1,6 +1,10 @@
 """Tests for the refining gauge enclosure on small supports."""
 
+import gc
+import hashlib
 import itertools
+import random
+import tracemalloc
 from fractions import Fraction as F
 from typing import Callable, Mapping
 
@@ -14,6 +18,7 @@ from trigauge.decompose import DisjointRep, make_disjoint_rep
 from trigauge.exact import sqrt_enclosure
 from trigauge.gauge import GaugeLowerWitness, gauge_interval
 from trigauge.generators import GridSeq, HullCertificate
+from trigauge.lp import _column
 from trigauge.micro import (
     BITS,
     Cell,
@@ -25,6 +30,7 @@ from trigauge.micro import (
     _element_key,
     _floor_frac,
     _gens_on,
+    _PieceStore,
     _pattern_atoms,
     _patterns,
     _restrict_cells,
@@ -412,8 +418,8 @@ def test_each_dual_candidate_certified_once(monkeypatch):
         offered.extend(out)
         return out
 
-    def record_cover(atoms, cells, target):
-        out = cover(atoms, cells, target)
+    def record_cover(columns, cells, target):
+        out = cover(columns, cells, target)
         offered.extend([out[2], target])
         return out
 
@@ -532,10 +538,99 @@ def test_pattern_atoms_match_reference(cells):
     support = frozenset(x.support())
     rows = x.active_rows()
     known = {_element_key(rep.element()) for rep in gauge_interval(x, P).upper.reps}
-    made: dict = {}
+    store = _PieceStore()
     for round_ in range(3):
         want = pattern_atoms_reference(rows, P, support, round_, set(known))
-        got = _pattern_atoms(rows, P, support, round_, set(known), made)
-        assert [_fields(rep) for rep in got] == [_fields(rep) for rep in want]
-        assert all(rep.is_unit_member() for rep in got)
-        known |= {_element_key(rep.element()) for rep in got}
+        got = _pattern_atoms(rows, P, support, round_, set(known), store)
+        assert [_fields(rep) for rep in got.values()] == [_fields(rep) for rep in want]
+        assert all(key == _element_key(rep.element()) for key, rep in got.items())
+        assert all(rep.is_unit_member() for rep in got.values())
+        known |= set(got)
+
+
+def test_cached_member_columns_match_dense_entries(monkeypatch):
+    # each round's cover program gets the pool's cached columns in pool
+    # order; each must be the column solve_lp would build from the
+    # member's dense entries on the support cells
+    rounds = []
+    cover, uniform = micro._cover_program, micro._row_uniform_candidates
+
+    def record_cover(columns, cells, target):
+        rounds.append((list(columns), cells))
+        return cover(columns, cells, target)
+
+    def record_uniform(atoms, *args):
+        rounds[-1] += (list(atoms),)
+        return uniform(atoms, *args)
+
+    monkeypatch.setattr(micro, "_cover_program", record_cover)
+    monkeypatch.setattr(micro, "_row_uniform_candidates", record_uniform)
+    for cells in FAILING_SUPPORTS + (BAND_SUPPORT,):
+        try:
+            tau_micro_oracle(TriVector(cells), P)
+        except ToleranceUnreachableError:
+            pass
+    assert len(rounds) >= 3
+    for columns, cells, atoms in rounds:
+        assert len(columns) == len(atoms)
+        for col, rep in zip(columns, atoms):
+            elem = rep.element()
+            dense = [elem.entry(*cell) for cell in cells]
+            assert col == _column([(k, v) for k, v in enumerate(dense) if v], F(1))
+
+
+def test_caught_error_keeps_no_working_set():
+    # the error's traceback must not keep the refinement's pool and pieces
+    # alive; a first call fills the caches every call shares
+    x = TriVector(FAILING_SUPPORTS[0])
+    with pytest.raises(ToleranceUnreachableError):
+        tau_micro_oracle(x, P)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            tau_micro_oracle(x, P)
+        except ToleranceUnreachableError as err:
+            caught = err
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert caught.rounds == micro.MAX_ROUNDS
+    assert held < 100_000
+
+
+# -- the oracle's output, pinned -------------------------------------------------
+
+
+def uniform_support(rng: random.Random) -> dict[Cell, F]:
+    """A support drawn as the benchmark's micro workload draws its fixed
+    ones: each cell of rows 1..3 present with probability 1/2, value
+    +-k/8 for k in 1..16."""
+    while True:
+        cells = {
+            c: F(rng.randint(1, 16), 8) * (-1 if rng.random() < 0.3 else 1)
+            for c in MICRO_CELLS
+            if rng.random() < 0.5
+        }
+        if cells:
+            return cells
+
+
+# sha256 of the repr of every result (of the interval, for an error) on
+# the first 40 supports of random.Random(19920301); any change to a
+# member, a cover optimum or a dual witness moves it
+UNIFORM_DIGEST = "75c129ce3672d45f139400b9a2047f2ce8504908fd23543b1ad745d2590c2361"
+
+
+def test_uniform_supports_pinned():
+    rng = random.Random(19920301)
+    reprs = []
+    for _ in range(40):
+        x = TriVector(uniform_support(rng))
+        try:
+            reprs.append(repr(tau_micro_oracle(x, P)))
+        except ToleranceUnreachableError as err:
+            reprs.append(repr(err.interval))
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == UNIFORM_DIGEST
