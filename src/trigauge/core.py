@@ -308,21 +308,43 @@ def lorentz_le_sq(
 def lorentz_value_sq(
     values_sq: Iterable[Rational], p: LorentzParam, rel_tol: Rational = Fraction(1, 10**9)
 ) -> Interval:
-    """Enclose sup_n sqrt(a2*_n) n^(1/p) from squared data."""
+    """Enclose sup_n sqrt(a2*_n) n^(1/p) from squared data.
+
+    The enclosure is [max lo_n, max hi_n] over the ``bits``-bit root
+    enclosures of the terms value_n = t_n^(1/k), t_n = a2*_n^num n^(2 den)
+    and k = 2 num.  Only the largest t_n's root is always enclosed.  Its
+    upper end hi satisfies hi - 2^-bits <= lo whether the root is exact
+    or not, so a term whose root is at most hi - 2^-bits moves neither
+    end and is skipped after an integer power test.  The precision grows
+    from 96 to 384 bits until hi - lo <= rel_tol * lo.
+    """
     squares = sorted((Fraction(v) for v in values_sq), reverse=True)
     if squares and squares[-1] < 0:
         raise ValueError("negative square in data")
     if not squares or squares[0] == 0:
         return Interval.point(0)
+    k = 2 * p.num
+    terms = []  # (numerator, denominator) of t_n
+    for n, v2 in enumerate(squares, start=1):
+        if v2 == 0:
+            break
+        terms.append((v2.numerator**p.num * n ** (2 * p.den), v2.denominator**p.num))
+    top = terms[0]
+    for t in terms[1:]:
+        if t[0] * top[1] > top[0] * t[1]:
+            top = t
     for bits in (96, 192, 384):
-        lo = hi = Fraction(0)
-        for n, v2 in enumerate(squares, start=1):
-            if v2 == 0:
-                break
-            # value_n = (v2^num * n^(2 den))^(1 / (2 num))
-            iv = root_enclosure(v2**p.num * n ** (2 * p.den), 2 * p.num, bits)
-            lo = max(lo, iv.lo)
-            hi = max(hi, iv.hi)
+        iv = root_enclosure(Fraction(*top), k, bits)
+        lo, hi = iv.lo, iv.hi
+        # root of t <= hi - 2^-bits  <=>  t.num (hi.den 2^bits)^k <= cut^k t.den
+        cut = max((hi.numerator << bits) - hi.denominator, 0)
+        cut_k, den_k = cut**k, (hi.denominator << bits) ** k
+        for t in terms:
+            if t is top or t[0] * den_k <= cut_k * t[1]:
+                continue
+            other = root_enclosure(Fraction(*t), k, bits)
+            lo = max(lo, other.lo)
+            hi = max(hi, other.hi)
         if hi - lo <= Fraction(rel_tol) * lo:
             return Interval(lo, hi)
     raise ArithmeticError("rel_tol unreachable")

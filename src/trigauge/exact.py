@@ -9,8 +9,9 @@ caller controls through a precision parameter.
 Conventions:
 
 * ``iroot(n, k)`` is floor(n**(1/k)) for integers n >= 0, k >= 1.
-* ``floor(x ** (1/k)) == iroot(floor(x), k)`` for rational x >= 0 because the
-  k-th powers of integers are integers; ``rational_floor_root`` relies on it.
+* ``floor(x ** (1/k)) == iroot(floor(x), k)`` for real x >= 0 because the
+  k-th powers of integers are integers; ``root_enclosure`` and the even
+  roots in ``iroot`` rely on it.
 * ``Interval`` endpoints are Fractions with lo <= hi; arithmetic is the usual
   outward-directed interval arithmetic (no rounding happens, so "outward" is
   exact here).
@@ -18,6 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -30,8 +32,10 @@ Rational = Union[int, Fraction]
 def iroot(n: int, k: int) -> int:
     """Integer k-th root: the largest r >= 0 with r**k <= n.
 
-    Newton iteration from above; converges monotonically once past the
-    root, so the loop terminates when the iterate stops decreasing.
+    Even roots start from ``math.isqrt``: floor(floor(sqrt n)^(2/k)) is
+    floor(n^(1/k)).  Other roots use Newton iteration from above, which
+    converges monotonically once past the root, so the loop terminates
+    when the iterate stops decreasing.
     """
     if n < 0:
         raise ValueError("iroot of negative")
@@ -39,6 +43,10 @@ def iroot(n: int, k: int) -> int:
         raise ValueError("root index must be >= 1")
     if k == 1 or n < 2:
         return n
+    if k == 2:
+        return math.isqrt(n)
+    if k % 2 == 0:
+        return iroot(math.isqrt(n), k // 2)
     # Start strictly above the root: 2**ceil(bits/k) >= n**(1/k).
     x = 1 << (-(-n.bit_length() // k))
     while True:
@@ -46,14 +54,6 @@ def iroot(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-def rational_floor_root(x: Rational, k: int) -> int:
-    """floor(x ** (1/k)) for rational x >= 0."""
-    f = Fraction(x)
-    if f < 0:
-        raise ValueError("negative radicand")
-    return iroot(f.numerator // f.denominator, k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,10 +135,9 @@ def root_enclosure(x: Rational, k: int, bits: int = 64) -> Interval:
     rn, rd = iroot(f.numerator, k), iroot(f.denominator, k)
     if rn ** k == f.numerator and rd ** k == f.denominator:
         return Interval.point(Fraction(rn, rd))
-    scale = 1 << bits
-    # floor((x * scale**k) ** (1/k)) brackets x**(1/k) * scale within 1.
-    m = rational_floor_root(f * scale ** k, k)
-    return Interval(Fraction(m, scale), Fraction(m + 1, scale))
+    # m = floor((x * 2**(bits k)) ** (1/k)) brackets x**(1/k) * 2**bits within 1.
+    m = iroot((f.numerator << bits * k) // f.denominator, k)
+    return Interval(Fraction(m, 1 << bits), Fraction(m + 1, 1 << bits))
 
 
 def sqrt_enclosure(x: Rational, bits: int = 64) -> Interval:

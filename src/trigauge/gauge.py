@@ -155,11 +155,13 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     rows, so the search ends once the best reaches the largest entry.
     ``lorentz_le_sq``, then the enclosure's upper end, drops a partition
     whose Lorentz value is not below the best.  The groups of a partition
-    that survives are solved, already solved and smaller groups first,
-    until one's hull scale is not below the best.  Each test skips only
-    partitions that could not have replaced the best, so the result is
-    the one that solving every group would give.  Each group's covering
-    LP is solved at most once per call.
+    that survives are solved, already decided and smaller groups first,
+    until one's hull scale is not below the best.  Dropping rows never
+    raises a hull scale, so a group is not solved once a solved group on
+    a subset of its rows has a scale not below the best.  Each test skips
+    only partitions that could not have replaced the best, so the result
+    is the one that solving every group would give.  Each group's
+    covering LP is solved at most once per call.
 
     On six rows the partitions include the whole support as one group,
     the only candidate tried above ``MAX_PARTITION_ROWS``.
@@ -168,6 +170,7 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     if target.is_zero():
         return GaugeCertificate((), (), Fraction(0))
     rows = target.active_rows()
+    # None: the enumeration budget ran out, or a subgroup ruled the group out
     hulls: dict[tuple[int, ...], tuple[Fraction, HullCertificate] | None] = {}
     norms: dict[tuple[int, ...], Fraction] = {}
 
@@ -180,6 +183,15 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
         return hulls[group]
 
     def hull_below(group: tuple[int, ...], bound: Fraction) -> bool:
+        if group not in hulls:
+            # fewer rows never raise the hull scale, and the bound only falls:
+            # a solved subgroup at or above it rules this group out for good
+            rows_in = set(group)
+            if any(
+                solved is not None and solved[0] >= bound and rows_in.issuperset(sub)
+                for sub, solved in hulls.items()
+            ):
+                hulls[group] = None
         solved = hull(group)
         return solved is not None and solved[0] < bound
 
@@ -208,7 +220,7 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
             scale = lorentz_value_sq(group_sq, p).hi
             if scale >= bound:
                 continue
-            # solved groups cost nothing; then fewer rows means a smaller LP
+            # decided groups cost nothing; then fewer rows means a smaller LP
             order = sorted(partition, key=lambda group: (group not in hulls, len(group)))
             if all(hull_below(group, bound) for group in order):
                 scale = max(scale, *(hulls[group][0] for group in partition))
@@ -358,24 +370,6 @@ def gauge_interval(x: TriVector, p: LorentzParam) -> GaugeInterval:
     if lower.value > upper.scale:
         raise AssertionError("certified bounds crossed; this is a bug")
     return GaugeInterval(lower, upper)
-
-
-def element_smallness_sq(reps: Sequence[DisjointRep]) -> Fraction:
-    """Squared upper bound for the element's smallness functional.
-
-    All representatives must present the same element; the bound is the
-    best (smallest) max piece seminorm square among them.  The true
-    functional minimizes over all representatives, so this is an upper
-    bound computed from the supplied ones.
-    """
-    reps = tuple(reps)
-    if not reps:
-        raise ValueError("no representatives")
-    element = reps[0].element()
-    for rep in reps[1:]:
-        if rep.element() != element:
-            raise ValueError("representatives disagree on the element")
-    return min(rep.max_norm_sq() for rep in reps)
 
 
 # -- quotient pairing witnesses --------------------------------------------------

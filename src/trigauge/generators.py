@@ -140,7 +140,10 @@ def _enumerate_cached(rows: tuple[int, ...]) -> tuple[GridSeq, ...]:
             walk(idx + 1, budget - cost)
         counts[i - 1] = 0
 
-    walk(0, Fraction(1))
+    try:
+        walk(0, Fraction(1))
+    finally:
+        del walk  # the closure refers to itself; dropping it frees the cycle
     return tuple(GridSeq(m) for m in found)
 
 
@@ -252,7 +255,10 @@ def _maximal_counts(support: dict[int, set[int]]) -> list[tuple[int, ...]]:
             walk(k + 1, left - cost)
         picks[k] = 0
 
-    walk(0, unit)
+    try:
+        walk(0, unit)
+    finally:
+        del walk  # the closure refers to itself; dropping it frees the cycle
     return found
 
 

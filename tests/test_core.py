@@ -21,6 +21,8 @@ from trigauge.core import (
     row_norm_sq,
     row_pairing,
 )
+from trigauge import core
+from trigauge.exact import Interval, pow_enclosure, root_enclosure
 
 mpmath.mp.dps = 50
 
@@ -352,6 +354,91 @@ def test_lorentz_value_consistent_with_le(values):
     if iv.lo > 0:
         shrunk = (iv.lo * Fraction(99, 100)) ** 2
         assert not lorentz_le_sq(squares, shrunk, p)
+
+
+def lorentz_value_sq_reference(values_sq, p, rel_tol=Fraction(1, 10**9)):
+    """The body of ``lorentz_value_sq`` as it was when it enclosed every
+    term's root, unchanged."""
+    squares = sorted((Fraction(v) for v in values_sq), reverse=True)
+    if squares and squares[-1] < 0:
+        raise ValueError("negative square in data")
+    if not squares or squares[0] == 0:
+        return Interval.point(0)
+    for bits in (96, 192, 384):
+        lo = hi = Fraction(0)
+        for n, v2 in enumerate(squares, start=1):
+            if v2 == 0:
+                break
+            # value_n = (v2^num * n^(2 den))^(1 / (2 num))
+            iv = root_enclosure(v2**p.num * n ** (2 * p.den), 2 * p.num, bits)
+            lo = max(lo, iv.lo)
+            hi = max(hi, iv.hi)
+        if hi - lo <= Fraction(rel_tol) * lo:
+            return Interval(lo, hi)
+    raise ArithmeticError("rel_tol unreachable")
+
+
+VALUE_PS = (DEFAULT_P, LorentzParam(5, 4), LorentzParam(7, 4))
+# 2^-150 and 2^-250 need the 192- and 384-bit passes on inexact roots near 1
+VALUE_TOLS = (Fraction(1, 10**9), Fraction(1, 2**150), Fraction(1, 2**250))
+
+
+@st.composite
+def value_cases(draw):
+    """Squares with zeros, repeats, exact roots and near-ties.
+
+    r^2 at rank 1 has the exact root r.  A second square r^2 c at rank 2,
+    with c a 200-bit enclosure end of 2^(-2/p), has a root within 2^-190
+    of r: just below it for the lower end, just above for the upper end,
+    so either the exact root or the inexact one is the largest term.
+    """
+    p = draw(st.sampled_from(VALUE_PS))
+    pool = st.fractions(min_value=0, max_value=4, max_denominator=9)
+    value = st.one_of(pool, pool.map(lambda v: v * v), st.just(Fraction(0)))
+    squares = draw(st.lists(value, max_size=6))
+    squares += draw(st.lists(st.sampled_from(squares or [Fraction(1)]), max_size=3))
+    if draw(st.booleans()):
+        r = draw(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=9))
+        shrink = pow_enclosure(2, -2 * p.den, p.num, bits=200)
+        c = draw(st.sampled_from((shrink.lo, shrink.hi)))
+        squares += [r * r, r * r * c]
+    return draw(st.permutations(squares)), p, draw(st.sampled_from(VALUE_TOLS))
+
+
+def outcome(value_sq, *args):
+    try:
+        return value_sq(*args)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_cases())
+def test_lorentz_value_matches_every_root_reference(case):
+    squares, p, rel_tol = case
+    got = outcome(lorentz_value_sq, squares, p, rel_tol)
+    assert got == outcome(lorentz_value_sq_reference, squares, p, rel_tol)
+
+
+@pytest.mark.parametrize(
+    "squares, roots",
+    [
+        ([Fraction(4), 1, Fraction(1, 4)], 1),  # exact top root 2, far ahead
+        ([2, Fraction(1, 2), Fraction(1, 2), 0], 1),  # inexact top root sqrt 2
+        ([1, pow_enclosure(2, -4, 3, bits=200).lo], 2),  # a near-tie is enclosed
+    ],
+    ids=["exact-top", "inexact-top", "near-tie"],
+)
+def test_lorentz_value_encloses_only_roots_that_can_matter(monkeypatch, squares, roots):
+    calls = []
+
+    def counted(x, k, bits=64):
+        calls.append(x)
+        return root_enclosure(x, k, bits)
+
+    monkeypatch.setattr(core, "root_enclosure", counted)
+    assert lorentz_value_sq(squares, DEFAULT_P) == lorentz_value_sq_reference(squares, DEFAULT_P)
+    assert len(calls) == roots
 
 
 # -- series constant -----------------------------------------------------------

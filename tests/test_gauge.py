@@ -1,5 +1,6 @@
 """Tests for certified gauge bounds and pairing witnesses."""
 
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from trigauge.core import (
     TriVector,
     l2_norm_sq,
     lorentz_l2_constant,
+    lorentz_le_sq,
     lorentz_value_sq,
     row_norm_sq,
     row_pairing,
@@ -20,7 +22,6 @@ from trigauge.decompose import make_disjoint_rep
 from trigauge.gauge import (
     GaugeCertificate,
     GaugeLowerWitness,
-    element_smallness_sq,
     gauge_interval,
     gauge_lower,
     gauge_upper,
@@ -31,7 +32,6 @@ from trigauge import gauge
 from trigauge.generators import (
     EnumerationBudgetError,
     GridSeq,
-    HullCertificate,
     hull_min_scale,
 )
 
@@ -80,6 +80,72 @@ def gauge_upper_reference(x, p):
             scale = max(max(lam for lam, _ in solved), lorentz_value_sq(norms, p).hi)
             if scale < best[0]:
                 best = (scale, partition, tuple(cert for _, cert in solved))
+    else:
+        solved = hull(rows)
+        if solved is not None and solved[0] < best[0]:
+            best = (solved[0], (rows,), (solved[1],))
+
+    scale, groups, certs = best
+    pieces = [target.restrict_rows(group) for group in groups]
+    cert = gauge._single_rep_certificate(pieces, certs, scale, p)
+    cert.validate(x)
+    return cert
+
+
+def gauge_upper_every_group_lp(x, p):
+    """gauge_upper before the subgroup bound, kept as the reference: the
+    groups of a surviving partition are solved until one's hull scale is
+    not below the best, even when a solved subgroup already decides it.
+    It looks up ``gauge.hull_min_scale`` so that one counter sees both."""
+    target = abs(x)
+    if target.is_zero():
+        return GaugeCertificate((), (), F(0))
+    rows = target.active_rows()
+    hulls = {}
+    norms = {}
+
+    def hull(group):
+        if group not in hulls:
+            try:
+                hulls[group] = gauge.hull_min_scale(target.restrict_rows(group))
+            except EnumerationBudgetError:
+                hulls[group] = None  # enumeration too large for this grouping
+        return hulls[group]
+
+    def hull_below(group, bound):
+        solved = hull(group)
+        return solved is not None and solved[0] < bound
+
+    def norm_sq(group):
+        if group not in norms:
+            norms[group] = sum((row_sq[i] for i in group), F(0))
+        return norms[group]
+
+    # per-row split: no enumeration, always available
+    row_certs, sups = zip(*(gauge._full_row_cert(target, i) for i in rows))
+    row_sq = {i: row_norm_sq(target.restrict_rows([i])) for i in rows}
+    scale = max(max(sups), lorentz_value_sq(row_sq.values(), p).hi)
+    best = (scale, tuple((i,) for i in rows), row_certs)
+
+    if len(rows) <= gauge.MAX_PARTITION_ROWS:
+        floor = max(sups)  # no partition's scale is below the largest |x_ij|
+        for partition in gauge._set_partitions(rows):
+            bound = best[0]
+            if bound <= floor:
+                break
+            if len(partition) == len(rows):
+                continue  # the singleton partition is the per-row split
+            group_sq = [norm_sq(group) for group in partition]
+            if not lorentz_le_sq(group_sq, bound**2, p):
+                continue
+            scale = lorentz_value_sq(group_sq, p).hi
+            if scale >= bound:
+                continue
+            # solved groups cost nothing; then fewer rows means a smaller LP
+            order = sorted(partition, key=lambda group: (group not in hulls, len(group)))
+            if all(hull_below(group, bound) for group in order):
+                scale = max(scale, *(hulls[group][0] for group in partition))
+                best = (scale, partition, tuple(hulls[group][1] for group in partition))
     else:
         solved = hull(rows)
         if solved is not None and solved[0] < best[0]:
@@ -246,12 +312,15 @@ class TestBoundedPartitionSearch:
     @pytest.mark.parametrize(
         "x, lps",
         [
-            # solving every group of every partition takes 31 LPs here
-            (decr(5), 22),
+            # solving every group of every partition takes 31 LPs here,
+            # and 22 without the subgroup bound
+            (decr(5), 10),
+            # 12 without the subgroup bound
+            (decr(4), 7),
             # the row split already reaches the largest entry; 1 LP before
             (TriVector({(1, 1): F(1, 4), (3, 1): F(1)}), 0),
         ],
-        ids=["decr5", "sup-bound"],
+        ids=["decr5", "decr4", "sup-bound"],
     )
     def test_lp_count(self, monkeypatch, x, lps):
         calls = []
@@ -265,6 +334,67 @@ class TestBoundedPartitionSearch:
         assert gauge_upper(x, P) == gauge_upper_reference(x, P)
         assert len(calls) == lps
         assert len(set(calls)) == len(calls)
+
+
+@contextmanager
+def logged_lps():
+    """Record (rows, hull scale) of every ``gauge.hull_min_scale`` call."""
+    log = []
+    solve = gauge.hull_min_scale
+
+    def logged(target):
+        solved = solve(target)
+        log.append((target.active_rows(), solved[0]))
+        return solved
+
+    gauge.hull_min_scale = logged
+    try:
+        yield log
+    finally:
+        gauge.hull_min_scale = solve
+
+
+def assert_only_dropped_lps(x):
+    """gauge_upper returns what the search without the subgroup bound
+    returns, and solves a subsequence of that search's groups."""
+    with logged_lps() as fast:
+        got = gauge_upper(x, P)
+    with logged_lps() as full:
+        want = gauge_upper_every_group_lp(x, P)
+    assert got == want
+    assert len({rows for rows, _ in fast}) == len(fast)
+    remaining = iter(full)
+    assert all(call in remaining for call in fast)
+    return got, fast, full
+
+
+class TestSubgroupBound:
+    """A group is not solved once a solved subgroup reaches the bound."""
+
+    def test_whole_support_ruled_out_by_subgroup(self):
+        # ones on rows 1..3: the pair {1, 2} sets the best at hull scale 2,
+        # so the whole support, whose LP would give 3, is never solved
+        cert, fast, full = assert_only_dropped_lps(ones(3))
+        assert cert.scale == 2
+        assert ((1, 2), 2) in fast
+        assert ((1, 2, 3), 3) in full
+        assert (1, 2, 3) not in {rows for rows, _ in fast}
+
+    @settings(max_examples=40, deadline=None)
+    @given(supports(7, 1, 5))
+    def test_subsequence_up_to_five_rows(self, entries):
+        assert_only_dropped_lps(TriVector(entries))
+
+    @pytest.mark.parametrize(
+        "x", [decr(4), decr(5), ones(6), decr(6)], ids=["decr4", "decr5", "ones6", "decr6"]
+    )
+    def test_identical_on_families(self, x):
+        assert_only_dropped_lps(x)
+
+    @settings(max_examples=20, deadline=None)
+    @given(supports(6, 6, 6))
+    def test_identical_on_six_rows(self, entries):
+        assert_only_dropped_lps(TriVector(entries))
 
 
 class TestGaugeUpperFromAverage:
@@ -382,48 +512,6 @@ class TestGaugeInterval:
         assert iv.lo <= iv.hi
         iv.upper.validate(x)
         iv.lower.validate(x)
-
-
-class TestSmallness:
-    def element(self):
-        return TriVector(
-            {(1, 1): F(3, 10), (2, 1): F(2, 5), (2, 2): F(2, 5)}
-        )
-
-    def rep_split(self):
-        x = self.element()
-        return make_disjoint_rep(
-            [x.restrict_rows([1]), x.restrict_rows([2])], P
-        )
-
-    def rep_merged(self):
-        x = self.element()
-        cert = HullCertificate(
-            (GridSeq.make((1,)), GridSeq.make((0, 2))),
-            (F(3, 10), F(2, 5)),
-            F(1),
-        )
-        return make_disjoint_rep([x], P, certs=[cert])
-
-    def test_single_rep_takes_max(self):
-        assert element_smallness_sq([self.rep_split()]) == F(16, 100)
-
-    def test_min_over_reps(self):
-        reps = [self.rep_split(), self.rep_merged()]
-        assert element_smallness_sq(reps) == F(16, 100)
-        assert element_smallness_sq([self.rep_merged()]) == F(1, 4)
-
-    def test_empty_rep_is_zero(self):
-        assert element_smallness_sq([make_disjoint_rep([], P)]) == 0
-
-    def test_disagreeing_reps_rejected(self):
-        other = make_disjoint_rep([TriVector({(1, 1): 1})], P)
-        with pytest.raises(ValueError):
-            element_smallness_sq([self.rep_split(), other])
-
-    def test_no_reps_rejected(self):
-        with pytest.raises(ValueError):
-            element_smallness_sq([])
 
 
 class TestRepExamples:

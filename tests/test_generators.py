@@ -1,5 +1,6 @@
 """Generator enumeration and hull covering against brute-force oracles."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from trigauge.generators import (
     GridSeq,
     HullCertificate,
     ZERO_SEQ,
+    _enumerate_cached,
     average_indicators,
     disjointness_degree,
     enumerate_grid_seqs,
@@ -202,14 +204,50 @@ def test_pruned_columns_are_maximal_support_counts():
         assert all(m in (0, 1, i) for i, m in enumerate(s.m, start=1))
 
 
+# (2i - j)/(2i) on rows 1..11 falls strictly along each row, so every
+# cell is a record column and the walk passes the guard
+DENSE_11 = TriVector(
+    {(i, j): Fraction(2 * i - j, 2 * i) for i in range(1, 12) for j in range(1, i + 1)}
+)
+
+
 def test_min_scale_candidate_guard():
-    # (2i - j)/(2i) on rows 1..11 falls strictly along each row, so every
-    # cell is a record column and the walk passes the guard
-    dense = TriVector(
-        {(i, j): Fraction(2 * i - j, 2 * i) for i in range(1, 12) for j in range(1, i + 1)}
-    )
     with pytest.raises(EnumerationBudgetError):
-        hull_min_scale(dense)
+        hull_min_scale(DENSE_11)
+
+
+def _raises_budget(call):
+    def run():
+        with pytest.raises(EnumerationBudgetError):
+            call()
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hull_min_scale(TriVector({(2, 1): 1, (3, 2): Fraction(1, 2), (3, 3): 1})),
+        lambda: _enumerate_cached.__wrapped__((2, 4, 5)),
+        _raises_budget(lambda: hull_min_scale(DENSE_11)),
+        _raises_budget(lambda: _enumerate_cached.__wrapped__(tuple(range(30, 40)))),
+    ],
+    ids=["hull", "enumerate", "hull-budget", "enumerate-budget"],
+)
+def test_walks_leave_no_reference_cycle(call):
+    # the recursive walk closures refer to themselves; each search must
+    # drop that cycle itself, also when it ends in EnumerationBudgetError
+    debug = gc.get_debug()
+    gc.collect()
+    gc.set_debug(debug | gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+        walks = [obj for obj in gc.garbage if getattr(obj, "__name__", None) == "walk"]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    assert walks == []
 
 
 @pytest.mark.parametrize("rows, scale", [(6, Fraction(21, 5)), (7, Fraction(26, 5))])
