@@ -15,6 +15,11 @@ vector on D.  Two scale measurements drive everything built on top:
   p = num/den.  Certificates carry squares (seminorms), and the smallness
   bound c = (16 eps)^(1/4) is rational only as c^4, hence power 2 or 4.
 
+``lorentz_le_sq`` and the enclosure ``lorentz_value_sq`` put the squares
+over one common denominator D and run one private kernel on the integer
+numerators, sorted as ints; callers that keep their seminorms over a
+common denominator (``gauge_upper``) call the kernel directly.
+
 The comparison constant ``lorentz_l2_constant`` encloses
 C(p) = (sum_n n^(-2/p))^(1/2), the factor relating the row-average
 seminorm to the weak Lorentz scale of a disjoint sum.  The tail of the
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact import (
     Interval,
@@ -274,14 +279,75 @@ def l2_norm_sq(values: Iterable[Rational]) -> Fraction:
 # -- weak Lorentz comparisons ----------------------------------------------
 
 
+def _over_common_den(values: Iterable[Rational]) -> tuple[list[int], int]:
+    """The values as decreasing integer numerators over the lcm D of
+    their denominators, and D."""
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in vals))
+    return sorted((v.numerator * (den // v.denominator) for v in vals), reverse=True), den
+
+
+def _lorentz_le(
+    nums: Sequence[int], den: int, bound: Fraction, p: LorentzParam, power: int = 2
+) -> bool:
+    """``lorentz_le_sq`` on the squares N/D, N in ``nums`` (decreasing,
+    nonnegative) and D = ``den``: with k = num power/2, e = den power and
+    bound = B/C, the test is N^k n^e C^num <= B^num D^k for every N > 0."""
+    k = power // 2 * p.num
+    e = power * p.den
+    lhs_den = bound.denominator**p.num
+    rhs = bound.numerator**p.num * den**k
+    for n, v in enumerate(nums, start=1):
+        if not v:
+            break
+        if v**k * n**e * lhs_den > rhs:
+            return False
+    return True
+
+
+def _lorentz_value(
+    nums: Sequence[int], den: int, p: LorentzParam, rel_tol: Fraction = Fraction(1, 10**9)
+) -> Interval:
+    """``lorentz_value_sq`` on the squares N/D, N in ``nums`` (decreasing,
+    nonnegative) and D = ``den``: the terms t_n = (N_n/D)^num n^(2 den)
+    share the denominator D^num, so their numerators compare as ints."""
+    if not nums or not nums[0]:
+        return Interval.point(0)
+    k = 2 * p.num
+    t_den = den**p.num
+    terms = []  # numerators of t_n over t_den
+    for n, v in enumerate(nums, start=1):
+        if not v:
+            break
+        terms.append(v**p.num * n ** (2 * p.den))
+    top = max(terms)
+    for bits in (96, 192, 384):
+        iv = root_enclosure(Fraction(top, t_den), k, bits)
+        lo, hi = iv.lo, iv.hi
+        # root of t <= hi - 2^-bits  <=>  t (hi.den 2^bits)^k <= cut^k t_den
+        cut = max((hi.numerator << bits) - hi.denominator, 0)
+        den_k, limit = (hi.denominator << bits) ** k, cut**k * t_den
+        for t in terms:
+            # a term equal to the top one has the same enclosure
+            if t == top or t * den_k <= limit:
+                continue
+            other = root_enclosure(Fraction(t, t_den), k, bits)
+            lo = max(lo, other.lo)
+            hi = max(hi, other.hi)
+        if hi - lo <= rel_tol * lo:
+            return Interval(lo, hi)
+    raise ArithmeticError("rel_tol unreachable")
+
+
 def lorentz_le_sq(
     values_sq: Iterable[Rational], bound: Rational, p: LorentzParam, power: int = 2
 ) -> bool:
     """Decide sup_n a*_n n^(1/p) <= c given the squares a_n^2 and bound = c^power.
 
     power is 2 (bound c^2) or 4 (bound c^4).  The test is exact in
-    integers: with k = num * power/2, e = den * power, v = a*_n^2 and
-    bound = B/D, (v.num)^k n^e D^num <= B^num (v.den)^k is the power test
+    integers: with k = num * power/2, e = den * power, the squares put
+    over one common denominator D and bound = B/C, N^k n^e C^num <=
+    B^num D^k for the n-th largest numerator N is the power test
     multiplied through by the positive denominators.
     """
     if power not in (2, 4):
@@ -290,19 +356,10 @@ def lorentz_le_sq(
         bound = Fraction(bound)
     if bound < 0:
         raise ValueError("negative bound")
-    squares = [v if isinstance(v, Fraction) else Fraction(v) for v in values_sq]
-    if any(v2 < 0 for v2 in squares):
+    nums, den = _over_common_den(values_sq)
+    if nums and nums[-1] < 0:
         raise ValueError("negative square in data")
-    rhs_num = bound.numerator**p.num
-    rhs_den = bound.denominator**p.num
-    k = power // 2 * p.num
-    e = power * p.den
-    for n, v2 in enumerate(sorted(squares, reverse=True), start=1):
-        if v2 == 0:
-            break
-        if v2.numerator**k * n**e * rhs_den > rhs_num * v2.denominator**k:
-            return False
-    return True
+    return _lorentz_le(nums, den, bound, p, power)
 
 
 def lorentz_value_sq(
@@ -318,36 +375,10 @@ def lorentz_value_sq(
     end and is skipped after an integer power test.  The precision grows
     from 96 to 384 bits until hi - lo <= rel_tol * lo.
     """
-    squares = sorted((Fraction(v) for v in values_sq), reverse=True)
-    if squares and squares[-1] < 0:
+    nums, den = _over_common_den(values_sq)
+    if nums and nums[-1] < 0:
         raise ValueError("negative square in data")
-    if not squares or squares[0] == 0:
-        return Interval.point(0)
-    k = 2 * p.num
-    terms = []  # (numerator, denominator) of t_n
-    for n, v2 in enumerate(squares, start=1):
-        if v2 == 0:
-            break
-        terms.append((v2.numerator**p.num * n ** (2 * p.den), v2.denominator**p.num))
-    top = terms[0]
-    for t in terms[1:]:
-        if t[0] * top[1] > top[0] * t[1]:
-            top = t
-    for bits in (96, 192, 384):
-        iv = root_enclosure(Fraction(*top), k, bits)
-        lo, hi = iv.lo, iv.hi
-        # root of t <= hi - 2^-bits  <=>  t.num (hi.den 2^bits)^k <= cut^k t.den
-        cut = max((hi.numerator << bits) - hi.denominator, 0)
-        cut_k, den_k = cut**k, (hi.denominator << bits) ** k
-        for t in terms:
-            if t is top or t[0] * den_k <= cut_k * t[1]:
-                continue
-            other = root_enclosure(Fraction(*t), k, bits)
-            lo = max(lo, other.lo)
-            hi = max(hi, other.hi)
-        if hi - lo <= Fraction(rel_tol) * lo:
-            return Interval(lo, hi)
-    raise ArithmeticError("rel_tol unreachable")
+    return _lorentz_value(nums, den, p, Fraction(rel_tol))
 
 
 # -- the series constant ------------------------------------------------------

@@ -20,16 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from .core import (
     DEFAULT_P,
     LorentzParam,
     TriVector,
+    _lorentz_le,
+    _lorentz_value,
     l2_norm_sq,
     lorentz_l2_constant,
-    lorentz_le_sq,
-    lorentz_value_sq,
     row_norm_sq,
     row_pairing,
 )
@@ -153,15 +154,17 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     the best so far.  Two exact lower bounds on it need no LP, so they
     run first.  Every hull scale is at least the largest |x_ij| on its
     rows, so the search ends once the best reaches the largest entry.
-    ``lorentz_le_sq``, then the enclosure's upper end, drops a partition
-    whose Lorentz value is not below the best.  The groups of a partition
-    that survives are solved, already decided and smaller groups first,
-    until one's hull scale is not below the best.  Dropping rows never
-    raises a hull scale, so a group is not solved once a solved group on
-    a subset of its rows has a scale not below the best.  Each test skips
-    only partitions that could not have replaced the best, so the result
-    is the one that solving every group would give.  Each group's
-    covering LP is solved at most once per call.
+    The row seminorms are put over one common denominator once per call,
+    so a group's seminorm is an integer sum and each partition runs the
+    weak-Lorentz test, then the enclosure's upper end, on sorted ints;
+    either drops a partition whose Lorentz value is not below the best.
+    The groups of a partition that survives are solved, already decided
+    and smaller groups first, until one's hull scale is not below the
+    best.  Dropping rows never raises a hull scale, so a group is not
+    solved once a solved group on a subset of its rows has a scale not
+    below the best.  Each test skips only partitions that could not have
+    replaced the best, so the result is the one that solving every group
+    would give.  Each group's covering LP is solved at most once per call.
 
     On six rows the partitions include the whole support as one group,
     the only candidate tried above ``MAX_PARTITION_ROWS``.
@@ -172,7 +175,7 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     rows = target.active_rows()
     # None: the enumeration budget ran out, or a subgroup ruled the group out
     hulls: dict[tuple[int, ...], tuple[Fraction, HullCertificate] | None] = {}
-    norms: dict[tuple[int, ...], Fraction] = {}
+    norms: dict[tuple[int, ...], int] = {}  # group seminorm numerators over den
 
     def hull(group: tuple[int, ...]) -> tuple[Fraction, HullCertificate] | None:
         if group not in hulls:
@@ -195,15 +198,18 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
         solved = hull(group)
         return solved is not None and solved[0] < bound
 
-    def norm_sq(group: tuple[int, ...]) -> Fraction:
+    def norm_sq(group: tuple[int, ...]) -> int:
         if group not in norms:
-            norms[group] = sum((row_sq[i] for i in group), Fraction(0))
+            norms[group] = sum(row_num[i] for i in group)
         return norms[group]
 
     # per-row split: no enumeration, always available
     row_certs, sups = zip(*(_full_row_cert(target, i) for i in rows))
-    row_sq = {i: row_norm_sq(target.restrict_rows([i])) for i in rows}
-    scale = max(max(sups), lorentz_value_sq(row_sq.values(), p).hi)
+    # the row seminorms as integer numerators over one denominator
+    row_sq = [row_norm_sq(target.restrict_rows([i])) for i in rows]
+    den = lcm(*(v.denominator for v in row_sq))
+    row_num = {i: v.numerator * (den // v.denominator) for i, v in zip(rows, row_sq)}
+    scale = max(max(sups), _lorentz_value(sorted(row_num.values(), reverse=True), den, p).hi)
     best = (scale, tuple((i,) for i in rows), row_certs)
 
     if len(rows) <= MAX_PARTITION_ROWS:
@@ -214,10 +220,10 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
                 break
             if len(partition) == len(rows):
                 continue  # the singleton partition is the per-row split
-            group_sq = [norm_sq(group) for group in partition]
-            if not lorentz_le_sq(group_sq, bound**2, p):
+            group_sq = sorted((norm_sq(group) for group in partition), reverse=True)
+            if not _lorentz_le(group_sq, den, bound**2, p):
                 continue
-            scale = lorentz_value_sq(group_sq, p).hi
+            scale = _lorentz_value(group_sq, den, p).hi
             if scale >= bound:
                 continue
             # decided groups cost nothing; then fewer rows means a smaller LP

@@ -11,12 +11,17 @@ over validated unit members a_r certify gauge(x) <= sum(nu); by
 solidity the signed x is covered too.  The members are built from
 budget-trimmed generator mixtures, one piece per group of a row
 partition, and the best cover is an exact linear program.  One call
-does each exact step once: a trimmed piece is built once (keyed by
-integer weight codes) and certified the first time a new member uses
-it; a member is keyed by merging its pieces' integer keys, and a
-combination of pieces the previous round already listed is not
-re-examined; each pooled member's LP column is built once, from its
-key, and every round's program reuses it.
+does each exact step once, and the member pipeline builds no Fraction
+per member.  A trimmed piece is built once (keyed by integer weight
+codes) from integer code counts and row sums, and its TriVector is
+built and certified the first time a new member uses it.  A certified
+piece keeps its row mask and its Lorentz capacity, so a member's join
+test is an integer one; a member is keyed by merging its pieces'
+integer keys, and a combination of pieces the previous round already
+listed is not re-examined.  Each pooled member's LP column is built
+once, from its key, and every round's program reuses it.  Only members
+the cover weights are joined into ``DisjointRep``s, re-checked in
+Fractions.
 
 Lower side.  For a cell functional y >= 0 and a rational ceiling H
 with <y, a> <= H for every unit member a, a cover of |x| at scale t
@@ -45,9 +50,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Container, Mapping, Sequence
 
-from .core import DEFAULT_P, LorentzParam, Rational, TriVector, row_norm_sq
+from .core import DEFAULT_P, LorentzParam, Rational, TriVector
 from .decompose import DisjointRep, join_disjoint_reps, make_disjoint_rep
-from .exact import Interval, pow_enclosure, sqrt_enclosure
+from .exact import Interval, iroot, pow_enclosure, sqrt_enclosure
 from .gauge import (
     GaugeCertificate,
     GaugeInterval,
@@ -248,19 +253,17 @@ def _solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 
 
 def _row_uniform_candidates(
-    atoms: Sequence[DisjointRep],
-    weights: Sequence[Fraction],
+    active: Sequence[DisjointRep],
     rows: tuple[int, ...],
     cells: tuple[Cell, ...],
 ) -> list[dict[Cell, Fraction]]:
     """Duals constant along each row, equalizing binding cover members.
 
-    At a covering optimum the used members are tight for the optimal
-    dual; one value per row turns that into a square rational system
-    over combinations of used members.  Only nonnegative solutions are
-    candidates.
+    At a covering optimum the used members (``active``, in pool order)
+    are tight for the optimal dual; one value per row turns that into a
+    square rational system over combinations of used members.  Only
+    nonnegative solutions are candidates.
     """
-    active = [rep for rep, w in zip(atoms, weights) if w > 0]
     k = len(rows)
     if len(active) < k:
         return []
@@ -283,24 +286,77 @@ _GRID = 24  # mixture weights are codes / _GRID: eighths and thirds
 
 
 class _Piece:
-    """One trimmed mixture with its hull certificate and integer key.
+    """One trimmed mixture: its hull certificate and its integer key.
 
-    ``rep`` is the certified one-piece representative, built by
-    ``make_disjoint_rep`` the first time a new member uses the piece.
+    The key lists (cell, numerator, denominator) of the piece's entries
+    in lowest terms, by cell, as ``_element_key`` gives them.  The
+    piece's ``TriVector`` is built only for ``make_disjoint_rep``, the
+    first time a new member uses the piece (``certify``).  That sets
+    ``rep``, the certified one-piece representative; ``mask``, its rows
+    as bits; and ``capacity``, the largest rank at which its seminorm
+    passes the Lorentz test at bound 1 (``_capacity``).
     """
 
-    __slots__ = ("vector", "cert", "key", "rep")
+    __slots__ = ("key", "cert", "rep", "mask", "capacity")
 
-    def __init__(self, vector: TriVector, cert: HullCertificate) -> None:
-        self.vector = vector
+    def __init__(self, key: tuple[tuple[Cell, int, int], ...], cert: HullCertificate) -> None:
+        self.key = key
         self.cert = cert
-        self.key = _element_key(vector)
         self.rep: DisjointRep | None = None
+        self.mask = 0
+        self.capacity = 0
 
-    def certified(self, p: LorentzParam) -> DisjointRep:
+    def certify(self, p: LorentzParam) -> None:
         if self.rep is None:
-            self.rep = make_disjoint_rep([self.vector], p, certs=[self.cert])
-        return self.rep
+            vector = TriVector({cell: Fraction(num, den) for cell, num, den in self.key})
+            self.rep = make_disjoint_rep([vector], p, certs=[self.cert])
+            self.mask = sum(1 << i for i in vector.active_rows())
+            self.capacity = _capacity(self.rep.norms_sq[0], p)
+
+
+def _capacity(norm_sq: Fraction, p: LorentzParam) -> int:
+    """The largest rank n with norm_sq^num n^(2 den) <= 1, for norm_sq > 0.
+
+    That is the rank up to which the seminorm passes the Lorentz test at
+    bound 1, and it does not increase as the seminorm grows.  So sorted
+    capacities c_1 <= c_2 <= ... satisfy c_n >= n exactly when the
+    seminorms pass ``lorentz_le_sq(norms, 1, p)``.
+    """
+    return iroot(norm_sq.denominator**p.num // norm_sq.numerator**p.num, 2 * p.den)
+
+
+def _check_join(pieces: Sequence[_Piece]) -> None:
+    """What ``join_disjoint_reps`` checks of certified pieces, in ints:
+    disjoint row masks, then capacities that pass at every rank; raises
+    its ``ValueError``s."""
+    rows = 0
+    for piece in pieces:
+        if rows & piece.mask:
+            raise ValueError("pieces share a row")
+        rows |= piece.mask
+    for n, capacity in enumerate(sorted(piece.capacity for piece in pieces), start=1):
+        if capacity < n:
+            raise ValueError("piece seminorms break the Lorentz bound")
+
+
+def _mix_norm_sq(counts: Mapping[Cell, int]) -> Fraction:
+    """``row_norm_sq`` of the mixture counts / _GRID, from integer row sums."""
+    sums: dict[int, int] = {}
+    for (i, _), count in counts.items():
+        sums[i] = sums.get(i, 0) + count
+    den = lcm(*sums)
+    return Fraction(sum((s * (den // i)) ** 2 for i, s in sums.items()), (_GRID * den) ** 2)
+
+
+def _piece_key(counts: Mapping[Cell, int], gamma: Fraction) -> tuple[tuple[Cell, int, int], ...]:
+    """``_element_key`` of the mixture counts / _GRID scaled by gamma."""
+    num, den = gamma.numerator, _GRID * gamma.denominator
+    key = []
+    for cell in sorted(counts):
+        n = counts[cell] * num
+        g = gcd(n, den)
+        key.append((cell, n // g, den // g))
+    return tuple(key)
 
 
 class _PieceStore:
@@ -308,17 +364,17 @@ class _PieceStore:
 
     ``gens`` maps a row group to its generators' nonzero restrictions to
     the support (as cell tuples); ``mixes`` maps (seqs, codes) to the
-    untrimmed mixture and its seminorm; ``pieces`` maps (rank, seqs,
-    codes) to the trimmed piece, or None when trimming leaves nothing;
-    ``listed`` maps a slot (group, rank) to the pieces it listed in the
-    latest round.
+    untrimmed mixture's integer code count per cell and its seminorm;
+    ``pieces`` maps (rank, seqs, codes) to the trimmed piece, or None
+    when trimming leaves nothing; ``listed`` maps a slot (group, rank) to
+    the pieces it listed in the latest round.
     """
 
     __slots__ = ("gens", "mixes", "pieces", "listed")
 
     def __init__(self) -> None:
         self.gens: dict[tuple[int, ...], list[tuple[GridSeq, tuple[Cell, ...]]]] = {}
-        self.mixes: dict[tuple, tuple[TriVector, Fraction]] = {}
+        self.mixes: dict[tuple, tuple[dict[Cell, int], Fraction]] = {}
         self.pieces: dict[tuple, _Piece | None] = {}
         self.listed: dict[tuple[tuple[int, ...], int], set[_Piece]] = {}
 
@@ -334,11 +390,13 @@ def _trimmed_pieces(
     """Candidate pieces for one pattern slot, scaled into the rank budget.
 
     Round 0 scales single generators; later rounds add generator
-    mixtures on a weight grid.  Every piece keeps a hull certificate at
-    the scale actually used.  Only the first piece of each trimmed vector
-    is listed: a member holding a later one has an earlier twin with the
-    same element.  Mixtures and pieces come from ``store`` when an
-    earlier slot or round of the same call built them.
+    mixtures on a weight grid.  A mixture is its integer code count per
+    cell, and its seminorm comes from integer row sums.  Every piece
+    keeps a hull certificate at the scale actually used.  Only the first
+    piece of each trimmed vector is listed: a member holding a later one
+    has an earlier twin with the same element.  Mixtures and pieces come
+    from ``store`` when an earlier slot or round of the same call built
+    them.
     """
     budget_lo = _budget_sq(rank, p.num, p.den).lo
     gens = store.gens.get(group)
@@ -360,16 +418,14 @@ def _trimmed_pieces(
                 for seq, code in zip(seqs, codes):
                     for cell in cells_of[seq]:
                         counts[cell] = counts.get(cell, 0) + code
-                mix = TriVector({c: Fraction(v, _GRID) for c, v in counts.items()})
-                store.mixes[seqs, codes] = (mix, row_norm_sq(mix))
-            mix, nsq = store.mixes[seqs, codes]
+                store.mixes[seqs, codes] = (counts, _mix_norm_sq(counts))
+            counts, nsq = store.mixes[seqs, codes]
             gamma = Fraction(1)
             if nsq > budget_lo:
                 gamma = _floor_frac(sqrt_enclosure(budget_lo / nsq, BITS).lo)
-                mix = mix.scale(gamma) if gamma > 0 else None
             weights = tuple(Fraction(c, _GRID) for c in codes)
-            store.pieces[key] = None if mix is None else _Piece(
-                mix, HullCertificate(seqs, weights, gamma)
+            store.pieces[key] = None if gamma == 0 else _Piece(
+                _piece_key(counts, gamma), HullCertificate(seqs, weights, gamma)
             )
         piece = store.pieces[key]
         if piece is not None and piece.key not in vectors:
@@ -407,7 +463,7 @@ def _pattern_atoms(
     round_: int,
     known: Container[tuple],
     store: _PieceStore,
-) -> dict[tuple, DisjointRep]:
+) -> dict[tuple, tuple[_Piece, ...]]:
     """Unit members assembled from per-slot pieces, by element key.
 
     ``known`` holds the keys of every member earlier rounds assembled, so
@@ -417,11 +473,12 @@ def _pattern_atoms(
     that combination), and any other element already known is skipped
     before it is joined.  A combination's key merges its pieces' keys:
     the pieces sit on disjoint rows, so the sorted concatenation is the
-    key of their sum.  Each member joins certified one-piece
-    representatives, so only its row-disjointness and Lorentz test are
-    checked here.
+    key of their sum.  A member is its tuple of pieces, each certified
+    here when first used; what joining them adds, row-disjointness and
+    the Lorentz test, is checked on their row masks and capacities
+    (``_check_join``).  ``_joined`` makes the representative.
     """
-    seen: dict[tuple, DisjointRep] = {}
+    seen: dict[tuple, tuple[_Piece, ...]] = {}
     slot_cache: dict[tuple, tuple[list[_Piece], set[_Piece]]] = {}
     for pattern in _patterns(rows):
         slots, olds = [], []
@@ -447,8 +504,20 @@ def _pattern_atoms(
                 key = tuple(sorted(itertools.chain.from_iterable(piece.key for piece in combo)))
             if key in seen or key in known:
                 continue
-            seen[key] = join_disjoint_reps([piece.certified(p) for piece in combo], p)
+            for piece in combo:
+                piece.certify(p)
+            _check_join(combo)
+            seen[key] = combo
     return seen
+
+
+def _joined(member: DisjointRep | tuple[_Piece, ...], p: LorentzParam) -> DisjointRep:
+    """A pooled member as a representative: a ``_pattern_atoms`` member's
+    certified pieces go through ``join_disjoint_reps``, which re-checks
+    them in Fractions."""
+    if isinstance(member, DisjointRep):
+        return member
+    return join_disjoint_reps([piece.rep for piece in member], p)
 
 
 def _member_column(key: tuple[tuple[Cell, int, int], ...], position: Mapping[Cell, int]) -> _Column:
@@ -544,8 +613,9 @@ def _refine(
     cells = tuple(sorted(support))
     position = {cell: k for k, cell in enumerate(cells)}
     target = {cell: x_abs.entry(*cell) for cell in cells}
-    # each pooled member next to its cover-program column, by element key
-    pool: dict[tuple, tuple[DisjointRep, _Column]] = {}
+    # each pooled member next to its cover-program column, by element key;
+    # a member is joined into a representative once the cover uses it
+    pool: dict[tuple, tuple[DisjointRep | tuple[_Piece, ...], _Column]] = {}
     for rep in best.upper.reps:
         key = _element_key(rep.element())
         if key not in pool:
@@ -558,21 +628,26 @@ def _refine(
     tried: set[tuple] = set()  # dual candidates already certified
     for round_ in range(MAX_ROUNDS):
         rounds = round_ + 1
-        for key, rep in _pattern_atoms(active, p, support, round_, pool, store).items():
-            pool[key] = (rep, _member_column(key, position))
-        atoms = [rep for rep, _ in pool.values()]
+        for key, member in _pattern_atoms(active, p, support, round_, pool, store).items():
+            pool[key] = (member, _member_column(key, position))
         objective, weights, duals = _cover_program(
             [col for _, col in pool.values()], cells, target
         )
+        used = []  # (weight, representative) of each member the cover uses
+        for key, w in zip(list(pool), weights):
+            if w > 0:
+                member, col = pool[key]
+                rep = _joined(member, p)
+                pool[key] = (rep, col)
+                used.append((w, rep))
         if objective < upper.scale:
-            kept = [(w, rep) for w, rep in zip(weights, atoms) if w > 0]
             upper = GaugeCertificate(
-                tuple(w / objective for w, _ in kept),
-                tuple(rep for _, rep in kept),
+                tuple(w / objective for w, _ in used),
+                tuple(rep for _, rep in used),
                 objective,
             )
             upper.validate(x)
-        candidates = _row_uniform_candidates(atoms, weights, active, cells)
+        candidates = _row_uniform_candidates([rep for _, rep in used], active, cells)
         candidates += [duals, target]
         for y in candidates:
             # a repeat certifies the same value, which cannot beat lower

@@ -12,8 +12,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
 from .core import DEFAULT_P, LorentzParam
@@ -148,7 +150,67 @@ def jsonable(value: Any) -> Any:
 
 
 def canonical_json(payload: Any) -> str:
-    return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(jsonable(payload), sort_keys=True, indent=2)`` plus a
+    newline, from a recursive encoder over the types ``jsonable`` leaves.
+
+    Under ``indent`` the standard library encodes through nested
+    closures that form reference cycles, so every call left garbage for
+    the cyclic collector; this encoder leaves none.  Any other type
+    raises ``TypeError``, as ``json.dumps`` does.
+    """
+    out: list[str] = []
+    _encode(jsonable(payload), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value: Any, newline: str, out: list[str]) -> None:
+    """Append the JSON text of value, nested at the indent of newline."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _encode(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            out.append("NaN")
+        elif value == math.inf:
+            out.append("Infinity")
+        elif value == -math.inf:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def digest(payload: Any) -> str:

@@ -441,6 +441,136 @@ def test_lorentz_value_encloses_only_roots_that_can_matter(monkeypatch, squares,
     assert len(calls) == roots
 
 
+# -- the common-denominator kernel against the Fraction-keyed versions ----------
+
+
+def lorentz_le_sq_fraction_keys(values_sq, bound, p, power=2):
+    """The body of ``lorentz_le_sq`` as it was when it sorted the squares
+    as Fractions, before the common-denominator kernel, unchanged."""
+    if power not in (2, 4):
+        raise ValueError("power must be 2 or 4")
+    if not isinstance(bound, Fraction):
+        bound = Fraction(bound)
+    if bound < 0:
+        raise ValueError("negative bound")
+    squares = [v if isinstance(v, Fraction) else Fraction(v) for v in values_sq]
+    if any(v2 < 0 for v2 in squares):
+        raise ValueError("negative square in data")
+    rhs_num = bound.numerator**p.num
+    rhs_den = bound.denominator**p.num
+    k = power // 2 * p.num
+    e = power * p.den
+    for n, v2 in enumerate(sorted(squares, reverse=True), start=1):
+        if v2 == 0:
+            break
+        if v2.numerator**k * n**e * rhs_den > rhs_num * v2.denominator**k:
+            return False
+    return True
+
+
+def lorentz_value_sq_fraction_keys(values_sq, p, rel_tol=Fraction(1, 10**9)):
+    """The body of ``lorentz_value_sq`` as it was when it sorted the
+    squares as Fractions, before the common-denominator kernel, unchanged."""
+    squares = sorted((Fraction(v) for v in values_sq), reverse=True)
+    if squares and squares[-1] < 0:
+        raise ValueError("negative square in data")
+    if not squares or squares[0] == 0:
+        return Interval.point(0)
+    k = 2 * p.num
+    terms = []  # (numerator, denominator) of t_n
+    for n, v2 in enumerate(squares, start=1):
+        if v2 == 0:
+            break
+        terms.append((v2.numerator**p.num * n ** (2 * p.den), v2.denominator**p.num))
+    top = terms[0]
+    for t in terms[1:]:
+        if t[0] * top[1] > top[0] * t[1]:
+            top = t
+    for bits in (96, 192, 384):
+        iv = root_enclosure(Fraction(*top), k, bits)
+        lo, hi = iv.lo, iv.hi
+        # root of t <= hi - 2^-bits  <=>  t.num (hi.den 2^bits)^k <= cut^k t.den
+        cut = max((hi.numerator << bits) - hi.denominator, 0)
+        cut_k, den_k = cut**k, (hi.denominator << bits) ** k
+        for t in terms:
+            if t is top or t[0] * den_k <= cut_k * t[1]:
+                continue
+            other = root_enclosure(Fraction(*t), k, bits)
+            lo = max(lo, other.lo)
+            hi = max(hi, other.hi)
+        if hi - lo <= Fraction(rel_tol) * lo:
+            return Interval(lo, hi)
+    raise ArithmeticError("rel_tol unreachable")
+
+
+def result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+KERNEL_PS = (DEFAULT_P, LorentzParam(5, 4), LorentzParam(7, 4))
+# pairwise coprime denominators, so a few values put over one common
+# denominator already need a large lcm
+LCM_DENS = (3, 7, 11, 16, 25, 27, 49, 97, 101, 1009, 65537)
+kernel_square = st.one_of(
+    st.integers(0, 9),
+    st.fractions(min_value=0, max_value=9, max_denominator=12),
+    st.builds(Fraction, st.integers(0, 5000), st.sampled_from(LCM_DENS)),
+)
+kernel_bound = st.one_of(st.just(0), st.just(Fraction(0)), kernel_square)
+
+
+@st.composite
+def kernel_squares(draw):
+    """Mixed int and Fraction squares with zeros, repeats, lcm-heavy
+    denominators and, now and then, a negative value anywhere."""
+    squares = draw(st.lists(kernel_square, max_size=8))
+    squares += draw(st.lists(st.sampled_from(squares or [0]), max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        squares.append(draw(st.sampled_from((-1, Fraction(-1, 1009)))))
+    return draw(st.permutations(squares))
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_squares(), kernel_bound, st.sampled_from(KERNEL_PS), st.sampled_from((2, 4)))
+def test_lorentz_le_matches_fraction_keys(values_sq, bound, p, power):
+    want = result_or_error(lorentz_le_sq_fraction_keys, values_sq, bound, p, power)
+    assert result_or_error(lorentz_le_sq, values_sq, bound, p, power) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(kernel_squares(), value_cases().map(lambda case: case[0])),
+    st.sampled_from(KERNEL_PS),
+    st.sampled_from(VALUE_TOLS),
+)
+def test_lorentz_value_matches_fraction_keys(values_sq, p, rel_tol):
+    want = result_or_error(lorentz_value_sq_fraction_keys, values_sq, p, rel_tol)
+    assert result_or_error(lorentz_value_sq, values_sq, p, rel_tol) == want
+
+
+def test_kernel_edge_cases_match_fraction_keys():
+    for p in KERNEL_PS:
+        for power in (2, 4):
+            for values_sq, bound in (
+                ([], 0),
+                ([0, 0], 0),
+                ([Fraction(1, 16)] * 8, 1),
+                ([Fraction(1, 16)] * 9, 1),
+                ([1, Fraction(1, 3), 2, Fraction(1, 3)], 16),
+                ([Fraction(1, 65537), Fraction(2, 1009), 3], Fraction(5, 49)),
+                ([0, -1], 1),
+                ([1], -1),
+            ):
+                want = result_or_error(lorentz_le_sq_fraction_keys, values_sq, bound, p, power)
+                assert result_or_error(lorentz_le_sq, values_sq, bound, p, power) == want
+        for values_sq in ([], [0], [0, -1], [Fraction(1, 16)] * 9, [2, 2, 1, Fraction(1, 3)]):
+            want = result_or_error(lorentz_value_sq_fraction_keys, values_sq, p)
+            assert result_or_error(lorentz_value_sq, values_sq, p) == want
+
+
 # -- series constant -----------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 from typing import Callable, Mapping
 
 import pytest
@@ -13,8 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigauge import micro
-from trigauge.core import DEFAULT_P, LorentzParam, TriVector, lorentz_l2_constant, row_norm_sq
-from trigauge.decompose import DisjointRep, make_disjoint_rep
+from trigauge.core import (
+    DEFAULT_P,
+    LorentzParam,
+    TriVector,
+    lorentz_l2_constant,
+    lorentz_le_sq,
+    row_norm_sq,
+)
+from trigauge.decompose import DisjointRep, join_disjoint_reps, make_disjoint_rep
 from trigauge.exact import sqrt_enclosure
 from trigauge.gauge import GaugeLowerWitness, gauge_interval
 from trigauge.generators import GridSeq, HullCertificate
@@ -30,6 +38,7 @@ from trigauge.micro import (
     _element_key,
     _floor_frac,
     _gens_on,
+    _joined,
     _PieceStore,
     _pattern_atoms,
     _patterns,
@@ -542,41 +551,159 @@ def test_pattern_atoms_match_reference(cells):
     for round_ in range(3):
         want = pattern_atoms_reference(rows, P, support, round_, set(known))
         got = _pattern_atoms(rows, P, support, round_, set(known), store)
-        assert [_fields(rep) for rep in got.values()] == [_fields(rep) for rep in want]
-        assert all(key == _element_key(rep.element()) for key, rep in got.items())
-        assert all(rep.is_unit_member() for rep in got.values())
+        # a member is its certified pieces; the oracle joins the ones it uses
+        reps = {key: _joined(pieces, P) for key, pieces in got.items()}
+        assert [_fields(rep) for rep in reps.values()] == [_fields(rep) for rep in want]
+        assert all(key == _element_key(rep.element()) for key, rep in reps.items())
+        assert all(rep.is_unit_member() for rep in reps.values())
         known |= set(got)
 
 
 def test_cached_member_columns_match_dense_entries(monkeypatch):
     # each round's cover program gets the pool's cached columns in pool
-    # order; each must be the column solve_lp would build from the
+    # order: the cheap certificate's members, then each round's new
+    # members; each must be the column solve_lp would build from the
     # member's dense entries on the support cells
     rounds = []
-    cover, uniform = micro._cover_program, micro._row_uniform_candidates
+    pool: dict[tuple, TriVector] = {}  # element of each pooled member, in order
+    cover, atoms = micro._cover_program, micro._pattern_atoms
+
+    def record_atoms(*args):
+        out = atoms(*args)
+        for key, pieces in out.items():
+            pool[key] = _joined(pieces, P).element()
+        return out
 
     def record_cover(columns, cells, target):
-        rounds.append((list(columns), cells))
+        rounds.append((list(columns), cells, list(pool.values())))
         return cover(columns, cells, target)
 
-    def record_uniform(atoms, *args):
-        rounds[-1] += (list(atoms),)
-        return uniform(atoms, *args)
-
+    monkeypatch.setattr(micro, "_pattern_atoms", record_atoms)
     monkeypatch.setattr(micro, "_cover_program", record_cover)
-    monkeypatch.setattr(micro, "_row_uniform_candidates", record_uniform)
     for cells in FAILING_SUPPORTS + (BAND_SUPPORT,):
+        x = TriVector(cells)
+        pool.clear()
+        for rep in gauge_interval(x, P).upper.reps:
+            pool.setdefault(_element_key(rep.element()), rep.element())
         try:
-            tau_micro_oracle(TriVector(cells), P)
+            tau_micro_oracle(x, P)
         except ToleranceUnreachableError:
             pass
     assert len(rounds) >= 3
-    for columns, cells, atoms in rounds:
-        assert len(columns) == len(atoms)
-        for col, rep in zip(columns, atoms):
-            elem = rep.element()
+    for columns, cells, elems in rounds:
+        assert len(columns) == len(elems)
+        for col, elem in zip(columns, elems):
             dense = [elem.entry(*cell) for cell in cells]
             assert col == _column([(k, v) for k, v in enumerate(dense) if v], F(1))
+
+
+# -- member joins on row masks and capacities ------------------------------------
+
+# (p, v, n): the squared seminorm v passes the Lorentz test at bound 1 up to
+# rank n exactly, v^num n^(2 den) = 1
+CAPACITY_TIES = (
+    (DEFAULT_P, F(1), 1),
+    (DEFAULT_P, F(1, 16), 8),
+    (DEFAULT_P, F(1, 81), 27),
+    (LorentzParam(5, 4), F(1, 256), 32),
+    (LorentzParam(7, 4), F(1, 256), 128),
+)
+
+
+def joins(norms_sq, p) -> bool:
+    """Whether ``_check_join`` accepts pieces on distinct rows with these
+    squared seminorms."""
+    pieces = [
+        SimpleNamespace(mask=1 << k, capacity=micro._capacity(v, p))
+        for k, v in enumerate(norms_sq)
+    ]
+    try:
+        micro._check_join(pieces)
+    except ValueError as err:
+        assert str(err) == "piece seminorms break the Lorentz bound"
+        return False
+    return True
+
+
+@st.composite
+def capacity_cases(draw):
+    """Positive squared seminorms, with an exact tie block of n - 1, n or
+    n + 1 copies of v in half the cases."""
+    p, v, n = draw(st.sampled_from(CAPACITY_TIES))
+    norms = draw(
+        st.lists(
+            st.fractions(min_value=F(1, 400), max_value=F(3, 2), max_denominator=400),
+            max_size=8,
+        )
+    )
+    if draw(st.booleans()):
+        norms += [v] * (n + draw(st.integers(-1, 1)))
+    return draw(st.permutations(norms)), p
+
+
+@settings(max_examples=400, deadline=None)
+@given(capacity_cases())
+def test_capacity_join_matches_lorentz_test(case):
+    norms, p = case
+    assert joins(norms, p) == lorentz_le_sq(norms, 1, p)
+
+
+@pytest.mark.parametrize(
+    "p, v, n", CAPACITY_TIES, ids=[f"p{p.num}_{p.den}-n{n}" for p, _, n in CAPACITY_TIES]
+)
+def test_capacity_ties(p, v, n):
+    assert micro._capacity(v, p) == n
+    assert joins([v] * n, p) and lorentz_le_sq([v] * n, 1, p)
+    assert not joins([v] * (n + 1), p) and not lorentz_le_sq([v] * (n + 1), 1, p)
+
+
+def certified_piece(cells: dict, counts: tuple[int, ...], scale: F) -> micro._Piece:
+    """A piece on the given cells, certified by one generator at scale."""
+    cert = HullCertificate((GridSeq.make(counts),), (F(1),), scale)
+    piece = micro._Piece(_element_key(TriVector(cells)), cert)
+    piece.certify(P)
+    return piece
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (
+            [({(2, 1): F(1, 2)}, (0, 1), F(1, 2)), ({(2, 2): F(1, 2)}, (0, 2), F(1, 2))],
+            "pieces share a row",
+        ),
+        (
+            [({(1, 1): F(1)}, (1,), F(1)), ({(2, 1): F(1), (2, 2): F(1)}, (0, 2), F(1))],
+            "piece seminorms break the Lorentz bound",
+        ),
+    ],
+    ids=["shared-row", "over-budget"],
+)
+def test_capacity_join_raises_like_join_disjoint_reps(parts, message):
+    pieces = [certified_piece(*part) for part in parts]
+    with pytest.raises(ValueError, match=message):
+        join_disjoint_reps([piece.rep for piece in pieces], P)
+    with pytest.raises(ValueError, match=message):
+        micro._check_join(pieces)
+    # one piece alone joins either way
+    micro._check_join(pieces[:1])
+    assert micro._joined(tuple(pieces[:1]), P).is_unit_member()
+
+
+def test_only_members_the_cover_uses_are_joined(monkeypatch):
+    # the first failing support pools about 1,500 members; only those the
+    # cover program weights become DisjointReps, each once per call
+    joined = []
+    join = micro.join_disjoint_reps
+
+    def counted(reps, p):
+        joined.append(len(reps))
+        return join(reps, p)
+
+    monkeypatch.setattr(micro, "join_disjoint_reps", counted)
+    with pytest.raises(ToleranceUnreachableError):
+        tau_micro_oracle(TriVector(FAILING_SUPPORTS[0]), P)
+    assert 0 < len(joined) <= 8
 
 
 def test_caught_error_keeps_no_working_set():

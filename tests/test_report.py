@@ -1,11 +1,15 @@
 """Report serialization: canonical bytes, digests, config round trips."""
 
+import gc
 import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trigauge.core import DEFAULT_P
 from trigauge.report import (
     Report,
     SweepConfig,
@@ -63,6 +67,25 @@ class TestSweepConfig:
         assert SweepConfig.from_echo(echoed) == cfg
 
 
+# what jsonable can leave: JSON scalars, lists and string-keyed objects,
+# with Fractions and tuples anywhere for jsonable to convert
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.floats()
+    | st.text()
+    | st.fractions(max_denominator=10**6)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_trailing_newline(self):
         text = canonical_json({"b": 1, "a": 2})
@@ -89,6 +112,36 @@ class TestCanonicalJson:
 
     def test_flat_detail_sorts_keys(self):
         assert flat_detail({"b": 1, "a": "x"}) == "a=x;b=1"
+
+    @settings(max_examples=300)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        want = json.dumps(jsonable(value), sort_keys=True, indent=2) + "\n"
+        assert canonical_json(value) == want
+
+    @pytest.mark.parametrize("value", [{1, 2}, {"a": [b"x"]}, [DEFAULT_P], object()])
+    def test_rejects_what_json_rejects(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(jsonable(value), sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            canonical_json(value)
+
+    def test_leaves_no_garbage(self):
+        # the encoder under json.dumps(indent=...) leaves reference cycles
+        # on every call; canonical_json must leave nothing to collect
+        payload = _tiny_report(passed=False).payload()
+        payload["aggregate"]["stats"] = {"width": 0.25, "hi": F(7, 4), "rows": (1, 2, 3)}
+        debug = gc.get_debug()
+        gc.collect()
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        try:
+            canonical_json(payload)
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+        assert garbage == []
 
 
 def _tiny_report(passed: bool = True) -> Report:
