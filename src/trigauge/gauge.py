@@ -34,12 +34,7 @@ from .core import (
     row_norm_sq,
     row_pairing,
 )
-from .decompose import (
-    DecompositionCertificate,
-    DisjointRep,
-    decompose_average,
-    make_disjoint_rep,
-)
+from .decompose import DisjointRep, make_disjoint_rep
 from .exact import Rational, sqrt_enclosure
 from .generators import EnumerationBudgetError, GridSeq, HullCertificate, hull_min_scale
 
@@ -241,26 +236,6 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     cert = _single_rep_certificate(pieces, certs, scale, p)
     cert.validate(x)
     return cert
-
-
-def gauge_upper_from_average(
-    seqs: Sequence[GridSeq], epsilon: Rational, p: LorentzParam
-) -> tuple[GaugeCertificate, DecompositionCertificate]:
-    """Upper bound for a flat average with small sup, via its decomposition.
-
-    The returned scale is at most 5 eps^(1/4); the decomposition
-    certificate carries the construction for independent re-checking.
-    """
-    dec = decompose_average(seqs, epsilon, p)
-    if not dec.blocks or dec.scale == 0:
-        return GaugeCertificate((), (), Fraction(0)), dec
-    inv = 1 / dec.scale
-    pieces = [dec.block_vector(m).scale(inv) for m in range(len(dec.blocks))]
-    certs = [_rescaled_hull_cert(dec.hull_witness(m), inv) for m in range(len(dec.blocks))]
-    rep = make_disjoint_rep(pieces, p, certs=certs)
-    cert = GaugeCertificate((Fraction(1),), (rep,), dec.scale)
-    cert.validate(dec.average())
-    return cert, dec
 
 
 def _dual_ceiling(cells: Sequence, weights: Sequence, p: LorentzParam) -> Fraction:

@@ -18,7 +18,8 @@ between solves calls that directly.
 Pricing needs no Fraction per column: y = c_B M goes over one common
 denominator D, and column j (numerators a_j over d_j, cost c_j d_j) may
 enter when c_j d_j D < Y . a_j, a comparison of plain ints.  Only the
-entering column M a_j is formed, for the ratio test.
+entering column M a_j is formed, for the ratio test, and a cost becomes
+a Fraction only while its column is basic.
 
 The entering choice is Bland's rule (the first eligible column in index
 order) and ties in the ratio test break on the smallest basic index, in
@@ -27,6 +28,16 @@ vertex is returned: another pricing rule (Dantzig, steepest edge) may
 end at another optimal basis with other duals, and callers build their
 certificates and dual witnesses from these ones.  No floating point is
 ever involved.
+
+A caller that re-solves the same rhs over a growing column list passes
+a ``_Trail``.  An optimal solve records there each state at which
+Bland's choice was not one of its structural columns; the next solve
+prices only the appended columns at those states and restarts from the
+first one where it would take an appended column, or from the recorded
+optimum.  Appended columns come after the old structural ones and
+before every surplus and artificial, so every other choice and every
+ratio-test tie falls as before: the resumed solve reaches the vertex,
+duals and x of a cold one and skips only the pivots they share.
 
 Duals are the simplex multipliers y at optimality.  Every returned
 primal/dual pair is verified to be an exact optimality certificate
@@ -40,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import Rational
 
@@ -95,16 +106,62 @@ def solve_lp(
     return _solve_columns(cols, [Fraction(v) for v in b])
 
 
-def _solve_columns(columns: Sequence[_Column], rhs0: list[Fraction]) -> LPResult:
+_PHASE1, _PIVOT_OUT, _PHASE2, _DONE = range(4)  # the stages of a solve
+
+
+class _Point(NamedTuple):
+    """A state on a recorded pivot path, just before Bland's choice.
+
+    ``row`` is the zero artificial's row at a ``_PIVOT_OUT`` point, and
+    ``ints`` over ``den`` are the phase's multipliers at a phase point.
+    M, the basic values and the basis are copies; a non-structural basic
+    index is stored minus the column total, so that it reads the same in
+    a solve with more structural columns.
+    """
+
+    stage: int  # _PHASE1, _PIVOT_OUT or _PHASE2
+    row: int
+    ints: list[int] | None
+    den: int
+    rows_num: list[list[int]]
+    rows_den: list[int]
+    rhs: list[Fraction]
+    basis: list[int]
+
+
+class _Trail:
+    """What the latest optimal ``_solve_columns`` solve recorded for a
+    solve of the same rhs over columns that extend its own: that program
+    (``columns``, ``rhs``) and, in path order, each point at which Bland's
+    choice was not one of its structural columns.  Those are where a
+    surplus or artificial column entered, where a phase ended optimal,
+    and where a zero artificial left onto a surplus column."""
+
+    __slots__ = ("columns", "rhs", "points")
+
+    def __init__(self) -> None:
+        self.columns: tuple[_Column, ...] = ()
+        self.rhs: list[Fraction] | None = None
+        self.points: list[_Point] = []
+
+
+def _solve_columns(
+    columns: Sequence[_Column], rhs0: list[Fraction], trail: _Trail | None = None
+) -> LPResult:
     """``solve_lp`` on prebuilt structural columns (``_column`` form) and
-    the rhs as Fractions."""
+    the rhs as Fractions.
+
+    An optimal solve with a ``trail`` records its path there; any other
+    solve leaves the trail as it was.  When the trail holds the same rhs
+    and a prefix of ``columns``, the solve resumes it (see the module
+    docstring) and returns what a solve without a trail would.
+    """
     n = len(columns)
     m = len(rhs0)
-    cost = [Fraction(col.cost_num, col.den) for col in columns]
     if m == 0:
-        if any(v < 0 for v in cost):
+        if any(col.cost_num < 0 for col in columns):
             return LPResult("unbounded")
-        return LPResult("optimal", Fraction(0), tuple(Fraction(0) for _ in cost), ())
+        return LPResult("optimal", Fraction(0), (Fraction(0),) * n, ())
 
     # Columns of rows.x - s + a = b with s, a >= 0: structural, then one
     # surplus -e_i per row, then one artificial e_i per row whose rhs is
@@ -115,6 +172,8 @@ def _solve_columns(columns: Sequence[_Column], rhs0: list[Fraction]) -> LPResult
     cols += [_Column((i,), (-1,), 1, 0) for i in range(m)]
     cols += [_Column((i,), (1,), 1, 0) for i in art_rows]
     n_total = len(cols)
+    phase1 = [0] * (n + m) + [1] * len(art_rows)
+    phase2 = [col.cost_num for col in cols]
 
     # Row r of M is rows_num[r] / rows_den[r], kept in lowest terms.
     sign = [1 if v > 0 else -1 for v in rhs0]
@@ -124,6 +183,34 @@ def _solve_columns(columns: Sequence[_Column], rhs0: list[Fraction]) -> LPResult
     basis = [n + i for i in range(m)]
     for k, i in enumerate(art_rows):
         basis[i] = n + m + k
+    stage, start_row = (_PHASE1 if art_rows else _PHASE2), 0
+    points: list[_Point] | None = None  # this solve's path, when recorded
+    if trail is not None:
+        points = []
+        old = len(trail.columns)
+        if trail.rhs == rhs0 and old <= n and tuple(columns[:old]) == trail.columns:
+            k = _first_taken(trail.points, cols[old:n], phase1[old:n], phase2[old:n])
+            if k < len(trail.points):
+                at = trail.points[k]
+                stage, start_row = at.stage, at.row
+            else:
+                at = trail.points[-1]  # the recorded optimum
+                stage = _DONE
+            points = trail.points[:k]
+            rows_num[:] = at.rows_num
+            rows_den[:] = at.rows_den
+            rhs[:] = at.rhs
+            basis[:] = [j if j >= 0 else j + n_total for j in at.basis]
+
+    def record(stage: int, row: int, ints: list[int] | None, den: int) -> None:
+        # set_row and do_pivot replace rows and values, never edit them in
+        # place, so shallow copies keep the state
+        points.append(
+            _Point(
+                stage, row, ints, den, list(rows_num), list(rows_den), list(rhs),
+                [j if j < n else j - n_total for j in basis],
+            )
+        )
 
     def set_row(r: int, nums: list[int], den: int) -> None:
         g = gcd(den, *nums)
@@ -150,27 +237,34 @@ def _solve_columns(columns: Sequence[_Column], rhs0: list[Fraction]) -> LPResult
                 rhs[r] -= f * rhs[row]
         basis[row] = col
 
-    def multipliers(costs: list[Rational]) -> tuple[list[int], int]:
+    def multipliers(cost_ints: list[int]) -> tuple[list[int], int]:
         """y = c_B M as integer numerators over one denominator; entry i is
-        the dual of row i."""
-        terms = [(costs[j], r) for r, j in enumerate(basis) if costs[j]]
-        den = lcm(*(c.denominator * rows_den[r] for c, r in terms))
+        the dual of row i.  Column j costs cost_ints[j] / cols[j].den, put
+        in lowest terms only while the column is basic."""
+        terms = []  # (numerator, denominator of M's row r times the cost's, r)
+        for r, j in enumerate(basis):
+            if cost_ints[j]:
+                g = gcd(cost_ints[j], cols[j].den)
+                terms.append((cost_ints[j] // g, cols[j].den // g * rows_den[r], r))
+        den = lcm(*(d for _, d, _ in terms))
         y = [0] * m
-        for c, r in terms:
-            f = c.numerator * (den // (c.denominator * rows_den[r]))
+        for c, d, r in terms:
+            f = c * (den // d)
             y = [a + f * v if v else a for a, v in zip(y, rows_num[r])]
         g = gcd(den, *y)
         return [v // g for v in y], den // g
 
-    def run_simplex(costs: list[Rational], cost_ints: list[int], priced: range) -> str:
+    def run_simplex(stage: int, cost_ints: list[int], priced: range) -> str:
         basic = set(basis)
         while True:
-            ints, den = multipliers(costs)
+            ints, den = multipliers(cost_ints)
             enter = -1
             for j in priced:  # Bland: smallest eligible index
                 if j not in basic and cost_ints[j] * den < cols[j].dot(ints):
                     enter = j
                     break
+            if points is not None and not 0 <= enter < n:
+                record(stage, 0, ints, den)
             if enter < 0:
                 return "optimal"
             w = entering_column(enter)
@@ -188,35 +282,57 @@ def _solve_columns(columns: Sequence[_Column], rhs0: list[Fraction]) -> LPResult
             basic.add(enter)
             do_pivot(leave, w, enter)
 
-    if art_rows:
-        phase1 = [0] * (n + m) + [1] * len(art_rows)
-        status = run_simplex(phase1, phase1, range(n_total))
+    status = "optimal"
+    if stage == _PHASE1:
+        status = run_simplex(_PHASE1, phase1, range(n_total))
         assert status == "optimal", "phase 1 is bounded below by zero"
         if any(basis[r] >= n + m and rhs[r] > 0 for r in range(m)):
-            return LPResult("infeasible")
+            status = "infeasible"
+    if status == "optimal" and stage <= _PIVOT_OUT:
         # Pivot zero-valued artificials out, each on the first column with
         # a nonzero entry in its row of M [A | -I].  One always exists: M
         # is invertible, so its row is nonzero on some surplus column -e_i.
-        for r in range(m):
+        for r in range(start_row, m):
             if basis[r] >= n + m:
                 enter = next(j for j in range(n + m) if cols[j].dot(rows_num[r]))
+                if points is not None and enter >= n:
+                    record(_PIVOT_OUT, r, None, 0)
                 do_pivot(r, entering_column(enter), enter)
-
-    phase2 = cost + [Fraction(0)] * (m + len(art_rows))
-    status = run_simplex(phase2, [col.cost_num for col in cols], range(n + m))
-    if status == "unbounded":
-        return LPResult("unbounded")
+    if status == "optimal" and stage <= _PHASE2:
+        status = run_simplex(_PHASE2, phase2, range(n + m))
+    if status != "optimal":
+        return LPResult(status)
+    if trail is not None:
+        trail.columns, trail.rhs, trail.points = tuple(columns), list(rhs0), points
 
     x = [Fraction(0)] * n
+    objective = Fraction(0)
     for r, j in enumerate(basis):
         if j < n:
             x[j] = rhs[r]
-    objective = sum((cost[j] * x[j] for j in range(n) if x[j]), Fraction(0))
+            if rhs[r]:
+                objective += Fraction(cols[j].cost_num, cols[j].den) * rhs[r]
     y, den = multipliers(phase2)
     duals = tuple(Fraction(v, den) for v in y)
 
     _check_certificate(cols[:n], rhs0, x, duals, objective)
     return LPResult("optimal", objective, tuple(x), duals)
+
+
+def _first_taken(
+    points: list[_Point], appended: list[_Column], phase1: list[int], phase2: list[int]
+) -> int:
+    """Index of the first trail point at which Bland's rule takes one of the
+    appended structural columns, or len(points) when none is ever taken."""
+    for k, at in enumerate(points):
+        if at.stage == _PIVOT_OUT:
+            if any(col.dot(at.rows_num[at.row]) for col in appended):
+                return k
+        else:
+            costs = phase1 if at.stage == _PHASE1 else phase2
+            if any(c * at.den < col.dot(at.ints) for col, c in zip(appended, costs)):
+                return k
+    return len(points)
 
 
 def _check_certificate(

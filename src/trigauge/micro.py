@@ -13,15 +13,17 @@ budget-trimmed generator mixtures, one piece per group of a row
 partition, and the best cover is an exact linear program.  One call
 does each exact step once, and the member pipeline builds no Fraction
 per member.  A trimmed piece is built once (keyed by integer weight
-codes) from integer code counts and row sums, and its TriVector is
-built and certified the first time a new member uses it.  A certified
-piece keeps its row mask and its Lorentz capacity, so a member's join
-test is an integer one; a member is keyed by merging its pieces'
-integer keys, and a combination of pieces the previous round already
-listed is not re-examined.  Each pooled member's LP column is built
-once, from its key, and every round's program reuses it.  Only members
-the cover weights are joined into ``DisjointRep``s, re-checked in
-Fractions.
+codes) from integer code counts and row sums, with its row mask and its
+Lorentz capacity, so a member's join test is an integer one; a member
+is keyed by merging its pieces' integer keys, and a combination of
+pieces the previous round already listed is not re-examined.  Each
+pooled member's LP column is built once, from its key, and every
+round's program reuses it.  Each round's program extends the previous
+one by the new members' columns, so its exact solve resumes the
+previous round's pivot path (``lp._Trail``) and pays only for the new
+columns.  Only members the cover weights are joined: their pieces get
+their TriVectors and ``make_disjoint_rep`` certificates then, and
+``join_disjoint_reps`` re-checks them in Fractions.
 
 Lower side.  For a cell functional y >= 0 and a rational ceiling H
 with <y, a> <= H for every unit member a, a cover of |x| at scale t
@@ -61,7 +63,7 @@ from .gauge import (
     gauge_interval,
 )
 from .generators import GridSeq, HullCertificate, enumerate_grid_seqs
-from .lp import _Column, _solve_columns
+from .lp import _Column, _solve_columns, _Trail
 
 SUPPORT_ROW_CAP = 3
 DEFAULT_TOL = Fraction(1, 1000)
@@ -286,32 +288,37 @@ _GRID = 24  # mixture weights are codes / _GRID: eighths and thirds
 
 
 class _Piece:
-    """One trimmed mixture: its hull certificate and its integer key.
+    """One trimmed mixture: its integer key, its hull certificate, its rows
+    as bits (``mask``) and ``capacity``, the largest rank at which its
+    seminorm passes the Lorentz test at bound 1 (``_capacity``).
 
     The key lists (cell, numerator, denominator) of the piece's entries
     in lowest terms, by cell, as ``_element_key`` gives them.  The
-    piece's ``TriVector`` is built only for ``make_disjoint_rep``, the
-    first time a new member uses the piece (``certify``).  That sets
-    ``rep``, the certified one-piece representative; ``mask``, its rows
-    as bits; and ``capacity``, the largest rank at which its seminorm
-    passes the Lorentz test at bound 1 (``_capacity``).
+    piece's ``TriVector`` is built only for ``make_disjoint_rep``, when a
+    member the cover weights is joined (``certify``), which sets ``rep``,
+    the certified one-piece representative.
     """
 
-    __slots__ = ("key", "cert", "rep", "mask", "capacity")
+    __slots__ = ("key", "cert", "mask", "capacity", "rep")
 
-    def __init__(self, key: tuple[tuple[Cell, int, int], ...], cert: HullCertificate) -> None:
+    def __init__(
+        self,
+        key: tuple[tuple[Cell, int, int], ...],
+        cert: HullCertificate,
+        mask: int,
+        capacity: int,
+    ) -> None:
         self.key = key
         self.cert = cert
+        self.mask = mask
+        self.capacity = capacity
         self.rep: DisjointRep | None = None
-        self.mask = 0
-        self.capacity = 0
 
-    def certify(self, p: LorentzParam) -> None:
+    def certify(self, p: LorentzParam) -> DisjointRep:
         if self.rep is None:
             vector = TriVector({cell: Fraction(num, den) for cell, num, den in self.key})
             self.rep = make_disjoint_rep([vector], p, certs=[self.cert])
-            self.mask = sum(1 << i for i in vector.active_rows())
-            self.capacity = _capacity(self.rep.norms_sq[0], p)
+        return self.rep
 
 
 def _capacity(norm_sq: Fraction, p: LorentzParam) -> int:
@@ -326,7 +333,7 @@ def _capacity(norm_sq: Fraction, p: LorentzParam) -> int:
 
 
 def _check_join(pieces: Sequence[_Piece]) -> None:
-    """What ``join_disjoint_reps`` checks of certified pieces, in ints:
+    """What ``join_disjoint_reps`` checks of the pieces, in ints:
     disjoint row masks, then capacities that pass at every rank; raises
     its ``ValueError``s."""
     rows = 0
@@ -364,7 +371,8 @@ class _PieceStore:
 
     ``gens`` maps a row group to its generators' nonzero restrictions to
     the support (as cell tuples); ``mixes`` maps (seqs, codes) to the
-    untrimmed mixture's integer code count per cell and its seminorm;
+    untrimmed mixture's integer code count per cell, its seminorm and its
+    rows as bits;
     ``pieces`` maps (rank, seqs, codes) to the trimmed piece, or None
     when trimming leaves nothing; ``listed`` maps a slot (group, rank) to
     the pieces it listed in the latest round.
@@ -374,7 +382,7 @@ class _PieceStore:
 
     def __init__(self) -> None:
         self.gens: dict[tuple[int, ...], list[tuple[GridSeq, tuple[Cell, ...]]]] = {}
-        self.mixes: dict[tuple, tuple[dict[Cell, int], Fraction]] = {}
+        self.mixes: dict[tuple, tuple[dict[Cell, int], Fraction, int]] = {}
         self.pieces: dict[tuple, _Piece | None] = {}
         self.listed: dict[tuple[tuple[int, ...], int], set[_Piece]] = {}
 
@@ -392,7 +400,9 @@ def _trimmed_pieces(
     Round 0 scales single generators; later rounds add generator
     mixtures on a weight grid.  A mixture is its integer code count per
     cell, and its seminorm comes from integer row sums.  Every piece
-    keeps a hull certificate at the scale actually used.  Only the first
+    keeps a hull certificate at the scale actually used, its rows as bits
+    and its capacity, from the mixture's seminorm times the squared
+    scale (the seminorm is homogeneous of degree 2).  Only the first
     piece of each trimmed vector is listed: a member holding a later one
     has an earlier twin with the same element.  Mixtures and pieces come
     from ``store`` when an earlier slot or round of the same call built
@@ -418,14 +428,18 @@ def _trimmed_pieces(
                 for seq, code in zip(seqs, codes):
                     for cell in cells_of[seq]:
                         counts[cell] = counts.get(cell, 0) + code
-                store.mixes[seqs, codes] = (counts, _mix_norm_sq(counts))
-            counts, nsq = store.mixes[seqs, codes]
+                mask = sum(1 << i for i in {i for i, _ in counts})
+                store.mixes[seqs, codes] = (counts, _mix_norm_sq(counts), mask)
+            counts, nsq, mask = store.mixes[seqs, codes]
             gamma = Fraction(1)
             if nsq > budget_lo:
                 gamma = _floor_frac(sqrt_enclosure(budget_lo / nsq, BITS).lo)
             weights = tuple(Fraction(c, _GRID) for c in codes)
             store.pieces[key] = None if gamma == 0 else _Piece(
-                _piece_key(counts, gamma), HullCertificate(seqs, weights, gamma)
+                _piece_key(counts, gamma),
+                HullCertificate(seqs, weights, gamma),
+                mask,
+                _capacity(nsq * gamma * gamma, p),
             )
         piece = store.pieces[key]
         if piece is not None and piece.key not in vectors:
@@ -473,10 +487,11 @@ def _pattern_atoms(
     that combination), and any other element already known is skipped
     before it is joined.  A combination's key merges its pieces' keys:
     the pieces sit on disjoint rows, so the sorted concatenation is the
-    key of their sum.  A member is its tuple of pieces, each certified
-    here when first used; what joining them adds, row-disjointness and
-    the Lorentz test, is checked on their row masks and capacities
-    (``_check_join``).  ``_joined`` makes the representative.
+    key of their sum.  A member is its tuple of pieces; what joining
+    them adds, row-disjointness and the Lorentz test, is checked on their
+    row masks and capacities (``_check_join``).  Nothing is certified
+    here: ``_joined`` certifies the pieces of a member the cover weights
+    and makes the representative.
     """
     seen: dict[tuple, tuple[_Piece, ...]] = {}
     slot_cache: dict[tuple, tuple[list[_Piece], set[_Piece]]] = {}
@@ -504,8 +519,6 @@ def _pattern_atoms(
                 key = tuple(sorted(itertools.chain.from_iterable(piece.key for piece in combo)))
             if key in seen or key in known:
                 continue
-            for piece in combo:
-                piece.certify(p)
             _check_join(combo)
             seen[key] = combo
     return seen
@@ -513,11 +526,11 @@ def _pattern_atoms(
 
 def _joined(member: DisjointRep | tuple[_Piece, ...], p: LorentzParam) -> DisjointRep:
     """A pooled member as a representative: a ``_pattern_atoms`` member's
-    certified pieces go through ``join_disjoint_reps``, which re-checks
-    them in Fractions."""
+    pieces are certified by ``make_disjoint_rep`` and joined by
+    ``join_disjoint_reps``, which re-checks them in Fractions."""
     if isinstance(member, DisjointRep):
         return member
-    return join_disjoint_reps([piece.rep for piece in member], p)
+    return join_disjoint_reps([piece.certify(p) for piece in member], p)
 
 
 def _member_column(key: tuple[tuple[Cell, int, int], ...], position: Mapping[Cell, int]) -> _Column:
@@ -535,11 +548,15 @@ def _member_column(key: tuple[tuple[Cell, int, int], ...], position: Mapping[Cel
 
 
 def _cover_program(
-    columns: Sequence[_Column], cells: tuple[Cell, ...], target: Mapping[Cell, Fraction]
+    columns: Sequence[_Column],
+    cells: tuple[Cell, ...],
+    target: Mapping[Cell, Fraction],
+    trail: _Trail,
 ) -> tuple[Fraction, tuple[Fraction, ...], dict[Cell, Fraction]]:
     """Exact minimal-weight cover of the target by the pooled members,
-    given as their ``_member_column`` columns."""
-    res = _solve_columns(columns, [target[cell] for cell in cells])
+    given as their ``_member_column`` columns.  The previous round's
+    program is a prefix of this one, so the solve resumes its ``trail``."""
+    res = _solve_columns(columns, [target[cell] for cell in cells], trail)
     if res.status != "optimal":
         raise AssertionError(f"cover program came back {res.status}")
     duals = {
@@ -626,12 +643,13 @@ def _refine(
     rounds = 0
     store = _PieceStore()  # mixtures and trimmed pieces, shared by every round
     tried: set[tuple] = set()  # dual candidates already certified
+    trail = _Trail()  # the cover program's pivot path, resumed every round
     for round_ in range(MAX_ROUNDS):
         rounds = round_ + 1
         for key, member in _pattern_atoms(active, p, support, round_, pool, store).items():
             pool[key] = (member, _member_column(key, position))
         objective, weights, duals = _cover_program(
-            [col for _, col in pool.values()], cells, target
+            [col for _, col in pool.values()], cells, target, trail
         )
         used = []  # (weight, representative) of each member the cover uses
         for key, w in zip(list(pool), weights):

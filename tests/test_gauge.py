@@ -25,7 +25,6 @@ from trigauge.gauge import (
     gauge_interval,
     gauge_lower,
     gauge_upper,
-    gauge_upper_from_average,
     pairing_witness,
 )
 from trigauge import gauge
@@ -395,25 +394,6 @@ class TestSubgroupBound:
     @given(supports(6, 6, 6))
     def test_identical_on_six_rows(self, entries):
         assert_only_dropped_lps(TriVector(entries))
-
-
-class TestGaugeUpperFromAverage:
-    SEQS = [
-        GridSeq.make((1,)),
-        GridSeq.make((0, 2)),
-        GridSeq.make((0, 0, 3)),
-        GridSeq.make((0, 0, 0, 4)),
-    ]
-
-    def test_four_rows_matches_decomposition_scale(self):
-        cert, dec = gauge_upper_from_average(self.SEQS, F(1, 4), P)
-        assert cert.scale == dec.scale
-        assert cert.scale**4 <= 625 * F(1, 4)
-        cert.validate(dec.average())
-
-    def test_zero_average(self):
-        cert, dec = gauge_upper_from_average([GridSeq.make(())] * 4, F(1, 2), P)
-        assert cert.scale == 0
 
 
 class TestGaugeLower:

@@ -2,6 +2,7 @@
 the dense tableau simplex it replaced."""
 
 import random
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -10,12 +11,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
+from trigauge import lp
 from trigauge.exact import Rational
 from trigauge.lp import (
     LPResult,
     _check_certificate as check_certificate,
     _column,
+    _first_taken,
     _solve_columns,
+    _Trail,
     solve_lp,
 )
 
@@ -408,3 +412,158 @@ def test_wide_cover_program_matches_tableau_reference(seed):
     # the prebuilt-column entry the micro oracle uses, on the same program
     prebuilt = [_column([(i, v) for i, v in enumerate(col) if v], Fraction(1)) for col in columns]
     assert _solve_columns(prebuilt, b) == want
+
+
+# -- resuming a recorded solve ------------------------------------------------------
+
+
+def prebuilt(c, rows):
+    """The program's structural columns in ``_column`` form."""
+    return [
+        _column([(i, Fraction(row[j])) for i, row in enumerate(rows) if row[j]], Fraction(c[j]))
+        for j in range(len(c))
+    ]
+
+
+def count_pivots(solve, *args):
+    """solve(*args) and the number of simplex pivots it made, counted as
+    calls of the solver's inner ``do_pivot``."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "do_pivot" and code.co_filename == lp.__file__:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        out = solve(*args)
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+def assert_resumes_like_cold(c, rows, b, cuts):
+    """Solving each prefix columns[:cut] on one trail gives, every time,
+    what a solve without a trail gives."""
+    columns = prebuilt(c, rows)
+    rhs = [Fraction(v) for v in b]
+    trail = _Trail()
+    for cut in cuts:
+        assert _solve_columns(columns[:cut], rhs, trail) == _solve_columns(columns[:cut], rhs)
+
+
+@st.composite
+def growing_lps(draw):
+    """An LP as ``small_lps`` draws it, with its columns cut into 1-5
+    growing prefixes, the last one whole."""
+    c, rows, b = draw(small_lps())
+    cuts = draw(st.lists(st.integers(0, len(c)), max_size=4))
+    return c, rows, b, sorted(set(cuts) | {len(c)})
+
+
+# (c, rows, b, cuts): one program per place where a solve of all columns
+# can restart on the path a solve of the first cut columns recorded
+RESUMES = {
+    "no-artificial": ([2, -1], [[0, -1]], [-2], [1, 2]),
+    "phase1-surplus-enters": (
+        [1, Fraction(1, 2)], [[1, Fraction(1, 2)], [1, -1]], [2, 1], [1, 2]
+    ),
+    "phase1-end": ([-1, 2], [[-1, 2], [1, 1]], [-1, 1], [1, 2]),
+    "zero-artificial-out": (
+        [2, -1], [[1, -1], [1, -1], [-1, Fraction(1, 2)]], [1, 1, -1], [1, 2]
+    ),
+    "phase2-surplus-enters": (
+        [1, 2, 1], [[Fraction(1, 2), -1, 1], [Fraction(1, 2), 0, 1]], [1, 1], [2, 3]
+    ),
+    "phase2-end": ([Fraction(1, 2), 0], [[2, 1]], [2], [1, 2]),
+    "no-column-taken": ([1, 1], [[2, 0]], [-1], [1, 2]),
+}
+# (stage, whether the point is the last of its stage) of each restart; the
+# stage is None when no appended column is ever taken
+RESUME_KINDS = {
+    "no-artificial": (lp._PHASE2, True),
+    "phase1-surplus-enters": (lp._PHASE1, False),
+    "phase1-end": (lp._PHASE1, True),
+    "zero-artificial-out": (lp._PIVOT_OUT, False),
+    "phase2-surplus-enters": (lp._PHASE2, False),
+    "phase2-end": (lp._PHASE2, True),
+    "no-column-taken": (None, True),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(growing_lps())
+@example(RESUMES["no-artificial"])
+@example(RESUMES["phase1-surplus-enters"])
+@example(RESUMES["zero-artificial-out"])
+@example(RESUMES["phase2-surplus-enters"])
+@example(([1, 1], [[-1, 1]], [1], [1, 2]))  # infeasible, then feasible
+@example(([1, -1, 1], [[1, 1, 1]], [1], [1, 2, 3]))  # optimal, unbounded, unbounded
+@example(([1, -1], [[1, 0], [-1, 1]], [1, -1], [1, 2]))  # unbounded from phase 1's end
+@example(([1, 0], [[2, 1], [1, 1]], [2, 1], [1, 2]))  # a ratio tie before the restart
+@example(([1, 2], [[1, 1], [Fraction(1, 2), 1]], [1, 1], [1, 2]))  # a ratio tie after it
+@example(([1, 1, 1], [[1, 1, 2], [2, 2, 4]], [1, 2], [1, 2, 3]))  # duplicate rows
+def test_resumed_solve_matches_cold(lp_cuts):
+    assert_resumes_like_cold(*lp_cuts)
+
+
+@pytest.mark.parametrize("name", list(RESUMES))
+def test_resume_restarts_where_bland_takes_an_appended_column(name):
+    c, rows, b, (cut, _) = RESUMES[name]
+    columns = prebuilt(c, rows)
+    rhs = [Fraction(v) for v in b]
+    trail = _Trail()
+    assert _solve_columns(columns[:cut], rhs, trail).status == "optimal"
+    points = trail.points
+    k = _first_taken(
+        points,
+        columns[cut:],
+        [0] * (len(c) - cut),
+        [col.cost_num for col in columns[cut:]],
+    )
+    if k == len(points):
+        kind = (None, True)
+    else:
+        ends = k + 1 == len(points) or points[k + 1].stage != points[k].stage
+        kind = (points[k].stage, ends)
+    assert kind == RESUME_KINDS[name]
+    if name == "no-artificial":
+        assert all(point.stage == lp._PHASE2 for point in points)
+    assert_resumes_like_cold(*RESUMES[name])
+
+
+def test_resume_with_no_eligible_column_makes_no_pivot():
+    # the appended columns cost more than the recorded optimum's duals pay
+    # for them, so the resumed solve returns the recorded vertex as it is
+    c = [1, 1, 3, 5]
+    rows = [[1, 0, 1, 1], [0, 1, 1, 2]]
+    b = [1, 2]
+    columns = prebuilt(c, rows)
+    rhs = [Fraction(v) for v in b]
+    trail = _Trail()
+    first, cold_pivots = count_pivots(_solve_columns, columns[:2], rhs, trail)
+    assert first.status == "optimal" and cold_pivots > 0
+    recorded = list(trail.points)
+    resumed, pivots = count_pivots(_solve_columns, columns, rhs, trail)
+    assert pivots == 0
+    assert resumed == _solve_columns(columns, rhs)
+    assert resumed.x == first.x + (Fraction(0), Fraction(0))
+    assert trail.points == recorded
+
+
+def test_trail_for_another_program_is_not_resumed():
+    # another rhs, or columns that do not extend the recorded ones, solve
+    # from the start and record their own path
+    columns = prebuilt([1, 2, 1], [[1, 1, 0], [0, 1, 1]])
+    rhs = [Fraction(1), Fraction(1)]
+    trail = _Trail()
+    _solve_columns(columns[:2], rhs, trail)
+    other_rhs = [Fraction(2), Fraction(1)]
+    cold, cold_pivots = count_pivots(_solve_columns, columns, other_rhs)
+    assert count_pivots(_solve_columns, columns, other_rhs, trail) == (cold, cold_pivots)
+    assert trail.rhs == other_rhs
+    reordered = [columns[1], columns[0], columns[2]]
+    cold, cold_pivots = count_pivots(_solve_columns, reordered, other_rhs)
+    assert count_pivots(_solve_columns, reordered, other_rhs, trail) == (cold, cold_pivots)

@@ -2,10 +2,13 @@
 
 import gc
 import hashlib
+import importlib
 import itertools
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Mapping
 
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigauge import micro
+from trigauge import lp, micro
 from trigauge.core import (
     DEFAULT_P,
     LorentzParam,
@@ -48,6 +51,7 @@ from trigauge.micro import (
 
 P = DEFAULT_P
 C_HI = lorentz_l2_constant(P).hi
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # independent high-precision values (mpmath, 30 digits), b_k = k**(-2/3):
 #   2 / (1 + b_2), (7/4) / (1 + b_2), 3 / (2 (1 + b_2 + b_3))
@@ -427,8 +431,8 @@ def test_each_dual_candidate_certified_once(monkeypatch):
         offered.extend(out)
         return out
 
-    def record_cover(columns, cells, target):
-        out = cover(columns, cells, target)
+    def record_cover(columns, cells, target, trail):
+        out = cover(columns, cells, target, trail)
         offered.extend([out[2], target])
         return out
 
@@ -574,9 +578,9 @@ def test_cached_member_columns_match_dense_entries(monkeypatch):
             pool[key] = _joined(pieces, P).element()
         return out
 
-    def record_cover(columns, cells, target):
+    def record_cover(columns, cells, target, trail):
         rounds.append((list(columns), cells, list(pool.values())))
-        return cover(columns, cells, target)
+        return cover(columns, cells, target, trail)
 
     monkeypatch.setattr(micro, "_pattern_atoms", record_atoms)
     monkeypatch.setattr(micro, "_cover_program", record_cover)
@@ -658,9 +662,14 @@ def test_capacity_ties(p, v, n):
 
 
 def certified_piece(cells: dict, counts: tuple[int, ...], scale: F) -> micro._Piece:
-    """A piece on the given cells, certified by one generator at scale."""
+    """A piece on the given cells, certified by one generator at scale,
+    with its row mask and capacity."""
+    vector = TriVector(cells)
     cert = HullCertificate((GridSeq.make(counts),), (F(1),), scale)
-    piece = micro._Piece(_element_key(TriVector(cells)), cert)
+    mask = sum(1 << i for i in vector.active_rows())
+    piece = micro._Piece(
+        _element_key(vector), cert, mask, micro._capacity(row_norm_sq(vector), P)
+    )
     piece.certify(P)
     return piece
 
@@ -704,6 +713,110 @@ def test_only_members_the_cover_uses_are_joined(monkeypatch):
     with pytest.raises(ToleranceUnreachableError):
         tau_micro_oracle(TriVector(FAILING_SUPPORTS[0]), P)
     assert 0 < len(joined) <= 8
+
+
+def bench_micro_supports() -> list[dict[Cell, F]]:
+    """The 73 supports of round 0 of the benchmark's micro workload at
+    seed 1, drawn by the benchmark's own code."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH))
+    rng = random.Random(workloads.derive("micro", 1, 0))
+    shapes = [workloads.sandwich_shape(rng) for _ in range(workloads.MICRO_SHAPES)]
+    return [cells for _, cells in workloads.fixed_supports() + shapes]
+
+
+def test_piece_masks_and_capacities_match_make_disjoint_rep(monkeypatch):
+    # every piece the oracle builds on the benchmark's supports carries,
+    # uncertified, the row mask and capacity its certificate would give
+    stores = []
+
+    class RecordedStore(_PieceStore):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            stores.append(self)
+
+    monkeypatch.setattr(micro, "_PieceStore", RecordedStore)
+    for cells in bench_micro_supports():
+        try:
+            tau_micro_oracle(TriVector(cells), P)
+        except ToleranceUnreachableError:
+            pass
+    pieces = [piece for store in stores for piece in store.pieces.values() if piece]
+    assert len(pieces) > 500
+    for piece in pieces:
+        vector = TriVector({cell: F(num, den) for cell, num, den in piece.key})
+        rep = make_disjoint_rep([vector], P, certs=[piece.cert])
+        assert piece.mask == sum(1 << i for i in rep.pieces[0].active_rows())
+        assert piece.capacity == micro._capacity(rep.norms_sq[0], P)
+
+
+@pytest.mark.parametrize("cells", FAILING_SUPPORTS, ids=FAILING_IDS)
+def test_only_pieces_of_joined_members_are_certified(monkeypatch, cells):
+    # the first failing support builds 284 pieces for 8 joined members of at
+    # most three pieces each; the second joins none
+    certified, joined = [], []
+    certify, join = micro.make_disjoint_rep, micro.join_disjoint_reps
+
+    def counted_certify(pieces, *args, **kwargs):
+        certified.append(pieces)
+        return certify(pieces, *args, **kwargs)
+
+    def counted_join(reps, p):
+        joined.append(len(reps))
+        return join(reps, p)
+
+    monkeypatch.setattr(micro, "make_disjoint_rep", counted_certify)
+    monkeypatch.setattr(micro, "join_disjoint_reps", counted_join)
+    with pytest.raises(ToleranceUnreachableError):
+        tau_micro_oracle(TriVector(cells), P)
+    assert len(certified) <= sum(joined) <= 24
+    assert bool(certified) == bool(joined)
+
+
+def count_pivots(solve, *args):
+    """solve(*args) and the number of simplex pivots it made, counted as
+    calls of the solver's inner ``do_pivot``."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "do_pivot" and code.co_filename == lp.__file__:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        out = solve(*args)
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+def test_cover_rounds_resume_the_previous_path(monkeypatch):
+    # each round's cover program extends the last one; on the first
+    # failing support a solve from the start repeats 30 and 32 of the
+    # previous round's pivots, and the resumed solves make only the new ones
+    resumed, cold = [], []
+    solve = micro._solve_columns
+
+    def both(columns, rhs, trail):
+        got, pivots = count_pivots(solve, columns, rhs, trail)
+        want, cold_pivots = count_pivots(solve, columns, rhs)
+        assert got == want
+        resumed.append(pivots)
+        cold.append(cold_pivots)
+        return got
+
+    monkeypatch.setattr(micro, "_solve_columns", both)
+    with pytest.raises(ToleranceUnreachableError):
+        tau_micro_oracle(TriVector(FAILING_SUPPORTS[0]), P)
+    assert cold == [30, 32, 35]
+    assert resumed[0] == cold[0] and max(resumed[1:]) <= 3
 
 
 def test_caught_error_keeps_no_working_set():
