@@ -10,20 +10,33 @@ Upper side.  Any nonnegative weights nu with sum_r nu_r * a_r >= |x|
 over validated unit members a_r certify gauge(x) <= sum(nu); by
 solidity the signed x is covered too.  The members are built from
 budget-trimmed generator mixtures, one piece per group of a row
-partition, and the best cover is an exact linear program.  One call
-does each exact step once, and the member pipeline builds no Fraction
-per member.  A trimmed piece is built once (keyed by integer weight
-codes) from integer code counts and row sums, with its row mask and its
-Lorentz capacity, so a member's join test is an integer one; a member
-is keyed by merging its pieces' integer keys, and a combination of
-pieces the previous round already listed is not re-examined.  Each
-pooled member's LP column is built once, from its key, and every
-round's program reuses it.  Each round's program extends the previous
-one by the new members' columns, so its exact solve resumes the
-previous round's pivot path (``lp._Trail``) and pays only for the new
-columns.  Only members the cover weights are joined: their pieces get
-their TriVectors and ``make_disjoint_rep`` certificates then, and
-``join_disjoint_reps`` re-checks them in Fractions.
+partition, and the best cover is an exact linear program.  The members
+do not depend on the values of x, only on its support and p, so each
+support's members are built once per process (``_support_atoms``, one
+entry for each of the 63 supports within rows 1..3) and the member
+pipeline builds no Fraction per member.  A trimmed piece is built once
+(keyed by integer weight codes) from integer code counts and row sums,
+with its row mask, its Lorentz capacity and its part of a member's
+cover-program column, so a member's join test is an integer one; a
+member is keyed by merging its pieces' integer keys, and a combination
+of pieces the previous round already listed is not re-examined.  Each
+round's new members are built the first time a call reaches that
+round, after every earlier round, and a piece is certified by
+``make_disjoint_rep`` once, when the cover first weights a member
+holding it.
+
+Once per call: the pool, seeded with the cheap certificate's members;
+each pooled member's LP column, merged from its pieces' parts; the
+cover program's pivot path; the dual candidates; and every check.  A
+round's stored members are new to every earlier round, so the call adds
+all of them but those the cheap certificate already holds, which gives
+the pool order of a pool built afresh in each call; the cover programs,
+their optimal vertices and duals, and so every certificate, are the
+same.  Each round's program extends the previous one by the new
+members' columns, so its exact solve resumes the previous round's pivot
+path (``lp._Trail``) and pays only for the new columns.  Only members
+the cover weights are joined, and ``join_disjoint_reps`` re-checks
+their pieces in Fractions in every call.
 
 Lower side.  For a cell functional y >= 0 and a rational ceiling H
 with <y, a> <= H for every unit member a, a cover of |x| at scale t
@@ -47,6 +60,7 @@ frame has returned, so a caller holding it does not hold their pool.
 from __future__ import annotations
 
 import itertools
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -66,6 +80,8 @@ from .generators import GridSeq, HullCertificate, enumerate_grid_seqs
 from .lp import _Column, _solve_columns, _Trail
 
 SUPPORT_ROW_CAP = 3
+# every nonempty support within rows 1..SUPPORT_ROW_CAP
+_SUPPORTS = 2 ** (SUPPORT_ROW_CAP * (SUPPORT_ROW_CAP + 1) // 2) - 1
 DEFAULT_TOL = Fraction(1, 1000)
 MAX_ROUNDS = 3  # refinement rounds before ToleranceUnreachableError
 BITS = 96  # enclosure precision of every budget and square root
@@ -285,12 +301,15 @@ def _row_uniform_candidates(
 
 
 _GRID = 24  # mixture weights are codes / _GRID: eighths and thirds
+_FULL_GRID_ROUND = 2  # from this round on, every round trims the same mixtures
 
 
 class _Piece:
     """One trimmed mixture: its integer key, its hull certificate, its rows
-    as bits (``mask``) and ``capacity``, the largest rank at which its
-    seminorm passes the Lorentz test at bound 1 (``_capacity``).
+    as bits (``mask``), ``capacity``, the largest rank at which its
+    seminorm passes the Lorentz test at bound 1 (``_capacity``), and
+    ``column``, its part of a member's cover-program column
+    (``_key_column``).
 
     The key lists (cell, numerator, denominator) of the piece's entries
     in lowest terms, by cell, as ``_element_key`` gives them.  The
@@ -299,7 +318,7 @@ class _Piece:
     the certified one-piece representative.
     """
 
-    __slots__ = ("key", "cert", "mask", "capacity", "rep")
+    __slots__ = ("key", "cert", "mask", "capacity", "column", "rep")
 
     def __init__(
         self,
@@ -307,11 +326,13 @@ class _Piece:
         cert: HullCertificate,
         mask: int,
         capacity: int,
+        column: _Column,
     ) -> None:
         self.key = key
         self.cert = cert
         self.mask = mask
         self.capacity = capacity
+        self.column = column
         self.rep: DisjointRep | None = None
 
     def certify(self, p: LorentzParam) -> DisjointRep:
@@ -366,8 +387,14 @@ def _piece_key(counts: Mapping[Cell, int], gamma: Fraction) -> tuple[tuple[Cell,
     return tuple(key)
 
 
+@lru_cache(maxsize=None)
+def _weights(codes: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """The mixture weights codes / _GRID, one tuple per code tuple."""
+    return tuple(Fraction(c, _GRID) for c in codes)
+
+
 class _PieceStore:
-    """What one oracle call builds once and every round reuses.
+    """What one support's rounds build once and every later round reuses.
 
     ``gens`` maps a row group to its generators' nonzero restrictions to
     the support (as cell tuples); ``mixes`` maps (seqs, codes) to the
@@ -405,8 +432,7 @@ def _trimmed_pieces(
     scale (the seminorm is homogeneous of degree 2).  Only the first
     piece of each trimmed vector is listed: a member holding a later one
     has an earlier twin with the same element.  Mixtures and pieces come
-    from ``store`` when an earlier slot or round of the same call built
-    them.
+    from ``store`` when an earlier slot or round built them.
     """
     budget_lo = _budget_sq(rank, p.num, p.den).lo
     gens = store.gens.get(group)
@@ -417,6 +443,7 @@ def _trimmed_pieces(
             if not (piece := _restrict_cells(seq.indicator(), support)).is_zero()
         ]
     cells_of = dict(gens)
+    position = {cell: k for k, cell in enumerate(sorted(support))}
     out: list[_Piece] = []
     vectors: set[tuple] = set()  # keys of the listed pieces
 
@@ -434,13 +461,17 @@ def _trimmed_pieces(
             gamma = Fraction(1)
             if nsq > budget_lo:
                 gamma = _floor_frac(sqrt_enclosure(budget_lo / nsq, BITS).lo)
-            weights = tuple(Fraction(c, _GRID) for c in codes)
-            store.pieces[key] = None if gamma == 0 else _Piece(
-                _piece_key(counts, gamma),
-                HullCertificate(seqs, weights, gamma),
-                mask,
-                _capacity(nsq * gamma * gamma, p),
-            )
+            if gamma == 0:
+                store.pieces[key] = None
+            else:
+                piece_key = _piece_key(counts, gamma)
+                store.pieces[key] = _Piece(
+                    piece_key,
+                    HullCertificate(seqs, _weights(codes), gamma),
+                    mask,
+                    _capacity(nsq * gamma * gamma, p),
+                    _key_column(piece_key, position),
+                )
         piece = store.pieces[key]
         if piece is not None and piece.key not in vectors:
             vectors.add(piece.key)
@@ -458,7 +489,7 @@ def _trimmed_pieces(
         for pair in itertools.combinations(seqs, 2):
             for w in grid:
                 push(pair, (w, _GRID - w))
-    if round_ >= 2:
+    if round_ >= _FULL_GRID_ROUND:
         for triple in itertools.combinations(seqs, 3):
             push(triple, (_GRID // 3,) * 3)
     return out
@@ -533,10 +564,58 @@ def _joined(member: DisjointRep | tuple[_Piece, ...], p: LorentzParam) -> Disjoi
     return join_disjoint_reps([piece.certify(p) for piece in member], p)
 
 
-def _member_column(key: tuple[tuple[Cell, int, int], ...], position: Mapping[Cell, int]) -> _Column:
-    """A member's cover-program column, built from its element key: its
-    entries on the support cells (row ``position[cell]``) at unit cost, as
-    ``lp._column`` builds them."""
+class _SupportAtoms:
+    """What the refinement rounds build for one support and p, whatever
+    the values on it: each round's new members, from one ``_PieceStore``.
+
+    ``rounds[r]`` is round r's ``_pattern_atoms`` as (keys, members),
+    with ``known`` the keys of rounds 0..r-1.  Round r's old-piece skip
+    reads the slot lists of round r - 1, so ``round`` builds the rounds
+    in order, each the first time a call needs it.  A round past
+    ``_FULL_GRID_ROUND`` lists the same pieces in every slot as the round
+    before, so each of its combinations is old and it adds no member;
+    once that round is built the store, with every piece no member holds,
+    is dropped.  A piece's certified ``rep`` stays with it, so each piece
+    is certified once however many calls join it.
+    """
+
+    __slots__ = ("rows", "support", "p", "store", "rounds", "lock")
+
+    def __init__(self, cells: tuple[Cell, ...], p: LorentzParam) -> None:
+        self.rows = tuple(sorted({i for i, _ in cells}))
+        self.support = frozenset(cells)
+        self.p = p
+        self.store: _PieceStore | None = _PieceStore()
+        self.rounds: list[tuple[tuple[tuple, ...], tuple[tuple[_Piece, ...], ...]]] = []
+        self.lock = threading.Lock()
+
+    def round(self, r: int) -> tuple[tuple[tuple, ...], tuple[tuple[_Piece, ...], ...]]:
+        """Round r's new members as (keys, members), in pool order."""
+        if r > _FULL_GRID_ROUND:
+            return (), ()
+        with self.lock:
+            while len(self.rounds) <= r:
+                known = {key for keys, _ in self.rounds for key in keys}
+                atoms = _pattern_atoms(
+                    self.rows, self.p, self.support, len(self.rounds), known, self.store
+                )
+                self.rounds.append((tuple(atoms), tuple(atoms.values())))
+            if len(self.rounds) > _FULL_GRID_ROUND:
+                self.store = None
+            return self.rounds[r]
+
+
+@lru_cache(maxsize=_SUPPORTS)
+def _support_atoms(cells: tuple[Cell, ...], num: int, den: int) -> _SupportAtoms:
+    """The process-wide ``_SupportAtoms`` of the support cells (sorted)
+    and p = num/den."""
+    return _SupportAtoms(cells, LorentzParam(num, den))
+
+
+def _key_column(key: tuple[tuple[Cell, int, int], ...], position: Mapping[Cell, int]) -> _Column:
+    """The cover-program column of the vector with element key ``key``:
+    its entries on the support cells (row ``position[cell]``) at unit
+    cost, as ``lp._column`` builds them."""
     entries = [(position[c], num, den) for c, num, den in key if c in position]
     common = lcm(*(den for _, _, den in entries))
     return _Column(
@@ -544,6 +623,23 @@ def _member_column(key: tuple[tuple[Cell, int, int], ...], position: Mapping[Cel
         tuple(num * (common // den) for _, num, den in entries),
         common,
         common,
+    )
+
+
+def _member_column(pieces: tuple[_Piece, ...]) -> _Column:
+    """A ``_pattern_atoms`` member's column, merged from its pieces'
+    columns over the lcm of their denominators.  The pieces sit on
+    disjoint rows, so this is the ``_key_column`` of the member's key."""
+    if len(pieces) == 1:
+        return pieces[0].column
+    common = lcm(*(piece.column.den for piece in pieces))
+    entries = sorted(
+        (row, num * (common // col.den))
+        for col in (piece.column for piece in pieces)
+        for row, num in zip(col.rows, col.nums)
+    )
+    return _Column(
+        tuple(row for row, _ in entries), tuple(num for _, num in entries), common, common
     )
 
 
@@ -626,37 +722,42 @@ def _refine(
     interval ``best``: the best interval reached and the rounds run."""
     active = x.active_rows()
     x_abs = abs(x)
-    support = frozenset(x_abs.support())
-    cells = tuple(sorted(support))
+    cells = x_abs.support()
     position = {cell: k for k, cell in enumerate(cells)}
     target = {cell: x_abs.entry(*cell) for cell in cells}
-    # each pooled member next to its cover-program column, by element key;
-    # a member is joined into a representative once the cover uses it
-    pool: dict[tuple, tuple[DisjointRep | tuple[_Piece, ...], _Column]] = {}
+    # each pooled member next to its cover-program column, in pool order:
+    # the cheap certificate's members, then each round's new ones; a
+    # member is joined into a representative once the cover uses it
+    members: list[DisjointRep | tuple[_Piece, ...]] = []
+    columns: list[_Column] = []
+    cheap: set[tuple] = set()
     for rep in best.upper.reps:
         key = _element_key(rep.element())
-        if key not in pool:
-            pool[key] = (rep, _member_column(key, position))
+        if key not in cheap:
+            cheap.add(key)
+            members.append(rep)
+            columns.append(_key_column(key, position))
 
     lower = best.lower
     upper = best.upper
     rounds = 0
-    store = _PieceStore()  # mixtures and trimmed pieces, shared by every round
+    atoms = _support_atoms(cells, p.num, p.den)
     tried: set[tuple] = set()  # dual candidates already certified
     trail = _Trail()  # the cover program's pivot path, resumed every round
     for round_ in range(MAX_ROUNDS):
         rounds = round_ + 1
-        for key, member in _pattern_atoms(active, p, support, round_, pool, store).items():
-            pool[key] = (member, _member_column(key, position))
-        objective, weights, duals = _cover_program(
-            [col for _, col in pool.values()], cells, target, trail
-        )
+        # a round's members are new to every earlier round, so only the
+        # cheap members can repeat one; skipping those keeps the pool
+        # order of a per-call build
+        for key, member in zip(*atoms.round(round_)):
+            if key not in cheap:
+                members.append(member)
+                columns.append(_member_column(member))
+        objective, weights, duals = _cover_program(columns, cells, target, trail)
         used = []  # (weight, representative) of each member the cover uses
-        for key, w in zip(list(pool), weights):
+        for k, w in enumerate(weights):
             if w > 0:
-                member, col = pool[key]
-                rep = _joined(member, p)
-                pool[key] = (rep, col)
+                rep = members[k] = _joined(members[k], p)
                 used.append((w, rep))
         if objective < upper.scale:
             upper = GaugeCertificate(

@@ -563,26 +563,36 @@ def test_pattern_atoms_match_reference(cells):
         known |= set(got)
 
 
-def test_cached_member_columns_match_dense_entries(monkeypatch):
-    # each round's cover program gets the pool's cached columns in pool
-    # order: the cheap certificate's members, then each round's new
-    # members; each must be the column solve_lp would build from the
-    # member's dense entries on the support cells
+@pytest.fixture
+def cold_store():
+    """An empty process-wide store of support atoms for the test, emptied
+    again after it: a store that earlier calls warmed builds and
+    certifies nothing, so a count of per-call work would read 0."""
+    micro._support_atoms.cache_clear()
+    yield
+    micro._support_atoms.cache_clear()
+
+
+def test_cached_member_columns_match_dense_entries(monkeypatch, cold_store):
+    # each round's cover program gets the pool's columns in pool order:
+    # the cheap certificate's members, then each round's new members;
+    # each must be the column solve_lp would build from the member's
+    # dense entries on the support cells
     rounds = []
     pool: dict[tuple, TriVector] = {}  # element of each pooled member, in order
-    cover, atoms = micro._cover_program, micro._pattern_atoms
+    cover, atoms_round = micro._cover_program, micro._SupportAtoms.round
 
-    def record_atoms(*args):
-        out = atoms(*args)
-        for key, pieces in out.items():
-            pool[key] = _joined(pieces, P).element()
-        return out
+    def record_round(self, r):
+        keys, members = atoms_round(self, r)
+        for key, pieces in zip(keys, members):
+            pool.setdefault(key, _joined(pieces, P).element())
+        return keys, members
 
     def record_cover(columns, cells, target, trail):
         rounds.append((list(columns), cells, list(pool.values())))
         return cover(columns, cells, target, trail)
 
-    monkeypatch.setattr(micro, "_pattern_atoms", record_atoms)
+    monkeypatch.setattr(micro._SupportAtoms, "round", record_round)
     monkeypatch.setattr(micro, "_cover_program", record_cover)
     for cells in FAILING_SUPPORTS + (BAND_SUPPORT,):
         x = TriVector(cells)
@@ -663,12 +673,14 @@ def test_capacity_ties(p, v, n):
 
 def certified_piece(cells: dict, counts: tuple[int, ...], scale: F) -> micro._Piece:
     """A piece on the given cells, certified by one generator at scale,
-    with its row mask and capacity."""
+    with its row mask, capacity and column on its own cells."""
     vector = TriVector(cells)
     cert = HullCertificate((GridSeq.make(counts),), (F(1),), scale)
     mask = sum(1 << i for i in vector.active_rows())
+    key = _element_key(vector)
+    position = {cell: k for k, cell in enumerate(vector.support())}
     piece = micro._Piece(
-        _element_key(vector), cert, mask, micro._capacity(row_norm_sq(vector), P)
+        key, cert, mask, micro._capacity(row_norm_sq(vector), P), micro._key_column(key, position)
     )
     piece.certify(P)
     return piece
@@ -728,7 +740,7 @@ def bench_micro_supports() -> list[dict[Cell, F]]:
     return [cells for _, cells in workloads.fixed_supports() + shapes]
 
 
-def test_piece_masks_and_capacities_match_make_disjoint_rep(monkeypatch):
+def test_piece_masks_and_capacities_match_make_disjoint_rep(monkeypatch, cold_store):
     # every piece the oracle builds on the benchmark's supports carries,
     # uncertified, the row mask and capacity its certificate would give
     stores = []
@@ -756,7 +768,7 @@ def test_piece_masks_and_capacities_match_make_disjoint_rep(monkeypatch):
 
 
 @pytest.mark.parametrize("cells", FAILING_SUPPORTS, ids=FAILING_IDS)
-def test_only_pieces_of_joined_members_are_certified(monkeypatch, cells):
+def test_only_pieces_of_joined_members_are_certified(monkeypatch, cold_store, cells):
     # the first failing support builds 284 pieces for 8 joined members of at
     # most three pieces each; the second joins none
     certified, joined = [], []
@@ -841,6 +853,110 @@ def test_caught_error_keeps_no_working_set():
     assert held < 100_000
 
 
+# -- the process-wide store of support atoms -------------------------------------
+
+FULL_SUPPORT = tuple(MICRO_CELLS)  # every cell of rows 1..3, sorted
+
+
+def build_rounds(cells: tuple[Cell, ...]) -> list[tuple[tuple, tuple]]:
+    """Each round's (keys, members) on the support cells, asked in order."""
+    atoms = micro._support_atoms(cells, P.num, P.den)
+    return [atoms.round(r) for r in range(micro.MAX_ROUNDS)]
+
+
+def test_rounds_are_built_in_order(cold_store):
+    # round r skips the combinations round r - 1 listed, so asking for the
+    # last round first must still build every round before it
+    cells = tuple(sorted(FAILING_SUPPORTS[0]))
+    atoms = micro._support_atoms(cells, P.num, P.den)
+    late_first = [atoms.round(r)[0] for r in reversed(range(micro.MAX_ROUNDS))][::-1]
+    micro._support_atoms.cache_clear()
+    assert late_first == [keys for keys, _ in build_rounds(cells)]
+
+
+def test_rounds_past_the_full_grid_add_no_member():
+    # _SupportAtoms.round answers these rounds without building them
+    x = TriVector(FAILING_SUPPORTS[0])
+    rows, support = x.active_rows(), frozenset(x.support())
+    store, known = _PieceStore(), set()
+    for round_ in range(micro._FULL_GRID_ROUND + 3):
+        got = _pattern_atoms(rows, P, support, round_, known, store)
+        assert bool(got) == (round_ <= micro._FULL_GRID_ROUND)
+        known |= set(got)
+    atoms = micro._support_atoms(x.support(), P.num, P.den)
+    assert atoms.round(micro._FULL_GRID_ROUND + 1) == ((), ())
+
+
+def test_member_columns_merge_piece_columns(cold_store):
+    # a member's column, merged from its pieces' columns, is the column of
+    # its merged key, field for field
+    position = {cell: k for k, cell in enumerate(FULL_SUPPORT)}
+    members = 0
+    for keys, pieces in build_rounds(FULL_SUPPORT):
+        for key, member in zip(keys, pieces):
+            assert micro._member_column(member) == micro._key_column(key, position)
+            members += 1
+    assert members > 1000
+
+
+def test_store_of_the_full_support_stays_small(cold_store):
+    # the full six-cell support through three rounds keeps about 0.92 MB
+    # (tracemalloc, CPython 3.11); 1.5 MB leaves a margin and still fails
+    # a store that also keeps each member's merged column (1.33 MB more)
+    build_rounds(FULL_SUPPORT)  # fills the caches every support shares
+    micro._support_atoms.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_rounds(FULL_SUPPORT)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_500_000
+
+
+def outcome(x: TriVector, p: LorentzParam = P) -> str:
+    """The repr of the oracle's interval, or of an error's round count and
+    interval."""
+    try:
+        return repr(tau_micro_oracle(x, p))
+    except ToleranceUnreachableError as err:
+        return repr((err.rounds, err.interval))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.sampled_from(MICRO_CELLS), min_size=2, max_size=6, unique=True),
+    st.data(),
+)
+def test_warm_store_gives_the_cold_results(cells, data):
+    # the second call reuses the store the first one built; entries of
+    # similar size mostly leave the cheap interval too wide
+    value = st.builds(lambda k, sign: sign * F(k, 8), st.integers(10, 16), st.sampled_from((1, -1)))
+    xs = [TriVector({c: data.draw(value) for c in cells}) for _ in range(2)]
+    micro._support_atoms.cache_clear()
+    warm = [outcome(x) for x in xs]
+    cold = []
+    for x in xs:
+        micro._support_atoms.cache_clear()
+        cold.append(outcome(x))
+    assert warm == cold
+
+
+@pytest.mark.parametrize("limit", [0, 1])
+def test_shorter_round_limit_leaves_later_calls_identical(monkeypatch, cold_store, limit):
+    xs = [TriVector(cells) for cells in FAILING_SUPPORTS + (BAND_SUPPORT,)]
+    want = [outcome(x) for x in xs]
+    micro._support_atoms.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(micro, "MAX_ROUNDS", limit)
+        for x in xs:
+            outcome(x)
+    assert [outcome(x) for x in xs] == want
+
+
 # -- the oracle's output, pinned -------------------------------------------------
 
 
@@ -874,3 +990,29 @@ def test_uniform_supports_pinned():
         except ToleranceUnreachableError as err:
             reprs.append(repr(err.interval))
     assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == UNIFORM_DIGEST
+
+
+def uniform_digest(warm: str) -> str:
+    """``UNIFORM_DIGEST``'s hash, with the store emptied and then warmed:
+    by none, by the same supports, by them in reverse order, or by a call
+    at p = 5/4 just before each one."""
+    rng = random.Random(19920301)
+    xs = [TriVector(uniform_support(rng)) for _ in range(40)]
+    micro._support_atoms.cache_clear()
+    if warm in ("same", "reversed"):
+        for x in xs if warm == "same" else xs[::-1]:
+            outcome(x)
+    reprs = []
+    for x in xs:
+        if warm == "interleaved":
+            outcome(x, LorentzParam(5, 4))
+        try:
+            reprs.append(repr(tau_micro_oracle(x, P)))
+        except ToleranceUnreachableError as err:
+            reprs.append(repr(err.interval))
+    return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("warm", ["cold", "same", "reversed", "interleaved"])
+def test_uniform_supports_pinned_cold_and_warm(cold_store, warm):
+    assert uniform_digest(warm) == UNIFORM_DIGEST
