@@ -6,37 +6,30 @@ witnesses are two fixed functionals.  On a support confined to rows
 1..3 the relevant part of the body is small enough to squeeze from both
 sides until the enclosure passes a tolerance.
 
-Upper side.  Any nonnegative weights nu with sum_r nu_r * a_r >= |x|
-over validated unit members a_r certify gauge(x) <= sum(nu); by
-solidity the signed x is covered too.  The members are built from
-budget-trimmed generator mixtures, one piece per group of a row
-partition, and the best cover is an exact linear program.  The members
-do not depend on the values of x, only on its support and p, so each
-support's members are built once per process (``_support_atoms``, one
-entry for each of the 63 supports within rows 1..3) and the member
-pipeline builds no Fraction per member.  A trimmed piece is built once
-(keyed by integer weight codes) from integer code counts and row sums,
-with its row mask, its Lorentz capacity and its part of a member's
-cover-program column, so a member's join test is an integer one; a
-member is keyed by merging its pieces' integer keys, and a combination
-of pieces the previous round already listed is not re-examined.  Each
-round's new members are built the first time a call reaches that
-round, after every earlier round, and a piece is certified by
-``make_disjoint_rep`` once, when the cover first weights a member
-holding it.
+Upper side.  Nonnegative weights nu with sum_r nu_r * a_r >= |x| over
+validated unit members a_r certify gauge(x) <= sum(nu), and the best
+cover over a pool of members is an exact linear program, the master.
+On rows 1..3 a unit member is a row-disjoint sum along one of the 13
+partition/rank patterns of ``_patterns``: one piece per row group, in
+the hull of the group's generators at scale 1, with seminorm within
+its rank's budget r^(-1/p).  The pool starts from the cheap
+certificate's members and the support's seed: one trimmed generator
+per slot (group, rank), joined along every pattern.  The seed depends
+only on the support and p, so it is built once per process with each
+member's integer key and cover column, next to the slot programs'
+generators (``_support_atoms``, one entry per support).  A call the
+seed closes ends after one cover solve.
 
-Once per call: the pool, seeded with the cheap certificate's members;
-each pooled member's LP column, merged from its pieces' parts; the
-cover program's pivot path; the dual candidates; and every check.  A
-round's stored members are new to every earlier round, so the call adds
-all of them but those the cheap certificate already holds, which gives
-the pool order of a pool built afresh in each call; the cover programs,
-their optimal vertices and duals, and so every certificate, are the
-same.  Each round's program extends the previous one by the new
-members' columns, so its exact solve resumes the previous round's pivot
-path (``lp._Trail``) and pays only for the new columns.  Only members
-the cover weights are joined, and ``join_disjoint_reps`` re-checks
-their pieces in Fractions in every call.
+Otherwise pricing grows the pool (column generation).  For the
+master's duals y every slot solves its exact slot program, max <y, h>
+over the hull at scale 1 with sum_i rowmass_i(h) / i within the lower
+end of the rank's budget (l2 <= l1 keeps h in the rank's ball), and
+every pattern whose slot optima sum above 1 adds its joined slot
+pieces as a member.  The master resumes its pivot path (``lp._Trail``)
+over the new columns.  Pricing stops when the enclosure is tight, when
+no pattern prices above 1, or after ``PRICING_ROUNDS`` rounds.  A piece
+gets a ``make_disjoint_rep`` certificate, and a member is joined by
+``join_disjoint_reps``, only once a cover weights it.
 
 Lower side.  For a cell functional y >= 0 and a rational ceiling H
 with <y, a> <= H for every unit member a, a cover of |x| at scale t
@@ -45,26 +38,26 @@ restricted to the support cells is still a member, so H only has to
 dominate families living on the support rows: the ceiling is the
 maximum over partition/rank patterns of per-group bounds, each the
 minimum of a hull maximum (budget ignored) and capped Cauchy-Schwarz
-routes through the seminorm ball (hull cap ignored).  Every candidate y
-is exact: the linear program's duals, duals constant along each row that
-equalize the members the cover uses, and |x| itself.  Each distinct
-candidate is certified once per call.
+routes through the seminorm ball (hull cap ignored).  The candidates y
+are exact: the master's duals, duals constant along each row that
+equalize the members the cover uses, and |x| itself.  They are offered
+after the seed's cover and after the pricing, and each distinct one is
+certified once per call.
 
 Both sides use the safe end of every irrational budget, so the interval
-is sound for any input; when ``MAX_ROUNDS`` refinement rounds cannot
-close the gap the best enclosure is raised inside a dedicated error
-rather than silently widened.  The error is raised after the rounds'
-frame has returned, so a caller holding it does not hold their pool.
+is sound for any input; when pricing cannot close the gap the best
+enclosure is raised inside a dedicated error rather than silently
+widened, after the refinement's frame has returned, so a caller
+holding the error does not hold the pool.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Container, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import DEFAULT_P, LorentzParam, Rational, TriVector
 from .decompose import DisjointRep, join_disjoint_reps, make_disjoint_rep
@@ -83,17 +76,18 @@ SUPPORT_ROW_CAP = 3
 # every nonempty support within rows 1..SUPPORT_ROW_CAP
 _SUPPORTS = 2 ** (SUPPORT_ROW_CAP * (SUPPORT_ROW_CAP + 1) // 2) - 1
 DEFAULT_TOL = Fraction(1, 1000)
-MAX_ROUNDS = 3  # refinement rounds before ToleranceUnreachableError
+PRICING_ROUNDS = 16  # column-generation rounds before ToleranceUnreachableError
 BITS = 96  # enclosure precision of every budget and square root
 
 Cell = tuple[int, int]
 
 
 class ToleranceUnreachableError(RuntimeError):
-    """The refinement rounds ran out before the enclosure met the tolerance.
+    """The pricing rounds ran out before the enclosure met the tolerance.
 
-    Carries a valid (just too wide) interval and the round count, so the
-    caller sees the best certified result instead of a widened answer.
+    Carries a valid (just too wide) interval and the pricing round count,
+    so the caller sees the best certified result instead of a widened
+    answer.
     """
 
     def __init__(self, interval: GaugeInterval, rounds: int, tol: Fraction):
@@ -103,7 +97,7 @@ class ToleranceUnreachableError(RuntimeError):
         width = interval.hi - interval.lo
         super().__init__(
             f"enclosure width {float(width):.3g} exceeds tolerance "
-            f"{float(tol):.3g} after {rounds} refinement rounds"
+            f"{float(tol):.3g} after {rounds} pricing rounds"
         )
 
 
@@ -150,30 +144,34 @@ def _budget_sq(rank: int, num: int, den: int) -> Interval:
     return pow_enclosure(Fraction(1, rank), 2 * den // g, num // g, BITS)
 
 
-def _restrict_cells(x: TriVector, cells: frozenset[Cell]) -> TriVector:
-    return TriVector({c: v for c, v in x.items() if c in cells})
-
-
 def _floor_frac(x: Fraction, den: int = 10**12) -> Fraction:
     """Round down to a bounded denominator; keeps trims on the safe side
     without dragging 2^-bits tails through the covering program."""
     return Fraction(int(x * den), den)
 
 
-@lru_cache(maxsize=None)
-def _covered(group: tuple[int, ...], cells: tuple[Cell, ...]) -> tuple[tuple[int, ...], ...]:
-    """Positions in cells (increasing) that each generator on the group
-    covers, distinct and maximal under inclusion.
+def _covers(seq: GridSeq, cell: Cell) -> bool:
+    i, j = cell
+    return i <= len(seq.m) and j <= seq.m[i - 1]
 
-    A covered subset never sums to more than a superset of it: the values
-    summed are positive (``_ceiling`` keeps only y > 0), so dropping it
-    leaves the hull maximum unchanged.
+
+@lru_cache(maxsize=None)
+def _covered(
+    group: tuple[int, ...], cells: tuple[Cell, ...]
+) -> tuple[tuple[tuple[int, ...], GridSeq], ...]:
+    """Positions in cells (increasing) that each generator on the group
+    covers, distinct and maximal under inclusion, each with the first
+    generator covering it.
+
+    A covered subset never sums to more than a superset of it when the
+    values summed are nonnegative, so dropping it changes no hull
+    maximum and no slot optimum.
     """
-    found = {
-        tuple(k for k, (i, j) in enumerate(cells) if i <= len(seq.m) and j <= seq.m[i - 1])
-        for seq in _gens_on(group)
-    }
-    return tuple(sorted(pos for pos in found if not any(set(pos) < set(o) for o in found)))
+    found: dict[tuple[int, ...], GridSeq] = {}
+    for seq in _gens_on(group):
+        found.setdefault(tuple(k for k, cell in enumerate(cells) if _covers(seq, cell)), seq)
+    kept = [pos for pos in found if not any(set(pos) < set(o) for o in found)]
+    return tuple((pos, found[pos]) for pos in sorted(kept))
 
 
 class _GroupCeiling:
@@ -194,7 +192,7 @@ class _GroupCeiling:
     def __init__(self, cells, vals, group) -> None:
         zero = Fraction(0)
         hull = zero
-        for pos in _covered(group, cells):
+        for pos, _ in _covered(group, cells):
             hull = max(hull, sum((vals[k] for k in pos), zero))
         row_mass: dict[int, Fraction] = {}
         row_peak: dict[int, Fraction] = {}
@@ -300,39 +298,21 @@ def _row_uniform_candidates(
     return out
 
 
-_GRID = 24  # mixture weights are codes / _GRID: eighths and thirds
-_FULL_GRID_ROUND = 2  # from this round on, every round trims the same mixtures
-
-
 class _Piece:
-    """One trimmed mixture: its integer key, its hull certificate, its rows
-    as bits (``mask``), ``capacity``, the largest rank at which its
-    seminorm passes the Lorentz test at bound 1 (``_capacity``), and
-    ``column``, its part of a member's cover-program column
-    (``_key_column``).
+    """One slot piece: its integer key, its hull certificate and, once a
+    member the cover weights holds it, ``rep``, its certified one-piece
+    representative (``certify``).
 
     The key lists (cell, numerator, denominator) of the piece's entries
     in lowest terms, by cell, as ``_element_key`` gives them.  The
-    piece's ``TriVector`` is built only for ``make_disjoint_rep``, when a
-    member the cover weights is joined (``certify``), which sets ``rep``,
-    the certified one-piece representative.
+    piece's ``TriVector`` is built only for ``make_disjoint_rep``.
     """
 
-    __slots__ = ("key", "cert", "mask", "capacity", "column", "rep")
+    __slots__ = ("key", "cert", "rep")
 
-    def __init__(
-        self,
-        key: tuple[tuple[Cell, int, int], ...],
-        cert: HullCertificate,
-        mask: int,
-        capacity: int,
-        column: _Column,
-    ) -> None:
+    def __init__(self, key: tuple[tuple[Cell, int, int], ...], cert: HullCertificate) -> None:
         self.key = key
         self.cert = cert
-        self.mask = mask
-        self.capacity = capacity
-        self.column = column
         self.rep: DisjointRep | None = None
 
     def certify(self, p: LorentzParam) -> DisjointRep:
@@ -353,145 +333,65 @@ def _capacity(norm_sq: Fraction, p: LorentzParam) -> int:
     return iroot(norm_sq.denominator**p.num // norm_sq.numerator**p.num, 2 * p.den)
 
 
-def _check_join(pieces: Sequence[_Piece]) -> None:
-    """What ``join_disjoint_reps`` checks of the pieces, in ints:
-    disjoint row masks, then capacities that pass at every rank; raises
-    its ``ValueError``s."""
+def _check_join(parts: Iterable[tuple[int, int]]) -> None:
+    """What ``join_disjoint_reps`` checks of pieces given as (row mask,
+    capacity) pairs, in ints: disjoint row masks, then capacities that
+    pass at every rank; raises its ``ValueError``s."""
     rows = 0
-    for piece in pieces:
-        if rows & piece.mask:
+    capacities = []
+    for mask, capacity in parts:
+        if rows & mask:
             raise ValueError("pieces share a row")
-        rows |= piece.mask
-    for n, capacity in enumerate(sorted(piece.capacity for piece in pieces), start=1):
+        rows |= mask
+        capacities.append(capacity)
+    for n, capacity in enumerate(sorted(capacities), start=1):
         if capacity < n:
             raise ValueError("piece seminorms break the Lorentz bound")
 
 
-def _mix_norm_sq(counts: Mapping[Cell, int]) -> Fraction:
-    """``row_norm_sq`` of the mixture counts / _GRID, from integer row sums."""
-    sums: dict[int, int] = {}
-    for (i, _), count in counts.items():
-        sums[i] = sums.get(i, 0) + count
-    den = lcm(*sums)
-    return Fraction(sum((s * (den // i)) ** 2 for i, s in sums.items()), (_GRID * den) ** 2)
-
-
-def _piece_key(counts: Mapping[Cell, int], gamma: Fraction) -> tuple[tuple[Cell, int, int], ...]:
-    """``_element_key`` of the mixture counts / _GRID scaled by gamma."""
-    num, den = gamma.numerator, _GRID * gamma.denominator
-    key = []
-    for cell in sorted(counts):
-        n = counts[cell] * num
-        g = gcd(n, den)
-        key.append((cell, n // g, den // g))
-    return tuple(key)
-
-
-@lru_cache(maxsize=None)
-def _weights(codes: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """The mixture weights codes / _GRID, one tuple per code tuple."""
-    return tuple(Fraction(c, _GRID) for c in codes)
-
-
-class _PieceStore:
-    """What one support's rounds build once and every later round reuses.
-
-    ``gens`` maps a row group to its generators' nonzero restrictions to
-    the support (as cell tuples); ``mixes`` maps (seqs, codes) to the
-    untrimmed mixture's integer code count per cell, its seminorm and its
-    rows as bits;
-    ``pieces`` maps (rank, seqs, codes) to the trimmed piece, or None
-    when trimming leaves nothing; ``listed`` maps a slot (group, rank) to
-    the pieces it listed in the latest round.
-    """
-
-    __slots__ = ("gens", "mixes", "pieces", "listed")
-
-    def __init__(self) -> None:
-        self.gens: dict[tuple[int, ...], list[tuple[GridSeq, tuple[Cell, ...]]]] = {}
-        self.mixes: dict[tuple, tuple[dict[Cell, int], Fraction, int]] = {}
-        self.pieces: dict[tuple, _Piece | None] = {}
-        self.listed: dict[tuple[tuple[int, ...], int], set[_Piece]] = {}
-
-
-def _trimmed_pieces(
-    group: tuple[int, ...],
+def _seed_pieces(
     rank: int,
     p: LorentzParam,
-    support: frozenset[Cell],
-    round_: int,
-    store: _PieceStore,
-) -> list[_Piece]:
-    """Candidate pieces for one pattern slot, scaled into the rank budget.
+    gens: Sequence[tuple[GridSeq, tuple[Cell, ...]]],
+    built: dict[tuple[int, GridSeq], tuple[_Piece, int, int] | None],
+) -> list[tuple[_Piece, int, int]]:
+    """The seed pieces of one slot as (piece, row mask, capacity): each
+    generator's restriction to the support (``gens``, as its covered
+    cells), scaled into the rank budget.
 
-    Round 0 scales single generators; later rounds add generator
-    mixtures on a weight grid.  A mixture is its integer code count per
-    cell, and its seminorm comes from integer row sums.  Every piece
-    keeps a hull certificate at the scale actually used, its rows as bits
-    and its capacity, from the mixture's seminorm times the squared
-    scale (the seminorm is homogeneous of degree 2).  Only the first
-    piece of each trimmed vector is listed: a member holding a later one
-    has an earlier twin with the same element.  Mixtures and pieces come
-    from ``store`` when an earlier slot or round built them.
+    A restriction's seminorm comes from its integer row counts, and the
+    capacity from that times the squared scale (the seminorm is
+    homogeneous of degree 2).  Every piece's hull certificate is its one
+    generator at the scale used.  Only the first piece of each trimmed
+    vector is listed: a member holding a later one has an earlier twin
+    with the same element.  ``built`` keeps each (rank, generator)'s
+    piece, or None when trimming leaves nothing, for the slots that share
+    it.
     """
     budget_lo = _budget_sq(rank, p.num, p.den).lo
-    gens = store.gens.get(group)
-    if gens is None:
-        gens = store.gens[group] = [
-            (seq, piece.support())
-            for seq in _gens_on(group)
-            if not (piece := _restrict_cells(seq.indicator(), support)).is_zero()
-        ]
-    cells_of = dict(gens)
-    position = {cell: k for k, cell in enumerate(sorted(support))}
-    out: list[_Piece] = []
+    out: list[tuple[_Piece, int, int]] = []
     vectors: set[tuple] = set()  # keys of the listed pieces
-
-    def push(seqs: tuple[GridSeq, ...], codes: tuple[int, ...]) -> None:
-        key = (rank, seqs, codes)
-        if key not in store.pieces:
-            if (seqs, codes) not in store.mixes:
-                counts: dict[Cell, int] = {}
-                for seq, code in zip(seqs, codes):
-                    for cell in cells_of[seq]:
-                        counts[cell] = counts.get(cell, 0) + code
-                mask = sum(1 << i for i in {i for i, _ in counts})
-                store.mixes[seqs, codes] = (counts, _mix_norm_sq(counts), mask)
-            counts, nsq, mask = store.mixes[seqs, codes]
+    for seq, cells in gens:
+        if (rank, seq) not in built:
+            counts: dict[int, int] = {}
+            for i, _ in cells:
+                counts[i] = counts.get(i, 0) + 1
+            nsq = sum((Fraction(s, i) ** 2 for i, s in counts.items()), Fraction(0))
             gamma = Fraction(1)
             if nsq > budget_lo:
                 gamma = _floor_frac(sqrt_enclosure(budget_lo / nsq, BITS).lo)
-            if gamma == 0:
-                store.pieces[key] = None
-            else:
-                piece_key = _piece_key(counts, gamma)
-                store.pieces[key] = _Piece(
-                    piece_key,
-                    HullCertificate(seqs, _weights(codes), gamma),
-                    mask,
-                    _capacity(nsq * gamma * gamma, p),
-                    _key_column(piece_key, position),
-                )
-        piece = store.pieces[key]
-        if piece is not None and piece.key not in vectors:
-            vectors.add(piece.key)
-            out.append(piece)
-
-    seqs = [seq for seq, _ in gens]
-    for seq in seqs:
-        push((seq,), (_GRID,))
-    if round_ >= 1:
-        grid = (
-            [_GRID // 2, _GRID // 4, 3 * _GRID // 4]
-            if round_ == 1
-            else [k * _GRID // 8 for k in range(1, 8)]
-        )
-        for pair in itertools.combinations(seqs, 2):
-            for w in grid:
-                push(pair, (w, _GRID - w))
-    if round_ >= _FULL_GRID_ROUND:
-        for triple in itertools.combinations(seqs, 3):
-            push(triple, (_GRID // 3,) * 3)
+            built[rank, seq] = None if gamma == 0 else (
+                _Piece(
+                    tuple((cell, gamma.numerator, gamma.denominator) for cell in cells),
+                    HullCertificate((seq,), (Fraction(1),), gamma),
+                ),
+                sum(1 << i for i in counts),
+                _capacity(nsq * gamma * gamma, p),
+            )
+        part = built[rank, seq]
+        if part is not None and part[0].key not in vectors:
+            vectors.add(part[0].key)
+            out.append(part)
     return out
 
 
@@ -501,108 +401,184 @@ def _element_key(x: TriVector) -> tuple[tuple[Cell, int, int], ...]:
     return tuple((c, v.numerator, v.denominator) for c, v in x.items())
 
 
-def _pattern_atoms(
-    rows: tuple[int, ...],
-    p: LorentzParam,
-    support: frozenset[Cell],
-    round_: int,
-    known: Container[tuple],
-    store: _PieceStore,
-) -> dict[tuple, tuple[_Piece, ...]]:
-    """Unit members assembled from per-slot pieces, by element key.
+def _merged_key(pieces: Sequence[_Piece]) -> tuple[tuple[Cell, int, int], ...]:
+    """The key of a sum of pieces on disjoint rows: their keys, merged."""
+    if len(pieces) == 1:
+        return pieces[0].key
+    return tuple(sorted(itertools.chain.from_iterable(piece.key for piece in pieces)))
 
-    ``known`` holds the keys of every member earlier rounds assembled, so
-    a combination whose pieces all sat in the previous round's slot lists
-    is skipped unexamined (each round lists the same single generators
-    first, so the same slots are nonempty and the previous round tried
-    that combination), and any other element already known is skipped
-    before it is joined.  A combination's key merges its pieces' keys:
-    the pieces sit on disjoint rows, so the sorted concatenation is the
-    key of their sum.  A member is its tuple of pieces; what joining
-    them adds, row-disjointness and the Lorentz test, is checked on their
-    row masks and capacities (``_check_join``).  Nothing is certified
-    here: ``_joined`` certifies the pieces of a member the cover weights
-    and makes the representative.
+
+def _pattern_atoms(
+    rows: tuple[int, ...], p: LorentzParam, cells: tuple[Cell, ...]
+) -> tuple[tuple[tuple, tuple[_Piece, ...], _Column], ...]:
+    """The seed members on the support cells (sorted): every pattern's
+    combinations of one seed piece per nonempty slot, each element once,
+    as (key, pieces, cover column) in pattern order.
+
+    What joining a combination adds, row-disjointness and the Lorentz
+    test, is checked on the pieces' row masks and capacities
+    (``_check_join``).  Nothing is certified here: ``_joined`` certifies
+    the pieces of a member the cover weights and makes the
+    representative.
     """
+    position = {cell: k for k, cell in enumerate(cells)}
+    gens: dict[tuple[int, ...], list[tuple[GridSeq, tuple[Cell, ...]]]] = {}
+    built: dict[tuple[int, GridSeq], tuple[_Piece, int, int] | None] = {}
+    slots: dict[tuple[tuple[int, ...], int], list[tuple[_Piece, int, int]]] = {}
     seen: dict[tuple, tuple[_Piece, ...]] = {}
-    slot_cache: dict[tuple, tuple[list[_Piece], set[_Piece]]] = {}
     for pattern in _patterns(rows):
-        slots, olds = [], []
+        lists = []
         for group, rank in pattern:
-            cached = slot_cache.get((group, rank))
-            if cached is None:
-                pieces = _trimmed_pieces(group, rank, p, support, round_, store)
-                cached = (pieces, store.listed.get((group, rank), set()))
-                slot_cache[group, rank] = cached
-                store.listed[group, rank] = set(pieces)
-            pieces, old = cached
-            if pieces:
-                slots.append(pieces)
-                olds.append(old)
-        if not slots:
+            if (group, rank) not in slots:
+                if group not in gens:
+                    gens[group] = [
+                        (seq, covered)
+                        for seq in _gens_on(group)
+                        if (covered := tuple(c for c in cells if _covers(seq, c)))
+                    ]
+                slots[group, rank] = _seed_pieces(rank, p, gens[group], built)
+            if slots[group, rank]:
+                lists.append(slots[group, rank])
+        if not lists:
             continue
-        for combo in itertools.product(*slots):
-            if all(piece in old for piece, old in zip(combo, olds)):
-                continue
-            if len(combo) == 1:
-                key = combo[0].key
-            else:
-                key = tuple(sorted(itertools.chain.from_iterable(piece.key for piece in combo)))
-            if key in seen or key in known:
-                continue
-            _check_join(combo)
-            seen[key] = combo
-    return seen
+        for combo in itertools.product(*lists):
+            pieces = tuple(piece for piece, _, _ in combo)
+            key = _merged_key(pieces)
+            if key not in seen:
+                _check_join((mask, capacity) for _, mask, capacity in combo)
+                seen[key] = pieces
+    return tuple((key, pieces, _key_column(key, position)) for key, pieces in seen.items())
 
 
 def _joined(member: DisjointRep | tuple[_Piece, ...], p: LorentzParam) -> DisjointRep:
-    """A pooled member as a representative: a ``_pattern_atoms`` member's
-    pieces are certified by ``make_disjoint_rep`` and joined by
+    """A pooled member as a representative: a member's pieces are
+    certified by ``make_disjoint_rep`` and joined by
     ``join_disjoint_reps``, which re-checks them in Fractions."""
     if isinstance(member, DisjointRep):
         return member
     return join_disjoint_reps([piece.certify(p) for piece in member], p)
 
 
-class _SupportAtoms:
-    """What the refinement rounds build for one support and p, whatever
-    the values on it: each round's new members, from one ``_PieceStore``.
+class _SlotProgram:
+    """The slot programs of one row group on one support, at every rank.
 
-    ``rounds[r]`` is round r's ``_pattern_atoms`` as (keys, members),
-    with ``known`` the keys of rounds 0..r-1.  Round r's old-piece skip
-    reads the slot lists of round r - 1, so ``round`` builds the rounds
-    in order, each the first time a call needs it.  A round past
-    ``_FULL_GRID_ROUND`` lists the same pieces in every slot as the round
-    before, so each of its combinations is old and it adds no member;
-    once that round is built the store, with every piece no member holds,
-    is dropped.  A piece's certified ``rep`` stays with it, so each piece
-    is certified once however many calls join it.
+    For y >= 0 on the group's support cells and a budget beta, the slot
+    program is max <y, h> over 0 <= h <= sum_q mu_q ind_q, sum mu <= 1,
+    sum_c h_c / i_c <= beta, with q over the group's generators.  Any
+    such h is sum_q mu_q g_q with 0 <= g_q <= ind_q, so the optimum is
+    the concave hull at beta of the generators' fractional knapsacks
+    f_q(b) = max <y, g> over 0 <= g <= ind_q, sum_c g_c / i_c <= b.  Each
+    f_q is concave and piecewise linear, with a vertex after each of the
+    generator's cells taken whole in decreasing order of y_c i_c, so the
+    hull of all vertices and the origin gives the exact optimum at every
+    beta at once, reached by the one or two vertices around beta.  The
+    hull is built in integers: values over the common denominator of y,
+    budgets in units of 1 / lcm(group).
     """
 
-    __slots__ = ("rows", "support", "p", "store", "rounds", "lock")
+    __slots__ = ("cells", "unit", "covers", "seqs")
+
+    def __init__(self, group: tuple[int, ...], cells: tuple[Cell, ...]) -> None:
+        self.cells = tuple(c for c in cells if c[0] in group)
+        self.unit = lcm(*group)
+        kept = _covered(group, self.cells)
+        self.covers = tuple(frozenset(pos) for pos, _ in kept)
+        self.seqs = tuple(seq for _, seq in kept)
+
+    def optima(
+        self, y: Mapping[Cell, Fraction], betas: Sequence[Fraction]
+    ) -> list[tuple[Fraction, _Piece | None]]:
+        """For each budget, the optimum and an optimal h as a piece whose
+        hull certificate holds the optimal mu at scale 1 (None when the
+        optimum is 0)."""
+        priced = [k for k, c in enumerate(self.cells) if y.get(c, 0) > 0]
+        if not priced:
+            return [(Fraction(0), None)] * len(betas)
+        den = lcm(*(y[self.cells[k]].denominator for k in priced))
+        value = [0] * len(self.cells)
+        for k in priced:
+            v = y[self.cells[k]]
+            value[k] = v.numerator * (den // v.denominator)
+        priced.sort(key=lambda k: -value[k] * self.cells[k][0])
+        # each knapsack vertex as (budget, value, generator, positions taken)
+        vertices = []
+        for q, covered in enumerate(self.covers):
+            budget = total = 0
+            taken: tuple[int, ...] = ()
+            for k in priced:
+                if k in covered:
+                    budget += self.unit // self.cells[k][0]
+                    total += value[k]
+                    taken += (k,)
+                    vertices.append((budget, total, q, taken))
+        hull = [(0, 0, -1, ())]
+        for vertex in sorted(vertices, key=lambda v: (v[0], -v[1])):
+            if vertex[1] <= hull[-1][1]:
+                continue
+            while len(hull) > 1:
+                (b0, v0, _, _), (b1, v1, _, _) = hull[-2], hull[-1]
+                if (v1 - v0) * (vertex[0] - b0) > (vertex[1] - v0) * (b1 - b0):
+                    break
+                hull.pop()
+            hull.append(vertex)
+        out = []
+        for beta in betas:
+            reach = beta * self.unit
+            k = next((k for k, v in enumerate(hull) if v[0] >= reach), len(hull) - 1)
+            mix = [(Fraction(1), hull[k])]  # the hull vertices at beta, weighted
+            if hull[k][0] > reach:
+                lam = (hull[k][0] - reach) / (hull[k][0] - hull[k - 1][0])
+                mix = [(lam, hull[k - 1]), (1 - lam, hull[k])]
+            h: dict[Cell, Fraction] = {}
+            mu: dict[int, Fraction] = {}
+            for w, (_, _, q, taken) in mix:
+                if q >= 0:
+                    mu[q] = mu.get(q, 0) + w
+                    for pos in taken:
+                        h[self.cells[pos]] = h.get(self.cells[pos], 0) + w
+            key = tuple((cell, h[cell].numerator, h[cell].denominator) for cell in sorted(h))
+            used = sorted(mu)
+            cert = HullCertificate(
+                tuple(self.seqs[q] for q in used), tuple(mu[q] for q in used), Fraction(1)
+            )
+            optimum = sum((w * vertex[1] for w, vertex in mix), Fraction(0)) / den
+            out.append((optimum, _Piece(key, cert)))
+        return out
+
+
+class _SupportAtoms:
+    """What one support and p give every call, whatever the values on it:
+    the seed members as (key, pieces, cover column) and the slot programs
+    by row group, built once.  A seed piece's certified ``rep`` stays with
+    it, so it is certified once however many calls join it.
+    """
+
+    __slots__ = ("rows", "p", "members", "slots")
 
     def __init__(self, cells: tuple[Cell, ...], p: LorentzParam) -> None:
         self.rows = tuple(sorted({i for i, _ in cells}))
-        self.support = frozenset(cells)
         self.p = p
-        self.store: _PieceStore | None = _PieceStore()
-        self.rounds: list[tuple[tuple[tuple, ...], tuple[tuple[_Piece, ...], ...]]] = []
-        self.lock = threading.Lock()
+        self.members = _pattern_atoms(self.rows, p, cells)
+        groups = {group for pattern in _patterns(self.rows) for group, _ in pattern}
+        self.slots = {group: _SlotProgram(group, cells) for group in sorted(groups)}
 
-    def round(self, r: int) -> tuple[tuple[tuple, ...], tuple[tuple[_Piece, ...], ...]]:
-        """Round r's new members as (keys, members), in pool order."""
-        if r > _FULL_GRID_ROUND:
-            return (), ()
-        with self.lock:
-            while len(self.rounds) <= r:
-                known = {key for keys, _ in self.rounds for key in keys}
-                atoms = _pattern_atoms(
-                    self.rows, self.p, self.support, len(self.rounds), known, self.store
-                )
-                self.rounds.append((tuple(atoms), tuple(atoms.values())))
-            if len(self.rounds) > _FULL_GRID_ROUND:
-                self.store = None
-            return self.rounds[r]
+    def price(self, y: Mapping[Cell, Fraction]) -> dict[tuple, tuple[_Piece, ...]]:
+        """The members of every pattern whose slot optima for y sum above
+        1, by key, in pattern order: each pattern's optimal slot pieces,
+        joined along it."""
+        optima = {}
+        for group, program in self.slots.items():
+            # a group of s rows takes the ranks 1..n - s + 1 of n rows
+            ranks = range(1, len(self.rows) - len(group) + 2)
+            betas = [_budget(rank, self.p.num, self.p.den).lo for rank in ranks]
+            optima.update(zip(((group, rank) for rank in ranks), program.optima(y, betas)))
+        found: dict[tuple, tuple[_Piece, ...]] = {}
+        for pattern in _patterns(self.rows):
+            parts = [optima[slot] for slot in pattern if optima[slot][1] is not None]
+            if sum((value for value, _ in parts), Fraction(0)) > 1:
+                pieces = tuple(piece for _, piece in parts)
+                found.setdefault(_merged_key(pieces), pieces)
+        return found
 
 
 @lru_cache(maxsize=_SUPPORTS)
@@ -626,23 +602,6 @@ def _key_column(key: tuple[tuple[Cell, int, int], ...], position: Mapping[Cell, 
     )
 
 
-def _member_column(pieces: tuple[_Piece, ...]) -> _Column:
-    """A ``_pattern_atoms`` member's column, merged from its pieces'
-    columns over the lcm of their denominators.  The pieces sit on
-    disjoint rows, so this is the ``_key_column`` of the member's key."""
-    if len(pieces) == 1:
-        return pieces[0].column
-    common = lcm(*(piece.column.den for piece in pieces))
-    entries = sorted(
-        (row, num * (common // col.den))
-        for col in (piece.column for piece in pieces)
-        for row, num in zip(col.rows, col.nums)
-    )
-    return _Column(
-        tuple(row for row, _ in entries), tuple(num for _, num in entries), common, common
-    )
-
-
 def _cover_program(
     columns: Sequence[_Column],
     cells: tuple[Cell, ...],
@@ -650,8 +609,8 @@ def _cover_program(
     trail: _Trail,
 ) -> tuple[Fraction, tuple[Fraction, ...], dict[Cell, Fraction]]:
     """Exact minimal-weight cover of the target by the pooled members,
-    given as their ``_member_column`` columns.  The previous round's
-    program is a prefix of this one, so the solve resumes its ``trail``."""
+    given as their columns.  The previous solve's program is a prefix of
+    this one, so the solve resumes its ``trail``."""
     res = _solve_columns(columns, [target[cell] for cell in cells], trail)
     if res.status != "optimal":
         raise AssertionError(f"cover program came back {res.status}")
@@ -680,6 +639,30 @@ def _dual_witness(
     )
 
 
+def _best_lower(
+    lower: GaugeLowerWitness,
+    candidates: Sequence[Mapping[Cell, Fraction]],
+    x: TriVector,
+    p: LorentzParam,
+    tried: set[tuple],
+) -> GaugeLowerWitness:
+    """The best of ``lower`` and the dual witnesses of the candidates not
+    in ``tried``, which gains their keys: a repeat certifies the same
+    value, which cannot beat lower."""
+    x_abs = abs(x)
+    rows = x.active_rows()
+    for y in candidates:
+        key = tuple(sorted((c, v.numerator, v.denominator) for c, v in y.items() if v > 0))
+        if key in tried:
+            continue
+        tried.add(key)
+        witness = _dual_witness(y, x_abs, rows, p)
+        if witness is not None and witness.value > lower.value:
+            witness.validate(x)
+            lower = witness
+    return lower
+
+
 def tau_micro_oracle(
     x: TriVector,
     p: LorentzParam = DEFAULT_P,
@@ -688,11 +671,12 @@ def tau_micro_oracle(
     """Enclose the gauge of x to width tol; support must stay in rows 1..3.
 
     Starts from the general certificates and, while the gap is too wide,
-    alternates an exact covering program over a growing pool of unit
-    members (upper) with certified dual functionals taken from the
-    program's own solution (lower).  Raises ValueError for wide supports
-    and ToleranceUnreachableError after ``MAX_ROUNDS`` rounds; the error
-    carries the best certified interval.
+    covers |x| by an exact program over the support's seed members, then
+    prices new members into it (upper), with certified dual functionals
+    taken from the program's own solution (lower).  Raises ValueError
+    for wide supports and ToleranceUnreachableError after
+    ``PRICING_ROUNDS`` pricing rounds; the error carries the best
+    certified interval.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -718,16 +702,16 @@ def tau_micro_oracle(
 def _refine(
     x: TriVector, p: LorentzParam, tol: Fraction, best: GaugeInterval
 ) -> tuple[GaugeInterval, int]:
-    """The refinement rounds of ``tau_micro_oracle`` from the cheap
-    interval ``best``: the best interval reached and the rounds run."""
+    """The refinement of ``tau_micro_oracle`` from the cheap interval
+    ``best``: the best interval reached and the pricing rounds run."""
     active = x.active_rows()
-    x_abs = abs(x)
-    cells = x_abs.support()
+    cells = x.support()
     position = {cell: k for k, cell in enumerate(cells)}
-    target = {cell: x_abs.entry(*cell) for cell in cells}
+    target = {cell: abs(x.entry(*cell)) for cell in cells}
     # each pooled member next to its cover-program column, in pool order:
-    # the cheap certificate's members, then each round's new ones; a
-    # member is joined into a representative once the cover uses it
+    # the cheap certificate's members, the seed's, then each pricing
+    # round's; a member is joined into a representative once the cover
+    # weights it
     members: list[DisjointRep | tuple[_Piece, ...]] = []
     columns: list[_Column] = []
     cheap: set[tuple] = set()
@@ -737,23 +721,30 @@ def _refine(
             cheap.add(key)
             members.append(rep)
             columns.append(_key_column(key, position))
-
-    lower = best.lower
-    upper = best.upper
-    rounds = 0
     atoms = _support_atoms(cells, p.num, p.den)
+    for key, member, column in atoms.members:
+        if key not in cheap:
+            members.append(member)
+            columns.append(column)
+
+    lower, upper = best.lower, best.upper
+    rounds = 0
     tried: set[tuple] = set()  # dual candidates already certified
-    trail = _Trail()  # the cover program's pivot path, resumed every round
-    for round_ in range(MAX_ROUNDS):
-        rounds = round_ + 1
-        # a round's members are new to every earlier round, so only the
-        # cheap members can repeat one; skipping those keeps the pool
-        # order of a per-call build
-        for key, member in zip(*atoms.round(round_)):
-            if key not in cheap:
-                members.append(member)
-                columns.append(_member_column(member))
-        objective, weights, duals = _cover_program(columns, cells, target, trail)
+    trail = _Trail()  # the cover program's pivot path, resumed by pricing
+    objective, weights, duals = _cover_program(columns, cells, target, trail)
+    for pricing in (False, True):
+        if pricing:
+            while rounds < PRICING_ROUNDS:
+                rounds += 1
+                found = atoms.price(duals)
+                if not found:
+                    break
+                for key, member in found.items():
+                    members.append(member)
+                    columns.append(_key_column(key, position))
+                objective, weights, duals = _cover_program(columns, cells, target, trail)
+                if objective - lower.value <= tol:
+                    break
         used = []  # (weight, representative) of each member the cover uses
         for k, w in enumerate(weights):
             if w > 0:
@@ -766,18 +757,9 @@ def _refine(
                 objective,
             )
             upper.validate(x)
-        candidates = _row_uniform_candidates([rep for _, rep in used], active, cells)
-        candidates += [duals, target]
-        for y in candidates:
-            # a repeat certifies the same value, which cannot beat lower
-            key = tuple(sorted((c, v.numerator, v.denominator) for c, v in y.items() if v > 0))
-            if key in tried:
-                continue
-            tried.add(key)
-            witness = _dual_witness(y, x_abs, active, p)
-            if witness is not None and witness.value > lower.value:
-                witness.validate(x)
-                lower = witness
+        if not pricing or upper.scale - lower.value > tol:
+            candidates = _row_uniform_candidates([rep for _, rep in used], active, cells)
+            lower = _best_lower(lower, candidates + [duals, target], x, p, tried)
         if upper.scale - lower.value <= tol:
             break
     return GaugeInterval(lower, upper), rounds

@@ -18,8 +18,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 
-# failed operations per round: two fixed micro supports never reach tolerance
-FAILED_PER_ROUND = {"gauge": (0, 11), "sweep": (0, 10), "micro": (2, 73)}
+# failed operations per round: every operation reaches its tolerance
+FAILED_PER_ROUND = {"gauge": (0, 11), "sweep": (0, 10), "micro": (0, 73)}
 
 
 def _run(*args: str) -> subprocess.CompletedProcess:
