@@ -635,11 +635,24 @@ class MergeResult:
     breakpoints: tuple[int, ...]
 
     def half_sum(self) -> DisjointRep:
-        pieces = tuple(pc.scale(Fraction(1, 2)) for pc in self.merged.pieces)
-        certs = tuple(
-            HullCertificate(c.seqs, c.weights, c.scale / 2) for c in self.merged.certs
+        """The merged representative halved, at Lorentz bound 1.
+
+        Halving is exact: pieces and hull scales are halved, and the
+        seminorm squares are divided by 4.  So only the Lorentz test at
+        bound 1 is new; a caller that did not build ``merged`` itself
+        checks the result with ``is_unit_member``.
+        """
+        merged = self.merged
+        norms = tuple(v / 4 for v in merged.norms_sq)
+        if not lorentz_le_sq(norms, 1, merged.p):
+            raise ValueError("piece seminorms break the Lorentz bound")
+        return DisjointRep(
+            tuple(pc.scale(Fraction(1, 2)) for pc in merged.pieces),
+            tuple(HullCertificate(c.seqs, c.weights, c.scale / 2) for c in merged.certs),
+            norms,
+            merged.p,
+            Fraction(1),
         )
-        return make_disjoint_rep(pieces, self.merged.p, certs=certs)
 
 
 def merge_representatives(reps: Sequence[DisjointRep], p: LorentzParam) -> MergeResult:
@@ -650,6 +663,11 @@ def merge_representatives(reps: Sequence[DisjointRep], p: LorentzParam) -> Merge
     unconditionally).  The summed element of the merged representative
     then has gauge at most 2, and the same holds for every prefix of
     the selection.
+
+    Each input must pass ``is_unit_member``.  The merged representative
+    concatenates their pieces, checked certificates and checked seminorm
+    squares, as ``join_disjoint_reps`` does, and adds only the block
+    conditions and the Lorentz test at bound 4.
     """
     reps = tuple(reps)
     if not reps:
@@ -670,15 +688,19 @@ def merge_representatives(reps: Sequence[DisjointRep], p: LorentzParam) -> Merge
             length += rep.length
     pieces: list[TriVector] = []
     certs: list[HullCertificate] = []
+    norms: list[Fraction] = []
     breaks = [0]
     for idx in selected:
         pieces.extend(reps[idx].pieces)
         certs.extend(reps[idx].certs)
+        norms.extend(reps[idx].norms_sq)
         breaks.append(len(pieces))
-    norms = [row_norm_sq(pc) for pc in pieces]
     if not block_conditions_sq(norms, breaks, p):
         raise AssertionError("greedy selection broke the block conditions")
-    merged = make_disjoint_rep(pieces, p, certs=certs, lorentz_sq_bound=4)
+    bound = Fraction(4)
+    if not lorentz_le_sq(norms, bound, p):
+        raise ValueError("piece seminorms break the Lorentz bound")
+    merged = DisjointRep(tuple(pieces), tuple(certs), tuple(norms), p, bound)
     return MergeResult(tuple(selected), merged, tuple(breaks))
 
 
@@ -792,14 +814,18 @@ def split_element(
         slice_certs.append(cert)
         total_scale += cert.scale
 
+    # a tail is a sub-selection of a representative that passed the gate;
+    # verify_split checks it once, with is_unit_member
     tail_reps = []
     remainder = TriVector()
     for a, rep, order in zip(alphas, reps, orders):
-        keep = [order[t] for t in range(r, rep.length)]
-        tail = make_disjoint_rep(
-            [rep.pieces[i] for i in keep],
+        keep = order[r:]
+        tail = DisjointRep(
+            tuple(rep.pieces[i] for i in keep),
+            tuple(rep.certs[i] for i in keep),
+            tuple(rep.norms_sq[i] for i in keep),
             p,
-            certs=[rep.certs[i] for i in keep],
+            Fraction(1),
         )
         tail_reps.append(tail)
         remainder = remainder + tail.element().scale(a)

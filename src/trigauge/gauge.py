@@ -52,6 +52,13 @@ class GaugeCertificate:
     Each representative is a unit member of the disjoint-sum body, the
     weights are positive with sum at most 1, so the combination lies in
     co(A) and solidity places x inside scale * V.
+
+    ``validate`` re-derives all of it: every representative through
+    ``is_unit_member``, then the cover (``_check_cover``).  Builders
+    whose representatives come straight from ``make_disjoint_rep`` or
+    ``join_disjoint_reps``, which checked them as they built them, run
+    only the cover check: ``gauge_upper``, ``pairing_witness`` and the
+    micro oracle's refinement.
     """
 
     weights: tuple[Fraction, ...]
@@ -72,6 +79,14 @@ class GaugeCertificate:
         return GaugeCertificate(self.weights, self.reps, self.scale * f)
 
     def validate(self, x: TriVector) -> None:
+        for rep in self.reps:
+            if not rep.is_unit_member():
+                raise AssertionError("representative is not a unit member")
+        self._check_cover(x)
+
+    def _check_cover(self, x: TriVector) -> None:
+        """What the certificate adds to its representatives: the weights,
+        the scale, and the combination dominating |x|."""
         if len(self.weights) != len(self.reps):
             raise AssertionError("length mismatch")
         if any(w <= 0 for w in self.weights):
@@ -80,9 +95,6 @@ class GaugeCertificate:
             raise AssertionError("weights exceed 1")
         if self.scale < 0:
             raise AssertionError("negative scale")
-        for rep in self.reps:
-            if not rep.is_unit_member():
-                raise AssertionError("representative is not a unit member")
         if not self.combination().dominates(abs(x)):
             raise AssertionError("combination does not dominate |x|")
 
@@ -234,7 +246,7 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     scale, groups, certs = best
     pieces = [target.restrict_rows(group) for group in groups]
     cert = _single_rep_certificate(pieces, certs, scale, p)
-    cert.validate(x)
+    cert._check_cover(x)  # make_disjoint_rep checked the representative
     return cert
 
 
@@ -370,9 +382,12 @@ class PairingWitness:
     certificate: GaugeCertificate
 
     def validate(self, b: Sequence[Rational]) -> None:
+        self._check_pairing(b)
+        self.certificate.validate(self.vector)
+
+    def _check_pairing(self, b: Sequence[Rational]) -> None:
         if row_pairing(self.vector, b) != self.pairing:
             raise AssertionError("stored pairing does not match the vector")
-        self.certificate.validate(self.vector)
 
 
 def pairing_witness(b: Sequence[Rational], p: LorentzParam) -> PairingWitness:
@@ -415,5 +430,6 @@ def pairing_witness(b: Sequence[Rational], p: LorentzParam) -> PairingWitness:
     )
     cert = GaugeCertificate((Fraction(1),), (rep,), Fraction(1))
     witness = PairingWitness(vector, row_pairing(vector, b), branch, cert)
-    witness.validate(b)
+    witness._check_pairing(b)
+    cert._check_cover(vector)  # make_disjoint_rep checked the representative
     return witness

@@ -29,7 +29,8 @@ pieces as a member.  The master resumes its pivot path (``lp._Trail``)
 over the new columns.  Pricing stops when the enclosure is tight, when
 no pattern prices above 1, or after ``PRICING_ROUNDS`` rounds.  A piece
 gets a ``make_disjoint_rep`` certificate, and a member is joined by
-``join_disjoint_reps``, only once a cover weights it.
+``join_disjoint_reps``, only once a cover weights it; an upper
+certificate made of such members runs only its cover check.
 
 Lower side.  For a cell functional y >= 0 and a rational ceiling H
 with <y, a> <= H for every unit member a, a cover of |x| at scale t
@@ -756,7 +757,7 @@ def _refine(
                 tuple(rep for _, rep in used),
                 objective,
             )
-            upper.validate(x)
+            upper._check_cover(x)  # make_disjoint_rep or join_disjoint_reps built each member
         if not pricing or upper.scale - lower.value > tol:
             candidates = _row_uniform_candidates([rep for _, rep in used], active, cells)
             lower = _best_lower(lower, candidates + [duals, target], x, p, tried)

@@ -2,10 +2,12 @@
 
 Each suite draws its instances from a per-trial generator seeded by
 (suite, seed, trial), so any single trial can be regenerated without
-running the others.  A trial draws its instance and renders it as text
-before anything checks it, so a trial whose check throws still records
-the instance; it becomes a failure transcript instead of aborting the
-sweep, and the report then fails as a whole.
+running the others.  A trial draws its instance before anything checks
+it and returns it with a thunk that renders it as text, which runs only
+when the trial fails.  No check mutates what its thunk renders, so a
+trial whose check throws still records the instance it drew; it becomes
+a failure transcript instead of aborting the sweep, and the report then
+fails as a whole.
 
 A suite is its list of trials and its summary statistics (``Suite``);
 ``run_suite`` runs the trials and assembles the report.
@@ -43,8 +45,8 @@ from .micro import tau_micro_oracle
 from .report import Report, SweepConfig, jsonable, make_record
 
 Check = Callable[[], tuple[bool, dict]]
-# draws one instance; returns its text and the check to run on it
-TrialFn = Callable[[random.Random, int, SweepConfig], tuple[str, Check]]
+# draws one instance; returns a thunk rendering it as text and the check
+TrialFn = Callable[[random.Random, int, SweepConfig], tuple[Callable[[], str], Check]]
 # (rng label, trial function, failure text when the property fails)
 Trial = tuple[int | str, TrialFn, str]
 PROPERTY_VIOLATED = "property violated"
@@ -63,9 +65,9 @@ def _execute(cfg: SweepConfig, trials: Iterable[Trial]) -> tuple[list, list, lis
     records, failures, details = [], [], []
     for t, (label, trial_fn, error) in enumerate(trials):
         rng = trial_rng(cfg.suite, cfg.seed, label)
-        text = None
+        render = None
         try:
-            text, check = trial_fn(rng, t, cfg)
+            render, check = trial_fn(rng, t, cfg)
             ok, detail = check()
         except Exception as exc:
             ok, detail = False, {"error": repr(exc)}
@@ -77,7 +79,7 @@ def _execute(cfg: SweepConfig, trials: Iterable[Trial]) -> tuple[list, list, lis
                     "trial": t,
                     "error": detail.get("error", error),
                     "detail": jsonable(detail),
-                    "instance": text,
+                    "instance": None if render is None else render(),
                 }
             )
     return records, failures, details
@@ -123,7 +125,7 @@ def _brute_feasible(values: list[Fraction]) -> bool:
 
 def _select_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     values = inst.subset_values(rng, max_len=64)
-    return " ".join(str(v) for v in values), lambda: _select_check(values)
+    return lambda: " ".join(str(v) for v in values), lambda: _select_check(values)
 
 
 def _exhaustive_trial(length: int) -> TrialFn:
@@ -138,7 +140,7 @@ def _exhaustive_trial(length: int) -> TrialFn:
             detail.update({"phase": "exhaustive", "brute_feasible": feasible})
             return ok and feasible, detail
 
-        return " ".join(str(v) for v in values), check
+        return lambda: " ".join(str(v) for v in values), check
 
     return trial
 
@@ -178,7 +180,7 @@ def _partition_trial(rng: random.Random, trial: int, cfg: SweepConfig):
             "reductions": res.reductions,
         }
 
-    return "\n".join(" ".join(str(v) for v in col) for col in cols), check
+    return lambda: "\n".join(" ".join(str(v) for v in col) for col in cols), check
 
 
 def _partition_stats(cfg: SweepConfig, details: list[dict]) -> dict:
@@ -211,7 +213,7 @@ def _kdisjoint_trial(rng: random.Random, trial: int, cfg: SweepConfig):
         ok = ok and max(counts, default=0) <= k and norm <= k * n
         return ok, {"k": k, "n": n, "coords": coords, "sum_norm_sq": norm, "bound": k * n}
 
-    return "\n".join(" ".join(str(e) for e in v) for v in vecs), check
+    return lambda: "\n".join(" ".join(str(e) for e in v) for v in vecs), check
 
 
 def _kdisjoint_stats(cfg: SweepConfig, details: list[dict]) -> dict:
@@ -247,7 +249,7 @@ def _smallsup_trial(rng: random.Random, trial: int, cfg: SweepConfig):
             "rho_sq": rho_sq,
         }
 
-    return seq_file_text(seqs), check
+    return lambda: seq_file_text(seqs), check
 
 
 def _smallsup_trials(cfg: SweepConfig) -> list[Trial]:
@@ -282,10 +284,12 @@ def _blocks_trial(rng: random.Random, trial: int, cfg: SweepConfig):
             "within_1": globally_one,  # often false; the factor 4 is the content
         }
 
-    text = " ".join(str(v) for v in values_sq) + "\nbreaks " + " ".join(
-        str(b) for b in breaks
-    )
-    return text, check
+    def render():
+        return " ".join(str(v) for v in values_sq) + "\nbreaks " + " ".join(
+            str(b) for b in breaks
+        )
+
+    return render, check
 
 
 def _blocks_stats(cfg: SweepConfig, details: list[dict]) -> dict:
@@ -314,7 +318,7 @@ def _mainlemma_trial(rng: random.Random, trial: int, cfg: SweepConfig):
             "scale": cert.scale,
         }
 
-    return seq_file_text(seqs), check
+    return lambda: seq_file_text(seqs), check
 
 
 def _mainlemma_trials(cfg: SweepConfig) -> list[Trial]:
@@ -352,7 +356,7 @@ def _quotient_trial(rng: random.Random, trial: int, cfg: SweepConfig):
             "cap_ok": cap_ok,
         }
 
-    return "b " + " ".join(str(e) for e in b) + "\n" + v.to_text(), check
+    return lambda: "b " + " ".join(str(e) for e in b) + "\n" + v.to_text(), check
 
 
 def _quotient_failures(cfg: SweepConfig) -> list[dict]:
@@ -407,7 +411,7 @@ def _sandwich_trial(rng: random.Random, trial: int, cfg: SweepConfig):
             "cheap_hi": float(cheap.hi),
         }
 
-    return x.to_text(), check
+    return x.to_text, check
 
 
 def _sandwich_stats(cfg: SweepConfig, details: list[dict]) -> dict:
@@ -423,9 +427,12 @@ def _sandwich_stats(cfg: SweepConfig, details: list[dict]) -> dict:
 def _split_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     eps = _eps_for(cfg, trial, EPS_MAIN)
     weights, reps = inst.split_instance(rng, cfg.p, eps)
-    element = TriVector()
-    for a, rep in zip(weights, reps):
-        element = element + rep.element().scale(a)
+
+    def render():
+        element = TriVector()
+        for a, rep in zip(weights, reps):
+            element = element + rep.element().scale(a)
+        return element.to_text()
 
     def check():
         # split_element runs verify_split: reassembly and gauge_bound^8 <= 5^8 eps
@@ -438,7 +445,7 @@ def _split_trial(rng: random.Random, trial: int, cfg: SweepConfig):
             "gauge_bound": result.gauge_bound,
         }
 
-    return element.to_text(), check
+    return render, check
 
 
 def _split_stats(cfg: SweepConfig, details: list[dict]) -> dict:
@@ -481,7 +488,7 @@ def _merge_trial(rng: random.Random, trial: int, cfg: SweepConfig):
             "prefixes_ok": prefixes_ok,
         }
 
-    return "\n".join(rep.element().to_text() for rep in family), check
+    return lambda: "\n".join(rep.element().to_text() for rep in family), check
 
 
 def _merge_stats(cfg: SweepConfig, details: list[dict]) -> dict:

@@ -8,13 +8,14 @@ results and errors alike, with the Fraction code it replaced.
 """
 
 import dataclasses
+import random
 from fractions import Fraction as F
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigauge import decompose
+from trigauge import decompose, instances
 from trigauge.core import DEFAULT_P, TriVector, lorentz_le_sq
 from trigauge.decompose import (
     DisjointRep,
@@ -812,6 +813,51 @@ class TestMerge:
         with pytest.raises(ValueError):
             merge_representatives([], P)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_merged_and_half_equal_make_on_the_concatenation(self, seed):
+        # the checked fields are reused, so both equal a rebuild from scratch
+        family = instances.merge_family(random.Random(seed), P, count=20)
+        res = merge_representatives(family, P)
+        pieces = [piece for idx in res.selected for piece in family[idx].pieces]
+        certs = [cert for idx in res.selected for cert in family[idx].certs]
+        assert res.merged == make_disjoint_rep(pieces, P, certs=certs, lorentz_sq_bound=4)
+        halved = make_disjoint_rep(
+            [piece.scale(F(1, 2)) for piece in pieces],
+            P,
+            certs=[HullCertificate(c.seqs, c.weights, c.scale / 2) for c in certs],
+        )
+        assert res.half_sum() == halved
+
+    def test_half_sum_checks_the_lorentz_bound(self):
+        res = merge_representatives([make_disjoint_rep([full_row(1)], P)], P)
+
+        def merged_at(c):
+            row = full_row(1).scale(c)
+            return dataclasses.replace(
+                res, merged=dataclasses.replace(res.merged, pieces=(row,), norms_sq=(F(c * c),))
+            )
+
+        assert merged_at(2).half_sum().norms_sq == (F(1),)
+        with pytest.raises(ValueError, match="Lorentz"):
+            merged_at(3).half_sum()
+
+    def test_forged_input_rejected(self):
+        reps = [
+            make_disjoint_rep([single_cell(10), single_cell(11)], P),
+            make_disjoint_rep([single_cell(12), single_cell(13)], P),
+        ]
+        rep = reps[1]
+        cert = rep.certs[0]
+        forgeries = [
+            dataclasses.replace(rep, norms_sq=(F(0),) + rep.norms_sq[1:]),
+            dataclasses.replace(
+                rep, certs=(dataclasses.replace(cert, scale=cert.scale / 2),) + rep.certs[1:]
+            ),
+        ]
+        for forged in forgeries:
+            with pytest.raises(ValueError, match="not a unit member"):
+                merge_representatives([reps[0], forged], P)
+
 
 class TestSplit:
     def test_one_big_piece(self):
@@ -858,6 +904,47 @@ class TestSplit:
         rep = make_disjoint_rep([single_cell(20)], P)
         with pytest.raises(ValueError):
             split_element([F(0)], [rep], F(1, 4), P)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tails_equal_make_on_their_pieces(self, seed):
+        weights, reps = instances.split_instance(random.Random(seed), P, F(1, 16))
+        res = split_element(weights, reps, F(1, 16), P)
+        for rep, order, tail in zip(reps, res.orders, res.tail_reps):
+            keep = order[res.front_count :]
+            assert tail == make_disjoint_rep(
+                [rep.pieces[i] for i in keep], P, certs=[rep.certs[i] for i in keep]
+            )
+
+    def test_tails_checked_once(self, monkeypatch):
+        rep = make_disjoint_rep([full_row(1), single_cell(20), single_cell(21)], P)
+        calls = []
+        validate = HullCertificate.validate
+
+        def counted(cert, x):
+            calls.append(cert)
+            return validate(cert, x)
+
+        monkeypatch.setattr(HullCertificate, "validate", counted)
+        res = split_element([F(1, 4)], [rep], F(1, 4), P)
+        (tail,) = res.tail_reps
+        assert tail.length == 2
+        # once at the input gate, and a tail's once more, in verify_split
+        for cert in rep.certs:
+            in_tail = any(cert is c for c in tail.certs)
+            assert sum(1 for c in calls if c is cert) == 1 + in_tail
+
+    def test_forged_input_rejected(self):
+        rep = make_disjoint_rep([full_row(1), single_cell(20), single_cell(21)], P)
+        cert = rep.certs[2]
+        forgeries = [
+            dataclasses.replace(rep, norms_sq=rep.norms_sq[:2] + (F(0),)),
+            dataclasses.replace(
+                rep, certs=rep.certs[:2] + (dataclasses.replace(cert, scale=cert.scale / 2),)
+            ),
+        ]
+        for forged in forgeries:
+            with pytest.raises(ValueError, match="not a unit member"):
+                split_element([F(1, 4)], [forged], F(1, 4), P)
 
     def test_verifier_catches_tampering(self):
         rep = make_disjoint_rep([full_row(1), single_cell(20), single_cell(21)], P)

@@ -1,5 +1,6 @@
 """Tests for certified gauge bounds and pairing witnesses."""
 
+import dataclasses
 from contextlib import contextmanager
 from fractions import Fraction as F
 
@@ -22,6 +23,7 @@ from trigauge.decompose import make_disjoint_rep
 from trigauge.gauge import (
     GaugeCertificate,
     GaugeLowerWitness,
+    PairingWitness,
     gauge_interval,
     gauge_lower,
     gauge_upper,
@@ -31,11 +33,47 @@ from trigauge import gauge
 from trigauge.generators import (
     EnumerationBudgetError,
     GridSeq,
+    HullCertificate,
     hull_min_scale,
 )
 
 P = DEFAULT_P
 C_HI = lorentz_l2_constant(P).hi
+
+
+@contextmanager
+def hull_checks(monkeypatch):
+    """Record each ``HullCertificate.validate`` call's certificate, except
+    the calls made inside ``gauge.hull_min_scale``."""
+    calls, depth = [], []
+    validate = HullCertificate.validate
+    solve = gauge.hull_min_scale
+
+    def counted(cert, x):
+        if not depth:
+            calls.append(cert)
+        return validate(cert, x)
+
+    def inside(target):
+        depth.append(target)
+        try:
+            return solve(target)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(HullCertificate, "validate", counted)
+    monkeypatch.setattr(gauge, "hull_min_scale", inside)
+    yield calls
+
+
+def forged_reps(rep):
+    """The representative with its first stored seminorm square, or its
+    first hull certificate's scale, halved; neither is a unit member."""
+    cert = rep.certs[0]
+    yield dataclasses.replace(rep, norms_sq=(rep.norms_sq[0] / 2,) + rep.norms_sq[1:])
+    yield dataclasses.replace(
+        rep, certs=(dataclasses.replace(cert, scale=cert.scale / 2),) + rep.certs[1:]
+    )
 
 
 def full_row(i):
@@ -493,6 +531,33 @@ class TestGaugeInterval:
         iv.upper.validate(x)
         iv.lower.validate(x)
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            TriVector({(2, 2): F(1, 3), (5, 1): F(4, 5)}),
+            TriVector({(1, 1): F(1, 4), (3, 1): F(1)}),
+            GridSeq.make((0, 1, 2)).indicator(),
+            decr(3),
+            decr(4),
+        ],
+        ids=["two-rows", "sup-bound", "indicator", "decr3", "decr4"],
+    )
+    def test_each_final_piece_checked_once(self, monkeypatch, x):
+        with hull_checks(monkeypatch) as calls:
+            iv = gauge_interval(x, P)
+        (rep,) = iv.upper.reps
+        assert len(calls) == rep.length
+        assert all(a is b for a, b in zip(calls, rep.certs))
+
+    def test_forged_representative_rejected(self):
+        x = TriVector({(2, 2): F(1, 3), (5, 1): F(4, 5)})
+        cert = gauge_interval(x, P).upper
+        for forged in forged_reps(cert.reps[0]):
+            bad = GaugeCertificate(cert.weights, (forged,), cert.scale)
+            bad._check_cover(x)  # the cover alone cannot see the forgery
+            with pytest.raises(AssertionError, match="not a unit member"):
+                bad.validate(x)
+
 
 class TestRepExamples:
     def test_single_generator_piece_accepted(self):
@@ -560,6 +625,24 @@ class TestPairingWitness:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             pairing_witness((F(1, 2), F(1, 2)), P)
+
+    @pytest.mark.parametrize("b", [(F(3, 5), F(4, 5)), (0, 0, 0, 0, F(1, 3), F(2, 3), F(2, 3))])
+    def test_each_piece_checked_once(self, monkeypatch, b):
+        with hull_checks(monkeypatch) as calls:
+            w = pairing_witness(b, P)
+        (rep,) = w.certificate.reps
+        assert len(calls) == rep.length == 1
+        assert calls[0] is rep.certs[0]
+
+    @pytest.mark.parametrize("b", [(F(3, 5), F(4, 5)), (0, 0, 0, 0, F(1, 3), F(2, 3), F(2, 3))])
+    def test_forged_representative_rejected(self, b):
+        w = pairing_witness(b, P)
+        cert = w.certificate
+        for forged in forged_reps(cert.reps[0]):
+            bad_cert = GaugeCertificate(cert.weights, (forged,), cert.scale)
+            bad = PairingWitness(w.vector, w.pairing, w.branch, bad_cert)
+            with pytest.raises(AssertionError, match="not a unit member"):
+                bad.validate(b)
 
     def test_pairing_bounded_by_constant(self):
         # the same functional is bounded by C on the body: check on the witness

@@ -8,7 +8,7 @@ import pytest
 from trigauge import decompose, instances
 from trigauge.core import DEFAULT_P, TriVector
 from trigauge.decompose import make_disjoint_rep, merge_representatives
-from trigauge.gauge import PairingWitness
+from trigauge.gauge import GaugeCertificate
 from trigauge.generators import HullCertificate, parse_seq_file
 from trigauge.report import SweepConfig, load_report_payload
 from trigauge.sweeps import (
@@ -102,7 +102,7 @@ def test_execute_turns_exceptions_into_failures():
                 raise RuntimeError("synthetic")
             return True, {"fine": trial}
 
-        return f"instance {trial}", check
+        return lambda: f"instance {trial}", check
 
     trials = [(t, boom, "property violated") for t in range(cfg.trials)]
     records, failures, details = _execute(cfg, trials)
@@ -155,7 +155,8 @@ def drawn_split(rng, cfg):
     [
         ("partition", decompose, "_validate_partition", parse_matrix, drawn_partition),
         ("mainlemma", decompose, "verify_decomposition", parse_seq_file, drawn_mainlemma),
-        ("quotient", PairingWitness, "validate", parse_quotient, drawn_quotient),
+        # pairing_witness checks its certificate's cover, not its representative
+        ("quotient", GaugeCertificate, "_check_cover", parse_quotient, drawn_quotient),
         ("split", decompose, "verify_split", TriVector.from_text, drawn_split),
     ],
     ids=["partition", "mainlemma", "quotient", "split"],
@@ -240,5 +241,7 @@ def test_merge_suite_validates_each_certificate_a_bounded_number_of_times(monkey
 
     monkeypatch.setattr(HullCertificate, "validate", counted)
     assert run_suite(SweepConfig("merge", seed=1, trials=2)).passed
-    # 5,400 while every prefix was rebuilt and checked twice
-    assert len(calls) <= 500
+    # 3 per piece: once as drawn, once at merge's input gate, once in the
+    # sweep's halved check (5,400 while every prefix was rebuilt and
+    # checked twice, then 500)
+    assert len(calls) <= 300
