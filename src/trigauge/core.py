@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact import (
@@ -55,8 +55,6 @@ class LorentzParam:
     den: int
 
     def __post_init__(self) -> None:
-        from math import gcd
-
         if self.den < 1 or not (self.den < self.num < 2 * self.den):
             raise ValueError(f"need 1 < num/den < 2, got {self.num}/{self.den}")
         if gcd(self.num, self.den) != 1:
@@ -269,6 +267,25 @@ def row_norm_sq(x: TriVector) -> Fraction:
     return total
 
 
+def _row_norm_nums(x: TriVector) -> tuple[dict[int, int], int]:
+    """Each nonzero row's ``row_norm_sq`` term (|row i| sum / i)^2, in one
+    pass over x, as integer numerators over the least common denominator.
+
+    The row means |row i| sum / i are put over one denominator R and the
+    gcd of R and their numerators is divided out, so R^2 is the lcm of
+    the terms' reduced denominators.
+    """
+    entries = x._entries  # noqa: SLF001 - module-internal fast path
+    com = lcm(*(v.denominator for v in entries.values()))
+    sums: dict[int, int] = {}
+    for (i, _), v in entries.items():
+        sums[i] = sums.get(i, 0) + abs(v.numerator) * (com // v.denominator)
+    rows = lcm(*sums)
+    means = {i: s * (rows // i) for i, s in sums.items()}  # over com * rows
+    g = gcd(com * rows, *means.values())
+    return {i: (m // g) ** 2 for i, m in means.items()}, (com * rows // g) ** 2
+
+
 def l2_norm_sq(values: Iterable[Rational]) -> Fraction:
     """Sum of squares, in integers over the lcm of the denominators."""
     vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
@@ -306,15 +323,32 @@ def _lorentz_le(
 
 
 def _lorentz_value(
-    nums: Sequence[int], den: int, p: LorentzParam, rel_tol: Fraction = Fraction(1, 10**9)
+    nums: Sequence[int],
+    den: int,
+    p: LorentzParam,
+    rel_tol: Fraction = Fraction(1, 10**9),
+    roots: dict[tuple[int, int, int], Interval] | None = None,
 ) -> Interval:
     """``lorentz_value_sq`` on the squares N/D, N in ``nums`` (decreasing,
     nonnegative) and D = ``den``: the terms t_n = (N_n/D)^num n^(2 den)
-    share the denominator D^num, so their numerators compare as ints."""
+    share the denominator D^num, so their numerators compare as ints.
+
+    ``roots``, when given, keeps each term's root enclosure under (its
+    numerator, D^num, bits) for later calls with the same ``p``."""
     if not nums or not nums[0]:
         return Interval.point(0)
     k = 2 * p.num
     t_den = den**p.num
+    if roots is None:
+        roots = {}
+
+    def root(t: int, bits: int) -> Interval:
+        key = (t, t_den, bits)
+        iv = roots.get(key)
+        if iv is None:
+            iv = roots[key] = root_enclosure(Fraction(t, t_den), k, bits)
+        return iv
+
     terms = []  # numerators of t_n over t_den
     for n, v in enumerate(nums, start=1):
         if not v:
@@ -322,7 +356,7 @@ def _lorentz_value(
         terms.append(v**p.num * n ** (2 * p.den))
     top = max(terms)
     for bits in (96, 192, 384):
-        iv = root_enclosure(Fraction(top, t_den), k, bits)
+        iv = root(top, bits)
         lo, hi = iv.lo, iv.hi
         # root of t <= hi - 2^-bits  <=>  t (hi.den 2^bits)^k <= cut^k t_den
         cut = max((hi.numerator << bits) - hi.denominator, 0)
@@ -331,7 +365,7 @@ def _lorentz_value(
             # a term equal to the top one has the same enclosure
             if t == top or t * den_k <= limit:
                 continue
-            other = root_enclosure(Fraction(t, t_den), k, bits)
+            other = root(t, bits)
             lo = max(lo, other.lo)
             hi = max(hi, other.hi)
         if hi - lo <= rel_tol * lo:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Sequence
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     TriVector,
     _lorentz_le,
     _lorentz_value,
+    _row_norm_nums,
     l2_norm_sq,
     lorentz_l2_constant,
     row_norm_sq,
@@ -161,10 +161,13 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     the best so far.  Two exact lower bounds on it need no LP, so they
     run first.  Every hull scale is at least the largest |x_ij| on its
     rows, so the search ends once the best reaches the largest entry.
-    The row seminorms are put over one common denominator once per call,
-    so a group's seminorm is an integer sum and each partition runs the
-    weak-Lorentz test, then the enclosure's upper end, on sorted ints;
-    either drops a partition whose Lorentz value is not below the best.
+    The row seminorm numerators come from one pass over |x|, over one
+    common denominator, so a group's seminorm is an integer sum and each
+    partition runs the weak-Lorentz test against the best's square
+    (formed once per new best), then the enclosure's upper end, on
+    sorted ints; either drops a partition whose Lorentz value is not
+    below the best.  The partitions share one dict of root enclosures,
+    so each distinct term's root is enclosed once per call.
     The groups of a partition that survives are solved, already decided
     and smaller groups first, until one's hull scale is not below the
     best.  Dropping rows never raises a hull scale, so a group is not
@@ -213,14 +216,14 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     # per-row split: no enumeration, always available
     row_certs, sups = zip(*(_full_row_cert(target, i) for i in rows))
     # the row seminorms as integer numerators over one denominator
-    row_sq = [row_norm_sq(target.restrict_rows([i])) for i in rows]
-    den = lcm(*(v.denominator for v in row_sq))
-    row_num = {i: v.numerator * (den // v.denominator) for i, v in zip(rows, row_sq)}
-    scale = max(max(sups), _lorentz_value(sorted(row_num.values(), reverse=True), den, p).hi)
-    best = (scale, tuple((i,) for i in rows), row_certs)
+    row_num, den = _row_norm_nums(target)
+    roots: dict = {}  # root enclosures shared by every partition's Lorentz value
+    row_value = _lorentz_value(sorted(row_num.values(), reverse=True), den, p, roots=roots)
+    best = (max(max(sups), row_value.hi), tuple((i,) for i in rows), row_certs)
 
     if len(rows) <= MAX_PARTITION_ROWS:
         floor = max(sups)  # no partition's scale is below the largest |x_ij|
+        bound_sq = best[0] ** 2  # formed again only for a new best
         for partition in _set_partitions(rows):
             bound = best[0]
             if bound <= floor:
@@ -228,9 +231,9 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
             if len(partition) == len(rows):
                 continue  # the singleton partition is the per-row split
             group_sq = sorted((norm_sq(group) for group in partition), reverse=True)
-            if not _lorentz_le(group_sq, den, bound**2, p):
+            if not _lorentz_le(group_sq, den, bound_sq, p):
                 continue
-            scale = _lorentz_value(group_sq, den, p).hi
+            scale = _lorentz_value(group_sq, den, p, roots=roots).hi
             if scale >= bound:
                 continue
             # decided groups cost nothing; then fewer rows means a smaller LP
@@ -238,6 +241,7 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
             if all(hull_below(group, bound) for group in order):
                 scale = max(scale, *(hulls[group][0] for group in partition))
                 best = (scale, partition, tuple(hulls[group][1] for group in partition))
+                bound_sq = scale**2
     else:
         solved = hull(rows)
         if solved is not None and solved[0] < best[0]:
@@ -382,12 +386,9 @@ class PairingWitness:
     certificate: GaugeCertificate
 
     def validate(self, b: Sequence[Rational]) -> None:
-        self._check_pairing(b)
-        self.certificate.validate(self.vector)
-
-    def _check_pairing(self, b: Sequence[Rational]) -> None:
         if row_pairing(self.vector, b) != self.pairing:
             raise AssertionError("stored pairing does not match the vector")
+        self.certificate.validate(self.vector)
 
 
 def pairing_witness(b: Sequence[Rational], p: LorentzParam) -> PairingWitness:
@@ -429,7 +430,5 @@ def pairing_witness(b: Sequence[Rational], p: LorentzParam) -> PairingWitness:
         certs=[HullCertificate((seq,), (Fraction(1),), Fraction(1))],
     )
     cert = GaugeCertificate((Fraction(1),), (rep,), Fraction(1))
-    witness = PairingWitness(vector, row_pairing(vector, b), branch, cert)
-    witness._check_pairing(b)
     cert._check_cover(vector)  # make_disjoint_rep checked the representative
-    return witness
+    return PairingWitness(vector, row_pairing(vector, b), branch, cert)

@@ -67,6 +67,7 @@ from .gauge import (
     GaugeCertificate,
     GaugeInterval,
     GaugeLowerWitness,
+    _dual_ceiling,
     _set_partitions,
     gauge_interval,
 )
@@ -622,22 +623,21 @@ def _cover_program(
 
 
 def _dual_witness(
-    y: Mapping[Cell, Fraction],
-    x_abs: TriVector,
-    rows: tuple[int, ...],
-    p: LorentzParam,
+    y: Mapping[Cell, Fraction], x_abs: TriVector, p: LorentzParam
 ) -> GaugeLowerWitness | None:
+    """The dual witness of y's positive part, whose ceiling is the one
+    ``GaugeLowerWitness.validate`` re-derives (``_dual_ceiling``), so it
+    needs no second check."""
     y = {c: v for c, v in y.items() if v > 0}
     if not y:
         return None
-    ceiling = _ceiling(y, rows, p)
+    cells = tuple(sorted(y))
+    weights = tuple(y[c] for c in cells)
+    ceiling = _dual_ceiling(cells, weights, p)
     if ceiling <= 0:
         return None
     paired = sum((w * x_abs.entry(*c) for c, w in y.items()), Fraction(0))
-    cells = tuple(sorted(y))
-    return GaugeLowerWitness(
-        paired / ceiling, "dual", (cells, tuple(y[c] for c in cells)), ceiling, p
-    )
+    return GaugeLowerWitness(paired / ceiling, "dual", (cells, weights), ceiling, p)
 
 
 def _best_lower(
@@ -651,15 +651,13 @@ def _best_lower(
     in ``tried``, which gains their keys: a repeat certifies the same
     value, which cannot beat lower."""
     x_abs = abs(x)
-    rows = x.active_rows()
     for y in candidates:
         key = tuple(sorted((c, v.numerator, v.denominator) for c, v in y.items() if v > 0))
         if key in tried:
             continue
         tried.add(key)
-        witness = _dual_witness(y, x_abs, rows, p)
+        witness = _dual_witness(y, x_abs, p)
         if witness is not None and witness.value > lower.value:
-            witness.validate(x)
             lower = witness
     return lower
 

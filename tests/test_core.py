@@ -1,6 +1,7 @@
 """Core vector type and Lorentz comparisons against independent oracles."""
 
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import mpmath
@@ -22,7 +23,7 @@ from trigauge.core import (
     row_pairing,
 )
 from trigauge import core
-from trigauge.exact import Interval, pow_enclosure, root_enclosure
+from trigauge.exact import Interval, iroot, pow_enclosure, root_enclosure
 
 mpmath.mp.dps = 50
 
@@ -569,6 +570,58 @@ def test_kernel_edge_cases_match_fraction_keys():
         for values_sq in ([], [0], [0, -1], [Fraction(1, 16)] * 9, [2, 2, 1, Fraction(1, 3)]):
             want = result_or_error(lorentz_value_sq_fraction_keys, values_sq, p)
             assert result_or_error(lorentz_value_sq, values_sq, p) == want
+
+
+# -- shared root enclosures and one-pass row seminorms --------------------------
+
+
+@st.composite
+def shared_root_cases(draw):
+    """Two decreasing numerator lists, each under two denominators, in a
+    drawn order.  After the first, a numerator repeats the one before it
+    (a tie), sits as close below the top term as integers allow (its root
+    within about 2^-100 of the top's), or is drawn freely."""
+    p = draw(st.sampled_from(VALUE_PS))
+
+    def nums():
+        top = draw(st.integers(1, 2**100))
+        out = [top]
+        for n in range(2, draw(st.integers(1, 6)) + 1):
+            kind = draw(st.sampled_from(("tie", "near", "free")))
+            if kind == "tie":
+                v = out[-1]
+            elif kind == "near":
+                v = iroot(top**p.num // n ** (2 * p.den), p.num) + draw(st.integers(0, 1))
+            else:
+                v = draw(st.integers(0, out[-1]))
+            out.append(min(v, out[-1]))
+        return out
+
+    lists = [nums(), nums()]
+    dens = draw(st.lists(st.integers(1, 10**6), min_size=2, max_size=2, unique=True))
+    calls = [(a, d) for a in lists for d in dens]
+    return p, draw(st.permutations(calls)) + calls[:1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_root_cases())
+def test_lorentz_value_with_shared_roots_matches_fresh(case):
+    p, calls = case
+    roots = {}
+    for nums, den in calls:
+        assert core._lorentz_value(nums, den, p, roots=roots) == core._lorentz_value(nums, den, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tri_vectors, wide_vectors))
+def test_row_norm_nums_match_each_row(x):
+    nums, den = core._row_norm_nums(x)
+    rows = x.active_rows()
+    per_row = [row_norm_sq(x.restrict_rows([i])) for i in rows]
+    assert sorted(nums) == list(rows)
+    assert [Fraction(nums[i], den) for i in rows] == per_row
+    # the least common denominator, as the per-row squares put over one
+    assert den == lcm(1, *(v.denominator for v in per_row))
 
 
 # -- series constant -----------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for certified gauge bounds and pairing witnesses."""
 
 import dataclasses
+import hashlib
+import random
 from contextlib import contextmanager
 from fractions import Fraction as F
 
@@ -29,7 +31,7 @@ from trigauge.gauge import (
     gauge_upper,
     pairing_witness,
 )
-from trigauge import gauge
+from trigauge import core, gauge
 from trigauge.generators import (
     EnumerationBudgetError,
     GridSeq,
@@ -372,6 +374,22 @@ class TestBoundedPartitionSearch:
         assert len(calls) == lps
         assert len(set(calls)) == len(calls)
 
+    def test_each_root_enclosed_once(self, monkeypatch):
+        # every partition of ones on rows 1..6 shares one dict of roots,
+        # and most of them tie the per-row split's top term
+        want = gauge_upper(ones(6), P)
+        calls = []
+        enclose = core.root_enclosure
+
+        def counted(x, k, bits=64):
+            calls.append((x, k, bits))
+            return enclose(x, k, bits)
+
+        monkeypatch.setattr(core, "root_enclosure", counted)
+        assert gauge_upper(ones(6), P) == want
+        assert calls
+        assert len(set(calls)) == len(calls)
+
 
 @contextmanager
 def logged_lps():
@@ -488,6 +506,27 @@ class TestGaugeLower:
             GaugeLowerWitness(F(1) / C_HI, "seminorm", (), C_HI, other).validate(x)
 
 
+# sha256 of the reprs of gauge_interval over ``atlas_digest``'s vectors;
+# a change that moves any certificate, scale or witness moves it
+GAUGE_ATLAS_DIGEST = "e8828953e5b58d501ee938663a825ea9b72d78ac7e050e80d045eff374e8fa8a"
+
+
+def atlas_digest(seed=20261020, count=40):
+    """Hash ``count`` seeded vectors as the benchmark's gauge workload draws
+    them: 3 to 6 active rows of 1..7, two cells per row (one on row 1),
+    values k/8 with k in 1..8."""
+    rng = random.Random(seed)
+    reprs = []
+    for _ in range(count):
+        rows = sorted(rng.sample(range(1, 8), rng.randint(3, 6)))
+        cells = {}
+        for i in rows:
+            for j in rng.sample(range(1, i + 1), min(i, 2)):
+                cells[(i, j)] = F(rng.randint(1, 8), 8)
+        reprs.append(repr(gauge_interval(TriVector(cells), P)))
+    return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
 class TestGaugeInterval:
     def test_ordering_on_samples(self):
         samples = [
@@ -548,6 +587,9 @@ class TestGaugeInterval:
         (rep,) = iv.upper.reps
         assert len(calls) == rep.length
         assert all(a is b for a, b in zip(calls, rep.certs))
+
+    def test_atlas_digest_pinned(self):
+        assert atlas_digest() == GAUGE_ATLAS_DIGEST
 
     def test_forged_representative_rejected(self):
         x = TriVector({(2, 2): F(1, 3), (5, 1): F(4, 5)})
@@ -625,6 +667,25 @@ class TestPairingWitness:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             pairing_witness((F(1, 2), F(1, 2)), P)
+
+    @pytest.mark.parametrize("b", [(F(3, 5), F(4, 5)), (0, 0, 0, 0, F(1, 3), F(2, 3), F(2, 3))])
+    def test_pairing_computed_once(self, monkeypatch, b):
+        # the builder stores the pairing; only validate recomputes it
+        calls = []
+        pairing = gauge.row_pairing
+
+        def counted(x, coeffs):
+            calls.append(x)
+            return pairing(x, coeffs)
+
+        monkeypatch.setattr(gauge, "row_pairing", counted)
+        w = pairing_witness(b, P)
+        assert calls == [w.vector]
+        w.validate(b)
+        assert len(calls) == 2
+        bad = PairingWitness(w.vector, w.pairing + 1, w.branch, w.certificate)
+        with pytest.raises(AssertionError, match="stored pairing"):
+            bad.validate(b)
 
     @pytest.mark.parametrize("b", [(F(3, 5), F(4, 5)), (0, 0, 0, 0, F(1, 3), F(2, 3), F(2, 3))])
     def test_each_piece_checked_once(self, monkeypatch, b):

@@ -435,12 +435,13 @@ def test_failing_supports_close_at_their_sup(cells, bounds, gauge):
 def test_each_dual_candidate_certified_once(monkeypatch):
     # the seed's cover and the pricing's last one each offer their duals,
     # the row-uniform duals and |x|; only the positive part of a candidate
-    # matters, and a repeat is skipped
+    # matters, and a repeat is skipped.  A witness's ceiling is the one its
+    # validate re-derives, so each distinct candidate costs one ceiling.
     def key(y):
         return tuple(sorted((c, v) for c, v in y.items() if v > 0))
 
-    offered, certified = [], []
-    best_lower, witness = micro._best_lower, micro._dual_witness
+    offered, certified, built, ceilings = [], [], [], []
+    best_lower, witness, ceiling = micro._best_lower, micro._dual_witness, micro._ceiling
 
     def record_offer(lower, candidates, *args):
         offered.extend(candidates)
@@ -448,15 +449,44 @@ def test_each_dual_candidate_certified_once(monkeypatch):
 
     def record_witness(y, *args):
         certified.append(key(y))
-        return witness(y, *args)
+        out = witness(y, *args)
+        if out is not None:
+            built.append(out)
+        return out
 
+    def record_ceiling(y, rows, p):
+        ceilings.append(key(y))
+        return ceiling(y, rows, p)
+
+    x = TriVector(LOOSE_BELOW)
     monkeypatch.setattr(micro, "_best_lower", record_offer)
     monkeypatch.setattr(micro, "_dual_witness", record_witness)
-    iv = tau_micro_oracle(TriVector(LOOSE_BELOW), P)
-    assert iv.lower.kind == "dual"
+    monkeypatch.setattr(micro, "_ceiling", record_ceiling)
+    iv = tau_micro_oracle(x, P)
+    monkeypatch.undo()
+    assert iv.lower.kind == "dual" and iv.lower in built
     assert len(certified) == len(set(certified))
     assert set(certified) == {key(y) for y in offered}
     assert len(offered) > len(certified)
+    assert sorted(ceilings) == sorted(k for k in certified if k)
+    for w in built:
+        w.validate(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from([(i, j) for i in range(1, 4) for j in range(1, i + 1)]),
+        st.fractions(min_value=F(1, 16), max_value=2, max_denominator=16),
+        min_size=1,
+    ),
+    st.sets(st.integers(1, 3)),
+)
+def test_ceiling_over_touched_rows_matches_active_rows(y, extra):
+    # rows no cell of y touches add nothing to the ceiling, so the witness
+    # builder's ceiling over the touched rows is the one over x's rows
+    touched = {i for i, _ in y}
+    assert _ceiling(y, tuple(sorted(touched)), P) == _ceiling(y, tuple(sorted(touched | extra)), P)
 
 
 # -- member assembly against the per-combination validation --------------------
