@@ -342,7 +342,6 @@ def gauge_lower(x: TriVector, p: LorentzParam) -> GaugeLowerWitness:
     )
     if seminorm.value > best.value:
         best = seminorm
-    best.validate(x)
     return best
 
 

@@ -40,10 +40,10 @@ dominate families living on the support rows: the ceiling is the
 maximum over partition/rank patterns of per-group bounds, each the
 minimum of a hull maximum (budget ignored) and capped Cauchy-Schwarz
 routes through the seminorm ball (hull cap ignored).  The candidates y
-are exact: the master's duals, duals constant along each row that
-equalize the members the cover uses, and |x| itself.  They are offered
-after the seed's cover and after the pricing, and each distinct one is
-certified once per call.
+are exact: the master's duals and duals constant along each row that
+equalize the members the cover uses.  They are offered after the seed's
+cover and after the pricing, and each distinct one is certified once
+per call.
 
 Both sides use the safe end of every irrational budget, so the interval
 is sound for any input; when pricing cannot close the gap the best
@@ -58,11 +58,11 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import DEFAULT_P, LorentzParam, Rational, TriVector
 from .decompose import DisjointRep, join_disjoint_reps, make_disjoint_rep
-from .exact import Interval, iroot, pow_enclosure, sqrt_enclosure
+from .exact import Interval, pow_enclosure, sqrt_enclosure
 from .gauge import (
     GaugeCertificate,
     GaugeInterval,
@@ -122,12 +122,7 @@ def _patterns(rows: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], int],
 @lru_cache(maxsize=None)
 def _gens_on(group: tuple[int, ...]) -> tuple[GridSeq, ...]:
     """Nonzero generator sequences supported within the given rows."""
-    keep = set(group)
-    return tuple(
-        seq
-        for seq in enumerate_grid_seqs(max(keep))
-        if seq.m and set(seq.active_rows()) <= keep
-    )
+    return tuple(seq for seq in enumerate_grid_seqs(group) if seq.m)
 
 
 @lru_cache(maxsize=None)
@@ -324,77 +319,35 @@ class _Piece:
         return self.rep
 
 
-def _capacity(norm_sq: Fraction, p: LorentzParam) -> int:
-    """The largest rank n with norm_sq^num n^(2 den) <= 1, for norm_sq > 0.
-
-    That is the rank up to which the seminorm passes the Lorentz test at
-    bound 1, and it does not increase as the seminorm grows.  So sorted
-    capacities c_1 <= c_2 <= ... satisfy c_n >= n exactly when the
-    seminorms pass ``lorentz_le_sq(norms, 1, p)``.
-    """
-    return iroot(norm_sq.denominator**p.num // norm_sq.numerator**p.num, 2 * p.den)
-
-
-def _check_join(parts: Iterable[tuple[int, int]]) -> None:
-    """What ``join_disjoint_reps`` checks of pieces given as (row mask,
-    capacity) pairs, in ints: disjoint row masks, then capacities that
-    pass at every rank; raises its ``ValueError``s."""
-    rows = 0
-    capacities = []
-    for mask, capacity in parts:
-        if rows & mask:
-            raise ValueError("pieces share a row")
-        rows |= mask
-        capacities.append(capacity)
-    for n, capacity in enumerate(sorted(capacities), start=1):
-        if capacity < n:
-            raise ValueError("piece seminorms break the Lorentz bound")
-
-
 def _seed_pieces(
-    rank: int,
-    p: LorentzParam,
-    gens: Sequence[tuple[GridSeq, tuple[Cell, ...]]],
-    built: dict[tuple[int, GridSeq], tuple[_Piece, int, int] | None],
-) -> list[tuple[_Piece, int, int]]:
-    """The seed pieces of one slot as (piece, row mask, capacity): each
-    generator's restriction to the support (``gens``, as its covered
-    cells), scaled into the rank budget.
+    rank: int, p: LorentzParam, gens: Sequence[tuple[GridSeq, tuple[Cell, ...]]]
+) -> list[_Piece]:
+    """The seed pieces of one slot: each generator's restriction to the
+    support (``gens``, as its covered cells), scaled into the rank
+    budget.
 
-    A restriction's seminorm comes from its integer row counts, and the
-    capacity from that times the squared scale (the seminorm is
-    homogeneous of degree 2).  Every piece's hull certificate is its one
-    generator at the scale used.  Only the first piece of each trimmed
-    vector is listed: a member holding a later one has an earlier twin
-    with the same element.  ``built`` keeps each (rank, generator)'s
-    piece, or None when trimming leaves nothing, for the slots that share
-    it.
+    A restriction's seminorm comes from its integer row counts.  Every
+    piece's hull certificate is its one generator at the scale used, and
+    a restriction that trimming leaves empty gives no piece.  Only the
+    first piece of each trimmed vector is listed: a member holding a
+    later one has an earlier twin with the same element.
     """
     budget_lo = _budget_sq(rank, p.num, p.den).lo
-    out: list[tuple[_Piece, int, int]] = []
-    vectors: set[tuple] = set()  # keys of the listed pieces
+    out: dict[tuple, _Piece] = {}
     for seq, cells in gens:
-        if (rank, seq) not in built:
-            counts: dict[int, int] = {}
-            for i, _ in cells:
-                counts[i] = counts.get(i, 0) + 1
-            nsq = sum((Fraction(s, i) ** 2 for i, s in counts.items()), Fraction(0))
-            gamma = Fraction(1)
-            if nsq > budget_lo:
-                gamma = _floor_frac(sqrt_enclosure(budget_lo / nsq, BITS).lo)
-            built[rank, seq] = None if gamma == 0 else (
-                _Piece(
-                    tuple((cell, gamma.numerator, gamma.denominator) for cell in cells),
-                    HullCertificate((seq,), (Fraction(1),), gamma),
-                ),
-                sum(1 << i for i in counts),
-                _capacity(nsq * gamma * gamma, p),
-            )
-        part = built[rank, seq]
-        if part is not None and part[0].key not in vectors:
-            vectors.add(part[0].key)
-            out.append(part)
-    return out
+        counts: dict[int, int] = {}
+        for i, _ in cells:
+            counts[i] = counts.get(i, 0) + 1
+        nsq = sum((Fraction(s, i) ** 2 for i, s in counts.items()), Fraction(0))
+        gamma = Fraction(1)
+        if nsq > budget_lo:
+            gamma = _floor_frac(sqrt_enclosure(budget_lo / nsq, BITS).lo)
+            if gamma == 0:
+                continue
+        key = tuple((cell, gamma.numerator, gamma.denominator) for cell in cells)
+        if key not in out:
+            out[key] = _Piece(key, HullCertificate((seq,), (Fraction(1),), gamma))
+    return list(out.values())
 
 
 def _element_key(x: TriVector) -> tuple[tuple[Cell, int, int], ...]:
@@ -417,16 +370,15 @@ def _pattern_atoms(
     combinations of one seed piece per nonempty slot, each element once,
     as (key, pieces, cover column) in pattern order.
 
-    What joining a combination adds, row-disjointness and the Lorentz
-    test, is checked on the pieces' row masks and capacities
-    (``_check_join``).  Nothing is certified here: ``_joined`` certifies
-    the pieces of a member the cover weights and makes the
-    representative.
+    Nothing is checked or certified here: ``_joined`` certifies the
+    pieces of a member the cover weights and joins them, and the join
+    checks what a combination adds.  A pattern puts one piece on each
+    group of a row partition, and the rank-r piece's squared seminorm is
+    at most the lower end of r^(-2/p), so no combination can fail it.
     """
     position = {cell: k for k, cell in enumerate(cells)}
     gens: dict[tuple[int, ...], list[tuple[GridSeq, tuple[Cell, ...]]]] = {}
-    built: dict[tuple[int, GridSeq], tuple[_Piece, int, int] | None] = {}
-    slots: dict[tuple[tuple[int, ...], int], list[tuple[_Piece, int, int]]] = {}
+    slots: dict[tuple[tuple[int, ...], int], list[_Piece]] = {}
     seen: dict[tuple, tuple[_Piece, ...]] = {}
     for pattern in _patterns(rows):
         lists = []
@@ -438,17 +390,13 @@ def _pattern_atoms(
                         for seq in _gens_on(group)
                         if (covered := tuple(c for c in cells if _covers(seq, c)))
                     ]
-                slots[group, rank] = _seed_pieces(rank, p, gens[group], built)
+                slots[group, rank] = _seed_pieces(rank, p, gens[group])
             if slots[group, rank]:
                 lists.append(slots[group, rank])
         if not lists:
             continue
-        for combo in itertools.product(*lists):
-            pieces = tuple(piece for piece, _, _ in combo)
-            key = _merged_key(pieces)
-            if key not in seen:
-                _check_join((mask, capacity) for _, mask, capacity in combo)
-                seen[key] = pieces
+        for pieces in itertools.product(*lists):
+            seen.setdefault(_merged_key(pieces), pieces)
     return tuple((key, pieces, _key_column(key, position)) for key, pieces in seen.items())
 
 
@@ -616,9 +564,7 @@ def _cover_program(
     res = _solve_columns(columns, [target[cell] for cell in cells], trail)
     if res.status != "optimal":
         raise AssertionError(f"cover program came back {res.status}")
-    duals = {
-        cell: max(d, Fraction(0)) for cell, d in zip(cells, res.duals or ())
-    }
+    duals = dict(zip(cells, res.duals or ()))
     return res.objective, res.x, duals
 
 
@@ -758,7 +704,7 @@ def _refine(
             upper._check_cover(x)  # make_disjoint_rep or join_disjoint_reps built each member
         if not pricing or upper.scale - lower.value > tol:
             candidates = _row_uniform_candidates([rep for _, rep in used], active, cells)
-            lower = _best_lower(lower, candidates + [duals, target], x, p, tried)
+            lower = _best_lower(lower, candidates + [duals], x, p, tried)
         if upper.scale - lower.value <= tol:
             break
     return GaugeInterval(lower, upper), rounds

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .core import DEFAULT_P, LorentzParam
 

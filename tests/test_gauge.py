@@ -475,6 +475,29 @@ class TestGaugeLower:
         assert w.value == 2 / C_HI  # sqrt(4) encloses exactly
         w.validate(x)
 
+    @pytest.mark.parametrize(
+        "x, kind",
+        [
+            (TriVector({(1, 1): 1, (2, 1): F(1, 2)}), "sup"),
+            (TriVector({(i, j): 1 for i in range(1, 5) for j in range(1, i + 1)}), "seminorm"),
+        ],
+        ids=["sup", "seminorm"],
+    )
+    def test_seminorm_computed_once(self, monkeypatch, x, kind):
+        # the builder computes the seminorm once; only validate recomputes it
+        calls = []
+        seminorm = gauge.row_norm_sq
+
+        def counted(v):
+            calls.append(v)
+            return seminorm(v)
+
+        monkeypatch.setattr(gauge, "row_norm_sq", counted)
+        w = gauge_lower(x, P)
+        assert w.kind == kind and calls == [x]
+        w.validate(x)
+        assert len(calls) == 1 + (kind == "seminorm")
+
     def test_rescaling_is_exact(self):
         x = TriVector({(i, j): 1 for i in range(1, 5) for j in range(1, i + 1)})
         w = gauge_lower(x, P)

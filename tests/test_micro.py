@@ -2,7 +2,6 @@
 
 import gc
 import hashlib
-import importlib
 import itertools
 import random
 import sys
@@ -21,7 +20,6 @@ from trigauge.core import (
     LorentzParam,
     TriVector,
     lorentz_l2_constant,
-    lorentz_le_sq,
     row_norm_sq,
 )
 from trigauge.decompose import DisjointRep, join_disjoint_reps, make_disjoint_rep
@@ -48,7 +46,6 @@ from trigauge.micro import (
 
 P = DEFAULT_P
 C_HI = lorentz_l2_constant(P).hi
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # independent high-precision values (mpmath, 30 digits), b_k = k**(-2/3):
 #   2 / (1 + b_2), (7/4) / (1 + b_2), 3 / (2 (1 + b_2 + b_3))
@@ -433,8 +430,8 @@ def test_failing_supports_close_at_their_sup(cells, bounds, gauge):
 
 
 def test_each_dual_candidate_certified_once(monkeypatch):
-    # the seed's cover and the pricing's last one each offer their duals,
-    # the row-uniform duals and |x|; only the positive part of a candidate
+    # the seed's cover and the pricing's last one each offer their duals
+    # and the row-uniform duals; only the positive part of a candidate
     # matters, and a repeat is skipped.  A witness's ceiling is the one its
     # validate re-derives, so each distinct candidate costs one ceiling.
     def key(y):
@@ -631,100 +628,6 @@ def test_cached_member_columns_match_dense_entries(monkeypatch, cold_store):
             assert col == _column([(k, v) for k, v in enumerate(dense) if v], F(1))
 
 
-# -- member joins on row masks and capacities ------------------------------------
-
-# (p, v, n): the squared seminorm v passes the Lorentz test at bound 1 up to
-# rank n exactly, v^num n^(2 den) = 1
-CAPACITY_TIES = (
-    (DEFAULT_P, F(1), 1),
-    (DEFAULT_P, F(1, 16), 8),
-    (DEFAULT_P, F(1, 81), 27),
-    (LorentzParam(5, 4), F(1, 256), 32),
-    (LorentzParam(7, 4), F(1, 256), 128),
-)
-
-
-def joins(norms_sq, p) -> bool:
-    """Whether ``_check_join`` accepts pieces on distinct rows with these
-    squared seminorms."""
-    try:
-        micro._check_join((1 << k, micro._capacity(v, p)) for k, v in enumerate(norms_sq))
-    except ValueError as err:
-        assert str(err) == "piece seminorms break the Lorentz bound"
-        return False
-    return True
-
-
-@st.composite
-def capacity_cases(draw):
-    """Positive squared seminorms, with an exact tie block of n - 1, n or
-    n + 1 copies of v in half the cases."""
-    p, v, n = draw(st.sampled_from(CAPACITY_TIES))
-    norms = draw(
-        st.lists(
-            st.fractions(min_value=F(1, 400), max_value=F(3, 2), max_denominator=400),
-            max_size=8,
-        )
-    )
-    if draw(st.booleans()):
-        norms += [v] * (n + draw(st.integers(-1, 1)))
-    return draw(st.permutations(norms)), p
-
-
-@settings(max_examples=400, deadline=None)
-@given(capacity_cases())
-def test_capacity_join_matches_lorentz_test(case):
-    norms, p = case
-    assert joins(norms, p) == lorentz_le_sq(norms, 1, p)
-
-
-@pytest.mark.parametrize(
-    "p, v, n", CAPACITY_TIES, ids=[f"p{p.num}_{p.den}-n{n}" for p, _, n in CAPACITY_TIES]
-)
-def test_capacity_ties(p, v, n):
-    assert micro._capacity(v, p) == n
-    assert joins([v] * n, p) and lorentz_le_sq([v] * n, 1, p)
-    assert not joins([v] * (n + 1), p) and not lorentz_le_sq([v] * (n + 1), 1, p)
-
-
-def certified_piece(
-    cells: dict, counts: tuple[int, ...], scale: F
-) -> tuple[micro._Piece, int, int]:
-    """A piece on the given cells, certified by one generator at scale,
-    with its row mask and capacity."""
-    vector = TriVector(cells)
-    cert = HullCertificate((GridSeq.make(counts),), (F(1),), scale)
-    mask = sum(1 << i for i in vector.active_rows())
-    piece = micro._Piece(_element_key(vector), cert)
-    piece.certify(P)
-    return piece, mask, micro._capacity(row_norm_sq(vector), P)
-
-
-@pytest.mark.parametrize(
-    "parts, message",
-    [
-        (
-            [({(2, 1): F(1, 2)}, (0, 1), F(1, 2)), ({(2, 2): F(1, 2)}, (0, 2), F(1, 2))],
-            "pieces share a row",
-        ),
-        (
-            [({(1, 1): F(1)}, (1,), F(1)), ({(2, 1): F(1), (2, 2): F(1)}, (0, 2), F(1))],
-            "piece seminorms break the Lorentz bound",
-        ),
-    ],
-    ids=["shared-row", "over-budget"],
-)
-def test_capacity_join_raises_like_join_disjoint_reps(parts, message):
-    pieces = [certified_piece(*part) for part in parts]
-    with pytest.raises(ValueError, match=message):
-        join_disjoint_reps([piece.rep for piece, _, _ in pieces], P)
-    with pytest.raises(ValueError, match=message):
-        micro._check_join((mask, capacity) for _, mask, capacity in pieces)
-    # one piece alone joins either way
-    micro._check_join([pieces[0][1:]])
-    assert micro._joined((pieces[0][0],), P).is_unit_member()
-
-
 def test_only_members_the_cover_uses_are_joined(monkeypatch):
     # the first failing support pools 58 members over its seed and three
     # pricing rounds; only those the seed's cover and the last one weight
@@ -741,40 +644,26 @@ def test_only_members_the_cover_uses_are_joined(monkeypatch):
     assert 0 < len(joined) <= 8
 
 
-def bench_micro_supports() -> list[dict[Cell, F]]:
-    """The 73 supports of round 0 of the benchmark's micro workload at
-    seed 1, drawn by the benchmark's own code."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(BENCH))
-    rng = random.Random(workloads.derive("micro", 1, 0))
-    shapes = [workloads.sandwich_shape(rng) for _ in range(workloads.MICRO_SHAPES)]
-    return [cells for _, cells in workloads.fixed_supports() + shapes]
-
-
-def test_piece_masks_and_capacities_match_make_disjoint_rep(monkeypatch, cold_store):
-    # every seed piece the oracle builds on the benchmark's supports
-    # carries, uncertified, the row mask and capacity its certificate
-    # would give
-    parts = {}
-    seed_pieces = micro._seed_pieces
-
-    def recorded(*args):
-        out = seed_pieces(*args)
-        parts.update((id(part[0]), part) for part in out)
-        return out
-
-    monkeypatch.setattr(micro, "_seed_pieces", recorded)
-    for cells in bench_micro_supports():
-        tau_micro_oracle(TriVector(cells), P)
-    assert len(parts) > 40  # 49 over the supports that reach the refinement
-    for piece, mask, capacity in parts.values():
-        vector = TriVector({cell: F(num, den) for cell, num, den in piece.key})
-        rep = make_disjoint_rep([vector], P, certs=[piece.cert])
-        assert mask == sum(1 << i for i in rep.pieces[0].active_rows())
-        assert capacity == micro._capacity(rep.norms_sq[0], P)
+@pytest.mark.parametrize(
+    "p", (DEFAULT_P, LorentzParam(5, 4), LorentzParam(7, 4)), ids=lambda p: f"p{p.num}_{p.den}"
+)
+def test_seed_members_join(cold_store, p):
+    # nothing checks a seed member as the seed is built: each member's
+    # pieces, certified one by one, must pass the join on every support
+    for mask in range(1, 2 ** len(MICRO_CELLS)):
+        cells = tuple(c for k, c in enumerate(MICRO_CELLS) if mask >> k & 1)
+        for key, pieces, _ in micro._support_atoms(cells, p.num, p.den).members:
+            reps = [
+                make_disjoint_rep(
+                    [TriVector({cell: F(num, den) for cell, num, den in piece.key})],
+                    p,
+                    certs=[piece.cert],
+                )
+                for piece in pieces
+            ]
+            rep = join_disjoint_reps(reps, p)
+            assert _element_key(rep.element()) == key
+        micro._support_atoms.cache_clear()
 
 
 @pytest.mark.parametrize("cells", FAILING_SUPPORTS, ids=FAILING_IDS)
@@ -1100,12 +989,19 @@ def survey() -> list[TriVector]:
     return xs
 
 
+# sha256 of the reprs of the survey's results, joined as for UNIFORM_DIGEST
+SURVEY_DIGEST = "a5f85824e38e6b9ca2b9ddd50edc0863e27a57f5d12530ef2e24b1690f8a5a79"
+
+
 def test_survey_closes_inside_the_cheap_intervals():
     # 25 of these 756 draws failed under the weight-grid rounds
     xs = survey()
     assert len(xs) == 756
+    reprs = []
     for x in xs:
         iv = tau_micro_oracle(x, P)
         cheap = gauge_interval(x, P)
         assert iv.hi - iv.lo <= DEFAULT_TOL
         assert cheap.lo <= iv.lo <= iv.hi <= cheap.hi
+        reprs.append(repr(iv))
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == SURVEY_DIGEST

@@ -2,8 +2,8 @@
 
 A module-level function or class must be exported in ``trigauge.__all__``
 or be used by name somewhere in ``src/trigauge`` outside its own
-definition.  Only the stdlib ``ast`` module is used, so the guard needs no
-linter.
+definition, and every name a module imports must be used in it.  Only
+the stdlib ``ast`` module is used, so the guards need no linter.
 """
 
 import ast
@@ -74,3 +74,31 @@ def test_exports_exist_and_are_not_aliases():
     aliases = sorted(names for names in by_object.values() if len(names) > 1)
     assert not aliases, f"names in __all__ bound to one object: {aliases}"
     assert len(set(trigauge.__all__)) == len(trigauge.__all__)
+
+
+def _names_in_module(tree: ast.Module) -> set[str]:
+    """Names the module reads: loaded names and the strings listed in
+    ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            used |= set(ast.literal_eval(stmt.value))
+    return used
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _names_in_module(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.stem}.{name}" for name in bound if name not in used]
+    assert not unused, f"imported names never used: {unused}"
