@@ -187,11 +187,11 @@ class TriVector:
     def sup_norm(self) -> Fraction:
         return max((abs(v) for v in self._entries.values()), default=Fraction(0))
 
-    def row_sum(self, i: int, absolute: bool = False) -> Fraction:
+    def row_sum(self, i: int) -> Fraction:
         total = Fraction(0)
         for (r, _), v in self._entries.items():
             if r == i:
-                total += abs(v) if absolute else v
+                total += v
         return total
 
     # -- identity ---------------------------------------------------------

@@ -545,12 +545,6 @@ class DisjointRep:
     def max_hull_scale(self) -> Fraction:
         return max((c.scale for c in self.certs), default=Fraction(0))
 
-    def upper_scale(self) -> Fraction:
-        """Rational q with element() in q * A (q = gauge upper bound)."""
-        if not self.pieces:
-            return Fraction(0)
-        return max(self.max_hull_scale(), lorentz_value_sq(self.norms_sq, self.p).hi)
-
     def is_unit_member(self) -> bool:
         """Re-derived from the pieces: stored seminorms and hull certificates
         are checked against them, not trusted."""
@@ -728,12 +722,6 @@ class SplitResult:
     tail_reps: tuple[DisjointRep, ...]
     remainder: TriVector
     gauge_bound: Fraction  # sum of slice scales; to the 8th at most 5^8 eps
-
-    def front(self) -> TriVector:
-        total = TriVector()
-        for s in self.slices:
-            total = total + s
-        return total
 
 
 def _exact_combination(cert: HullCertificate, piece: TriVector) -> list[tuple[GridSeq, Fraction]]:

@@ -12,9 +12,9 @@ Conventions:
 * ``floor(x ** (1/k)) == iroot(floor(x), k)`` for real x >= 0 because the
   k-th powers of integers are integers; ``root_enclosure`` and the even
   roots in ``iroot`` rely on it.
-* ``Interval`` endpoints are Fractions with lo <= hi; arithmetic is the usual
-  outward-directed interval arithmetic (no rounding happens, so "outward" is
-  exact here).
+* An ``Interval`` is a certified enclosure: Fraction endpoints lo <= hi
+  known to bracket the true value.  It carries no arithmetic; callers read
+  its ends, its width, or the enclosure of the reciprocal.
 """
 
 from __future__ import annotations
@@ -76,46 +76,10 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
-
-    def scale(self, c: Rational) -> "Interval":
-        c = Fraction(c)
-        if c >= 0:
-            return Interval(self.lo * c, self.hi * c)
-        return Interval(self.hi * c, self.lo * c)
-
     def reciprocal(self) -> "Interval":
         if self.lo <= 0 <= self.hi:
             raise ZeroDivisionError("interval straddles zero")
         return Interval(1 / self.hi, 1 / self.lo)
-
-    def contains(self, x: Rational) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
-
-    def __contains__(self, x: object) -> bool:
-        if isinstance(x, (int, Fraction)):
-            return self.contains(x)
-        return NotImplemented
-
-    def __float__(self) -> float:
-        return float(self.mid)
 
     def __repr__(self) -> str:
         return f"Interval({self.lo}, {self.hi})"

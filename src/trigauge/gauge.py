@@ -71,13 +71,6 @@ class GaugeCertificate:
             total = total + rep.element().scale(w * self.scale)
         return total
 
-    def rescale(self, factor: Rational) -> "GaugeCertificate":
-        """Certificate for factor * x from one for x; exact, no search."""
-        f = Fraction(factor)
-        if f < 0:
-            raise ValueError("negative factor")
-        return GaugeCertificate(self.weights, self.reps, self.scale * f)
-
     def validate(self, x: TriVector) -> None:
         for rep in self.reps:
             if not rep.is_unit_member():
@@ -317,13 +310,6 @@ class GaugeLowerWitness:
                 raise AssertionError("dual witness does not reach its value")
         else:
             raise AssertionError(f"unknown witness kind {self.kind!r}")
-
-    def rescale(self, factor: Rational) -> "GaugeLowerWitness":
-        """Witness for factor * x from one for x; the functional is reused."""
-        f = Fraction(factor)
-        if f < 0:
-            raise ValueError("negative factor")
-        return GaugeLowerWitness(self.value * f, self.kind, self.detail, self.ceiling, self.p)
 
 
 def gauge_lower(x: TriVector, p: LorentzParam) -> GaugeLowerWitness:

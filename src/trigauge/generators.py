@@ -59,18 +59,6 @@ class GridSeq:
     def make(cls, counts: Iterable[int]) -> "GridSeq":
         return cls(tuple(counts))
 
-    def coeff(self, i: int) -> Fraction:
-        if 1 <= i <= len(self.m):
-            return Fraction(self.m[i - 1], i)
-        return Fraction(0)
-
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, i) for i, c in enumerate(self.m, start=1))
-
-    @property
-    def norm_sq(self) -> Fraction:
-        return sum((Fraction(c, i) ** 2 for i, c in enumerate(self.m, start=1)), Fraction(0))
-
     def active_rows(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.m, start=1) if c)
 
@@ -119,32 +107,66 @@ class EnumerationBudgetError(RuntimeError):
     """A generator search walked more than ``_MAX_CANDIDATES`` candidates."""
 
 
-@lru_cache(maxsize=256)
-def _enumerate_cached(rows: tuple[int, ...]) -> tuple[GridSeq, ...]:
-    found: list[tuple[int, ...]] = []
-    max_row = rows[-1] if rows else 0
-    counts = [0] * max_row
+def _count_tuples(
+    support: dict[int, Iterable[int]], maximal: bool = True
+) -> list[tuple[int, ...]]:
+    """Count tuples over ``sorted(support)`` with values in {0} | S_i.
 
-    def walk(idx: int, budget: Fraction) -> None:
-        if idx == len(rows):
-            found.append(tuple(counts))
-            if len(found) > _MAX_CANDIDATES:
+    Walks every tuple within the budget sum (m_i / i)^2 <= 1 (integer
+    arithmetic over the lcm of the i^2) in lexicographic order.  With
+    ``maximal`` it keeps only those where no row can step up to its next
+    support column.  Raises EnumerationBudgetError past ``_MAX_CANDIDATES``
+    walked tuples.
+    """
+    rows = sorted(support)
+    unit = lcm(*(i * i for i in rows))
+    prices = [unit // (i * i) for i in rows]
+    options = [(0, *sorted(support[i])) for i in rows]
+    picks = [0] * len(rows)  # position of each row's count in its options
+    found: list[tuple[int, ...]] = []
+    walked = 0
+
+    def walk(k: int, left: int) -> None:
+        nonlocal walked
+        if k == len(rows):
+            walked += 1
+            if walked > _MAX_CANDIDATES:
                 raise EnumerationBudgetError(f"generator enumeration exceeds {_MAX_CANDIDATES}")
+            if maximal:
+                for opts, price, pos in zip(options, prices, picks):
+                    if pos + 1 < len(opts) and (
+                        (opts[pos + 1] ** 2 - opts[pos] ** 2) * price <= left
+                    ):
+                        return  # this row can still step up
+            found.append(tuple(opts[pos] for opts, pos in zip(options, picks)))
             return
-        i = rows[idx]
-        for m in range(i + 1):
-            cost = Fraction(m, i) ** 2
-            if cost > budget:
+        for pos, m in enumerate(options[k]):
+            cost = m * m * prices[k]
+            if cost > left:
                 break
-            counts[i - 1] = m
-            walk(idx + 1, budget - cost)
-        counts[i - 1] = 0
+            picks[k] = pos
+            walk(k + 1, left - cost)
+        picks[k] = 0
 
     try:
-        walk(0, Fraction(1))
+        walk(0, unit)
     finally:
         del walk  # the closure refers to itself; dropping it frees the cycle
-    return tuple(GridSeq(m) for m in found)
+    return found
+
+
+def _seq_on_rows(rows: Sequence[int], counts: tuple[int, ...]) -> GridSeq:
+    """The sequence with counts[k] cells on row rows[k] and none elsewhere."""
+    padded = [0] * (rows[-1] if rows else 0)
+    for i, m in zip(rows, counts):
+        padded[i - 1] = m
+    return GridSeq(tuple(padded))
+
+
+@lru_cache(maxsize=256)
+def _enumerate_cached(rows: tuple[int, ...]) -> tuple[GridSeq, ...]:
+    tuples = _count_tuples({i: range(1, i + 1) for i in rows}, maximal=False)
+    return tuple(_seq_on_rows(rows, t) for t in tuples)
 
 
 def enumerate_grid_seqs(rows) -> tuple[GridSeq, ...]:
@@ -221,47 +243,6 @@ class HullCertificate:
         return counts, reach
 
 
-def _maximal_counts(support: dict[int, set[int]]) -> list[tuple[int, ...]]:
-    """Maximal count tuples over ``sorted(support)`` with values in {0} | S_i.
-
-    Walks every tuple within the budget sum (m_i / i)^2 <= 1 (integer
-    arithmetic over the lcm of the i^2) and keeps those where no row can
-    step up to its next support column.  Lexicographic order.
-    """
-    rows = sorted(support)
-    unit = lcm(*(i * i for i in rows))
-    prices = [unit // (i * i) for i in rows]
-    options = [(0, *sorted(support[i])) for i in rows]
-    picks = [0] * len(rows)  # position of each row's count in its options
-    found: list[tuple[int, ...]] = []
-    walked = 0
-
-    def walk(k: int, left: int) -> None:
-        nonlocal walked
-        if k == len(rows):
-            walked += 1
-            if walked > _MAX_CANDIDATES:
-                raise EnumerationBudgetError(f"generator enumeration exceeds {_MAX_CANDIDATES}")
-            for opts, price, pos in zip(options, prices, picks):
-                if pos + 1 < len(opts) and (opts[pos + 1] ** 2 - opts[pos] ** 2) * price <= left:
-                    return  # this row can still step up
-            found.append(tuple(opts[pos] for opts, pos in zip(options, picks)))
-            return
-        for pos, m in enumerate(options[k]):
-            cost = m * m * prices[k]
-            if cost > left:
-                break
-            picks[k] = pos
-            walk(k + 1, left - cost)
-        picks[k] = 0
-
-    try:
-        walk(0, unit)
-    finally:
-        del walk  # the closure refers to itself; dropping it frees the cycle
-    return found
-
-
 def hull_min_scale(x: TriVector) -> tuple[Fraction, HullCertificate]:
     """Exact minimal scale with x in scale * U, plus the covering witness.
 
@@ -288,7 +269,7 @@ def hull_min_scale(x: TriVector) -> tuple[Fraction, HullCertificate]:
     for (i, j), _ in cells:
         support.setdefault(i, set()).add(j)
     rows = sorted(support)
-    tuples = _maximal_counts(support)
+    tuples = _count_tuples(support)
     position = {i: k for k, i in enumerate(rows)}
     mat = [[1 if t[position[i]] >= j else 0 for t in tuples] for (i, j), _ in cells]
     res = solve_lp([1] * len(tuples), mat, [v for _, v in cells])
@@ -298,10 +279,7 @@ def hull_min_scale(x: TriVector) -> tuple[Fraction, HullCertificate]:
     seqs, weights = [], []
     for t, w in zip(tuples, res.x):
         if w:
-            counts = [0] * rows[-1]
-            for i, m in zip(rows, t):
-                counts[i - 1] = m
-            seqs.append(GridSeq(tuple(counts)))
+            seqs.append(_seq_on_rows(rows, t))
             weights.append(w / lam)
     cert = HullCertificate(tuple(seqs), tuple(weights), lam)
     cert.validate(x)

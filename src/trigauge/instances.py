@@ -159,6 +159,13 @@ def _single_row_seq(rng: random.Random, i: int) -> GridSeq:
     return GridSeq.make(counts)
 
 
+def _scaled_rep(scaled: list[tuple[GridSeq, Fraction]], p: LorentzParam) -> DisjointRep:
+    """Representative with one piece s * indicator(seq) per (seq, s) pair."""
+    pieces = [seq.indicator().scale(s) for seq, s in scaled]
+    certs = [HullCertificate((seq,), (Fraction(1),), s) for seq, s in scaled]
+    return make_disjoint_rep(pieces, p, certs=certs)
+
+
 def body_element(
     rng: random.Random, p: LorentzParam, max_row: int = 8
 ) -> tuple[TriVector, tuple[Fraction, ...], tuple[DisjointRep, ...]]:
@@ -170,14 +177,11 @@ def body_element(
     reps = []
     for _ in range(rng.randint(1, 3)):
         rows = sorted(rng.sample(range(1, max_row + 1), rng.randint(1, 3)))
-        pieces = []
-        certs = []
-        for rank, i in enumerate(rows, start=1):
-            seq = _single_row_seq(rng, i)
-            scale = Fraction(rng.randint(1, 8), 8 * rank)  # at most 1/rank
-            pieces.append(seq.indicator().scale(scale))
-            certs.append(HullCertificate((seq,), (Fraction(1),), scale))
-        reps.append(make_disjoint_rep(pieces, p, certs=certs))
+        scaled = [
+            (_single_row_seq(rng, i), Fraction(rng.randint(1, 8), 8 * rank))  # at most 1/rank
+            for rank, i in enumerate(rows, start=1)
+        ]
+        reps.append(_scaled_rep(scaled, p))
     raw = [rng.randint(1, 4) for _ in reps]
     total = sum(raw)
     weights = tuple(Fraction(a, total) for a in raw)
@@ -265,14 +269,10 @@ def split_instance(
     reps = []
     for _ in range(rng.randint(1, 2)):
         rows = sorted(rng.sample(range(1, max_row + 1), rng.randint(1, 3)))
-        pieces = []
-        certs = []
-        for i in rows:
-            seq = _single_row_seq(rng, i)
-            scale = Fraction(rng.randint(1, 8), 8) * epsilon
-            pieces.append(seq.indicator().scale(scale))
-            certs.append(HullCertificate((seq,), (Fraction(1),), scale))
-        reps.append(make_disjoint_rep(pieces, p, certs=certs))
+        scaled = [
+            (_single_row_seq(rng, i), Fraction(rng.randint(1, 8), 8) * epsilon) for i in rows
+        ]
+        reps.append(_scaled_rep(scaled, p))
     weights = tuple(Fraction(rng.randint(1, 4), 8) for _ in reps)
     return weights, tuple(reps)
 
@@ -290,7 +290,5 @@ def merge_family(
     for t, i in enumerate(rows):
         scale = Fraction(rng.randint(4, 8), 8 * (t + 1))
         seq = GridSeq.make(0 if r != i else i for r in range(1, i + 1))
-        piece = seq.indicator().scale(scale)
-        cert = HullCertificate((seq,), (Fraction(1),), scale)
-        reps.append(make_disjoint_rep([piece], p, certs=[cert]))
+        reps.append(_scaled_rep([(seq, scale)], p))
     return reps

@@ -701,7 +701,7 @@ class TestDisjointRep:
         assert rep.length == 2
         assert rep.norms_sq == (F(1), F(1, 4))
         assert rep.is_unit_member()
-        assert rep.upper_scale() == 1
+        assert rep.max_hull_scale() == 1
         assert rep.max_norm_sq() == F(1)
 
     def test_row_sharing_rejected(self):
@@ -868,7 +868,7 @@ class TestSplit:
         assert res.slices[0] == full_row(1).scale(F(1, 4))
         assert res.gauge_bound == F(1, 4)
         assert [t.length for t in res.tail_reps] == [2]
-        assert res.front() + res.remainder == rep.element().scale(F(1, 4))
+        assert sum(res.slices, TriVector()) + res.remainder == rep.element().scale(F(1, 4))
         assert verify_split(res, [rep]) == []
 
     def test_all_small_pieces(self):

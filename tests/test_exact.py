@@ -55,17 +55,6 @@ def test_rational_floor_root_matches_mpmath(x, k):
     assert got == expected
 
 
-def test_interval_basic_arithmetic():
-    a = Interval(Fraction(1, 2), Fraction(3, 4))
-    b = Interval(Fraction(-1, 3), Fraction(1, 5))
-    assert (a + b).lo == Fraction(1, 6)
-    assert (a + b).hi == Fraction(19, 20)
-    assert (a * b).lo == Fraction(-1, 4)
-    assert a.scale(-2) == Interval(Fraction(-3, 2), Fraction(-1))
-    assert Fraction(2, 3) in a
-    assert Fraction(1, 5) not in a
-
-
 def test_interval_rejects_inverted():
     with pytest.raises(ValueError):
         Interval(Fraction(1), Fraction(0))

@@ -2,8 +2,10 @@
 
 A module-level function or class must be exported in ``trigauge.__all__``
 or be used by name somewhere in ``src/trigauge`` outside its own
-definition, and every name a module imports must be used in it.  Only
-the stdlib ``ast`` module is used, so the guards need no linter.
+definition, every method of a class there must be read as an attribute
+outside its own body, and every name a module imports must be used in
+it.  Only the stdlib ``ast`` module is used, so the guards need no
+linter.
 """
 
 import ast
@@ -102,3 +104,29 @@ def test_every_import_is_used():
                 continue
             unused += [f"{path.stem}.{name}" for name in bound if name not in used]
     assert not unused, f"imported names never used: {unused}"
+
+
+def test_every_method_is_read_somewhere():
+    # a method or property (dunders aside) exists only if src reads its
+    # name as an attribute somewhere outside its own body; the check goes
+    # by name, so a same-named attribute of another object also counts
+    trees = [
+        ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))
+    ]
+    reads: dict[str, list[ast.Attribute]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    unread = []
+    for tree in trees:
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, DEFS[:2]) or (
+                    method.name.startswith("__") and method.name.endswith("__")
+                ):
+                    continue
+                own = {id(node) for node in ast.walk(method)}
+                if all(id(node) in own for node in reads.get(method.name, [])):
+                    unread.append(f"{cls.name}.{method.name}")
+    assert not unread, f"methods nothing in src reads: {sorted(unread)}"
