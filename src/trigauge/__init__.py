@@ -35,8 +35,6 @@ from .decompose import (
     partition_matrix,
     select_subset,
     split_element,
-    verify_decomposition,
-    verify_split,
 )
 from .exact import Interval, format_fraction, parse_fraction
 from .gauge import (
@@ -122,6 +120,4 @@ __all__ = [
     "seq_file_text",
     "split_element",
     "tau_micro_oracle",
-    "verify_decomposition",
-    "verify_split",
 ]

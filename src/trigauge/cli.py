@@ -102,7 +102,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     try:
         cert = decompose_average(seqs, args.epsilon, args.p)
     except AssertionError as exc:
-        # decompose_average re-checks its certificate and raises on any problem
+        # decompose_average validates its certificate and raises at the first failed condition
         payload["problems"] = [str(exc)]
     else:
         payload.update(

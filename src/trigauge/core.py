@@ -251,20 +251,10 @@ def is_row_disjoint(*xs: TriVector) -> bool:
 
 
 def row_norm_sq(x: TriVector) -> Fraction:
-    """Square of the row-average seminorm: sum_i (|row i| sum / i)^2.
-
-    Each row's |entries| are summed in integers over the lcm of their
-    denominators, so only one Fraction is built per row.
-    """
-    rows: dict[int, list[Fraction]] = {}
-    for (i, _), v in x._entries.items():  # noqa: SLF001 - module-internal fast path
-        rows.setdefault(i, []).append(v)
-    total = Fraction(0)
-    for i, vals in rows.items():
-        den = lcm(*(v.denominator for v in vals))
-        num = sum(abs(v.numerator) * (den // v.denominator) for v in vals)
-        total += Fraction(num, den * i) ** 2
-    return total
+    """Square of the row-average seminorm: sum_i (|row i| sum / i)^2,
+    summed in integers over one denominator (``_row_norm_nums``)."""
+    nums, den = _row_norm_nums(x)
+    return Fraction(sum(nums.values()), den)
 
 
 def _row_norm_nums(x: TriVector) -> tuple[dict[int, int], int]:

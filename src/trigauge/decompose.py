@@ -290,6 +290,96 @@ class DecompositionCertificate:
             Fraction(r, self.m_count),
         )
 
+    def validate(self, seqs: Sequence[GridSeq]) -> None:
+        """Recompute every certificate condition exactly against seqs;
+        raise AssertionError at the first that fails."""
+        eps, p, mm = self.epsilon, self.p, self.m_count
+        if mm != len(seqs):
+            raise AssertionError(f"certificate built for {mm} sequences, got {len(seqs)}")
+        if self.k != int(eps * mm):
+            raise AssertionError("stored k is not floor(eps M)")
+        if disjointness_degree(seqs) > self.k:
+            raise AssertionError("sup of the average exceeds eps")
+
+        # theta must dominate the true threshold and satisfy the scale bound
+        if eps**p.num > (2 * self.theta / (1 + self.theta)) ** (4 * p.den):
+            raise AssertionError("theta below the blocking threshold")
+        if (2 * self.theta + 3 * eps) ** 4 > 625 * eps:
+            raise AssertionError("(2 theta + 3 eps)^4 above 625 eps")
+
+        columns = tuple(sorted({i for s in seqs for i in s.active_rows()}))
+        if self.columns != columns:
+            raise AssertionError("stored columns differ from the active coordinates")
+        # the column blocking: mass and count conditions
+        masses = [
+            Fraction(sum(s.m[i - 1] ** 2 for s in seqs if i <= len(s.m)), i * i) for i in columns
+        ]
+        bp = self.breakpoints
+        if not bp or bp[0] != 0 or bp[-1] != len(masses) or list(bp) != sorted(set(bp)):
+            raise AssertionError(f"breakpoints {bp} do not segment {len(masses)} columns")
+        count = len(bp) - 1
+        for m in range(count):
+            mass = sum(masses[bp[m] : bp[m + 1]], Fraction(0))
+            if mass > (self.theta + eps) * mm:
+                raise AssertionError(f"block {m} mass {mass} exceeds (theta+eps)M")
+            if m < count - 1 and mass <= self.theta * mm:
+                raise AssertionError(f"non-final block {m} mass {mass} not above theta*M")
+        # count < 2 eps^(-p/4), exactly: count^(4 den) * eps^num < 2^(4 den)
+        if count and count ** (4 * p.den) * eps**p.num >= 2 ** (4 * p.den):
+            raise AssertionError(f"block count {count} too large for eps")
+        if len(self.blocks) != count:
+            raise AssertionError("one block required per breakpoint segment")
+
+        bound = (2 * self.theta + 3 * eps) * mm
+        for m, blk in enumerate(self.blocks):
+            cols_m = set(self.block_columns(m))
+            if blk.part_count != blk.reductions + self.k:
+                raise AssertionError(f"block {m}: part count is not reductions + k")
+            if len(blk.pieces) > blk.part_count:
+                raise AssertionError(f"block {m}: more pieces than parts")
+            if blk.part_count > bound:
+                raise AssertionError(f"block {m}: part count above (2 theta + 3 eps) M")
+            if Fraction(blk.part_count, mm) ** 4 > 625 * eps:
+                raise AssertionError(f"block {m}: hull scale above 5 eps^(1/4)")
+            if any(not set(piece.active_rows()) <= cols_m for piece in blk.pieces):
+                raise AssertionError(f"block {m}: piece leaves the block columns")
+            y_m = self.block_vector(m)
+            if row_norm_sq(y_m) != blk.block_norm_sq:
+                raise AssertionError(f"block {m}: stored seminorm square is wrong")
+            try:
+                self.hull_witness(m).validate(y_m)
+            except AssertionError as exc:
+                raise AssertionError(f"block {m}: hull witness invalid ({exc})") from None
+
+        # Exact reassembly: per coordinate, the nonzero counts of the pieces
+        # must be a permutation of the nonzero counts of the input sequences.
+        for i in columns:
+            want = Counter(s.m[i - 1] for s in seqs if i <= len(s.m) and s.m[i - 1])
+            got = Counter(
+                piece.m[i - 1]
+                for blk in self.blocks
+                for piece in blk.pieces
+                if i <= len(piece.m) and piece.m[i - 1]
+            )
+            if want != got:
+                raise AssertionError(f"coordinate {i}: counts not preserved")
+
+        # Scale: covers every block's hull scale and the Lorentz bound of the
+        # block seminorms; the fourth-power test certifies the 2 eps^(1/4)
+        # claim, and the scale itself must meet the 5 eps^(1/4) target.
+        norms = [blk.block_norm_sq for blk in self.blocks]
+        if not lorentz_le_sq(norms, 16 * eps, p, power=4):
+            raise AssertionError("block seminorms fail the 16 eps fourth-power test")
+        if self.blocks:
+            needed = max(
+                max(Fraction(b.part_count, mm) for b in self.blocks),
+                lorentz_value_sq(norms, p).hi,
+            )
+            if self.scale < needed:
+                raise AssertionError("stored scale below the certified requirement")
+        if self.scale**4 > 625 * eps:
+            raise AssertionError("scale above 5 eps^(1/4)")
+
 
 def decompose_average(
     seqs: Sequence[GridSeq], epsilon: Rational, p: LorentzParam
@@ -359,9 +449,7 @@ def decompose_average(
     cert = DecompositionCertificate(
         eps, p, mm, k, theta, columns, breaks, tuple(blocks), scale
     )
-    problems = verify_decomposition(cert, seqs)
-    if problems:
-        raise AssertionError("; ".join(problems))
+    cert.validate(seqs)
     return cert
 
 
@@ -395,120 +483,6 @@ def block_conditions_sq(
         if n_k and any(v**p.num * n_k ** (2 * p.den) > 1 for v in block):
             return False
     return True
-
-
-def blocking_problems(
-    masses: Sequence[Rational],
-    breakpoints: Sequence[int],
-    theta: Rational,
-    epsilon: Rational,
-    p: LorentzParam,
-    m_count: int,
-) -> list[str]:
-    """Mass and count conditions a valid column blocking must satisfy."""
-    problems: list[str] = []
-    masses = [Fraction(v) for v in masses]
-    theta = Fraction(theta)
-    eps = Fraction(epsilon)
-    bp = tuple(breakpoints)
-    if not bp or bp[0] != 0 or bp[-1] != len(masses) or list(bp) != sorted(set(bp)):
-        return [f"breakpoints {bp} do not segment {len(masses)} columns"]
-    count = len(bp) - 1
-    for m in range(count):
-        mass = sum(masses[bp[m] : bp[m + 1]], Fraction(0))
-        if mass > (theta + eps) * m_count:
-            problems.append(f"block {m} mass {mass} exceeds (theta+eps)M")
-        if m < count - 1 and mass <= theta * m_count:
-            problems.append(f"non-final block {m} mass {mass} not above theta*M")
-    # count < 2 eps^(-p/4), exactly: count^(4 den) * eps^num < 2^(4 den)
-    if count and count ** (4 * p.den) * eps**p.num >= 2 ** (4 * p.den):
-        problems.append(f"block count {count} too large for eps")
-    return problems
-
-
-def verify_decomposition(
-    cert: DecompositionCertificate, seqs: Sequence[GridSeq]
-) -> list[str]:
-    """All certificate conditions, recomputed exactly; empty means valid."""
-    problems: list[str] = []
-    eps, p, mm = cert.epsilon, cert.p, cert.m_count
-    if mm != len(seqs):
-        return [f"certificate built for {mm} sequences, got {len(seqs)}"]
-    if cert.k != int(eps * mm):
-        problems.append("stored k is not floor(eps M)")
-    if disjointness_degree(seqs) > cert.k:
-        problems.append("sup of the average exceeds eps")
-
-    # theta must dominate the true threshold and satisfy the scale bound
-    if eps**p.num > (2 * cert.theta / (1 + cert.theta)) ** (4 * p.den):
-        problems.append("theta below the blocking threshold")
-    if (2 * cert.theta + 3 * eps) ** 4 > 625 * eps:
-        problems.append("(2 theta + 3 eps)^4 above 625 eps")
-
-    columns = tuple(sorted({i for s in seqs for i in s.active_rows()}))
-    if cert.columns != columns:
-        problems.append("stored columns differ from the active coordinates")
-        return problems
-    masses = [
-        Fraction(sum(s.m[i - 1] ** 2 for s in seqs if i <= len(s.m)), i * i) for i in columns
-    ]
-    problems += blocking_problems(masses, cert.breakpoints, cert.theta, eps, p, mm)
-    if len(cert.blocks) != len(cert.breakpoints) - 1:
-        problems.append("one block required per breakpoint segment")
-    if problems:
-        return problems
-
-    bound = (2 * cert.theta + 3 * eps) * mm
-    for m, blk in enumerate(cert.blocks):
-        cols_m = set(cert.block_columns(m))
-        if blk.part_count != blk.reductions + cert.k:
-            problems.append(f"block {m}: part count is not reductions + k")
-        if len(blk.pieces) > blk.part_count:
-            problems.append(f"block {m}: more pieces than parts")
-        if blk.part_count > bound:
-            problems.append(f"block {m}: part count above (2 theta + 3 eps) M")
-        if Fraction(blk.part_count, mm) ** 4 > 625 * eps:
-            problems.append(f"block {m}: hull scale above 5 eps^(1/4)")
-        for piece in blk.pieces:
-            if not set(piece.active_rows()) <= cols_m:
-                problems.append(f"block {m}: piece leaves the block columns")
-        y_m = cert.block_vector(m)
-        if row_norm_sq(y_m) != blk.block_norm_sq:
-            problems.append(f"block {m}: stored seminorm square is wrong")
-        try:
-            cert.hull_witness(m).validate(y_m)
-        except AssertionError as exc:
-            problems.append(f"block {m}: hull witness invalid ({exc})")
-
-    # Exact reassembly: per coordinate, the nonzero counts of the pieces
-    # must be a permutation of the nonzero counts of the input sequences.
-    for i in columns:
-        want = Counter(s.m[i - 1] for s in seqs if i <= len(s.m) and s.m[i - 1])
-        got = Counter(
-            piece.m[i - 1]
-            for blk in cert.blocks
-            for piece in blk.pieces
-            if i <= len(piece.m) and piece.m[i - 1]
-        )
-        if want != got:
-            problems.append(f"coordinate {i}: counts not preserved")
-
-    # Scale: covers every block's hull scale and the Lorentz bound of the
-    # block seminorms; the fourth-power test certifies the 2 eps^(1/4)
-    # claim, and the scale itself must meet the 5 eps^(1/4) target.
-    norms = [blk.block_norm_sq for blk in cert.blocks]
-    if not lorentz_le_sq(norms, 16 * eps, p, power=4):
-        problems.append("block seminorms fail the 16 eps fourth-power test")
-    if cert.blocks:
-        needed = max(
-            max(Fraction(b.part_count, mm) for b in cert.blocks),
-            lorentz_value_sq(norms, p).hi,
-        )
-        if cert.scale < needed:
-            problems.append("stored scale below the certified requirement")
-    if cert.scale**4 > 625 * eps:
-        problems.append("scale above 5 eps^(1/4)")
-    return problems
 
 
 # -- representatives of row-disjoint sums -------------------------------------
@@ -723,6 +697,38 @@ class SplitResult:
     remainder: TriVector
     gauge_bound: Fraction  # sum of slice scales; to the 8th at most 5^8 eps
 
+    def validate(self, reps: Sequence[DisjointRep]) -> None:
+        """Recheck every split guarantee exactly against the input
+        representatives; raise AssertionError at the first that fails."""
+        eps, p = self.epsilon, self.p
+        if self.front_count != iroot(int(1 / eps), 8):
+            raise AssertionError("front window is not floor(eps^(-1/8))")
+        if any(a <= 0 for a in self.weights) or sum(self.weights, Fraction(0)) > 1:
+            raise AssertionError("weights are not positive and subconvex")
+        element = TriVector()
+        for a, rep in zip(self.weights, reps):
+            element = element + rep.element().scale(a)
+        if element.sup_norm() > eps:
+            raise AssertionError("sup of the element exceeds eps")
+        recombined = self.remainder
+        for s in self.slices:
+            recombined = recombined + s
+        if recombined != element:
+            raise AssertionError("front plus remainder does not reassemble the element")
+        for gens, vec, cert in zip(self.slice_gens, self.slices, self.slice_certs):
+            if average_indicators(gens) != vec:
+                raise AssertionError("slice is not the average of its generators")
+            cert.validate(gens)
+        if self.gauge_bound != sum((c.scale for c in self.slice_certs), Fraction(0)):
+            raise AssertionError("gauge bound is not the sum of slice scales")
+        if self.gauge_bound**8 > 5**8 * eps:
+            raise AssertionError("gauge bound above 5 eps^(1/8)")
+        for tail in self.tail_reps:
+            if not tail.is_unit_member():
+                raise AssertionError("tail representative is not a unit member")
+            if any(ns ** (4 * p.num) > eps**p.den for ns in tail.norms_sq):
+                raise AssertionError("tail piece seminorm above eps^(1/(8p))")
+
 
 def _exact_combination(cert: HullCertificate, piece: TriVector) -> list[tuple[GridSeq, Fraction]]:
     """Weighted sequences reproducing the piece exactly, or raise."""
@@ -803,7 +809,7 @@ def split_element(
         total_scale += cert.scale
 
     # a tail is a sub-selection of a representative that passed the gate;
-    # verify_split checks it once, with is_unit_member
+    # SplitResult.validate checks it once, with is_unit_member
     tail_reps = []
     remainder = TriVector()
     for a, rep, order in zip(alphas, reps, orders):
@@ -831,42 +837,6 @@ def split_element(
         remainder,
         total_scale,
     )
-    problems = verify_split(result, reps)
-    if problems:
-        raise AssertionError("; ".join(problems))
+    result.validate(reps)
     return result
 
-
-def verify_split(result: SplitResult, reps: Sequence[DisjointRep]) -> list[str]:
-    """Recheck every split guarantee exactly; empty means valid."""
-    problems: list[str] = []
-    eps, p = result.epsilon, result.p
-    if result.front_count != iroot(int(1 / eps), 8):
-        problems.append("front window is not floor(eps^(-1/8))")
-    if any(a <= 0 for a in result.weights) or sum(result.weights, Fraction(0)) > 1:
-        problems.append("weights are not positive and subconvex")
-    element = TriVector()
-    for a, rep in zip(result.weights, reps):
-        element = element + rep.element().scale(a)
-    if element.sup_norm() > eps:
-        problems.append("sup of the element exceeds eps")
-    recombined = result.remainder
-    for s in result.slices:
-        recombined = recombined + s
-    if recombined != element:
-        problems.append("front plus remainder does not reassemble the element")
-    for gens, vec, cert in zip(result.slice_gens, result.slices, result.slice_certs):
-        if average_indicators(gens) != vec:
-            problems.append("slice is not the average of its generators")
-        problems += verify_decomposition(cert, gens)
-    if result.gauge_bound != sum((c.scale for c in result.slice_certs), Fraction(0)):
-        problems.append("gauge bound is not the sum of slice scales")
-    if result.gauge_bound**8 > 5**8 * eps:
-        problems.append("gauge bound above 5 eps^(1/8)")
-    for tail in result.tail_reps:
-        if not tail.is_unit_member():
-            problems.append("tail representative is not a unit member")
-        for ns in tail.norms_sq:
-            if ns ** (4 * p.num) > eps**p.den:
-                problems.append("tail piece seminorm above eps^(1/(8p))")
-    return problems

@@ -136,7 +136,7 @@ def _row_sup(x: TriVector, i: int) -> Fraction:
 def _full_row_cert(x_abs: TriVector, i: int) -> tuple[HullCertificate, Fraction]:
     """Single-row piece certificate: sup * (full row) dominates the row."""
     sup = _row_sup(x_abs, i)
-    seq = GridSeq.make(0 if r != i else i for r in range(1, i + 1))
+    seq = GridSeq((0,) * (i - 1) + (i,))
     return HullCertificate((seq,), (Fraction(1),), sup), sup
 
 
@@ -393,14 +393,14 @@ def pairing_witness(b: Sequence[Rational], p: LorentzParam) -> PairingWitness:
     if sum((v**2 for v in head), Fraction(0)) >= Fraction(5, 9):
         i0 = max(range(len(head)), key=lambda i: (abs(head[i]), -i)) + 1
         sign = 1 if b[i0 - 1] > 0 else -1
-        seq = GridSeq.make(0 if r != i0 else i0 for r in range(1, i0 + 1))
+        seq = GridSeq((0,) * (i0 - 1) + (i0,))
         vector = seq.indicator().scale(sign)
         branch = 1
     else:
         counts = [0] * len(b)
         for i in range(5, len(b) + 1):
             counts[i - 1] = int(i * abs(b[i - 1]))
-        seq = GridSeq.make(counts)
+        seq = GridSeq(counts)
         entries = {}
         for i in seq.active_rows():
             sign = 1 if b[i - 1] > 0 else -1

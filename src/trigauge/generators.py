@@ -55,10 +55,6 @@ class GridSeq:
         if budget > 1:
             raise ValueError(f"squared coefficient sum {budget} exceeds 1")
 
-    @classmethod
-    def make(cls, counts: Iterable[int]) -> "GridSeq":
-        return cls(tuple(counts))
-
     def active_rows(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.m, start=1) if c)
 
@@ -298,9 +294,9 @@ def hull_member(x: TriVector, scale: Rational = 1) -> HullCertificate | None:
     lam, cert = hull_min_scale(x)
     if lam > scale:
         return None
-    out = HullCertificate(cert.seqs, cert.weights, scale)
-    out.validate(x)
-    return out
+    # hull_min_scale validated these weights at lam <= scale, and a larger
+    # scale only raises every cell's coverage
+    return HullCertificate(cert.seqs, cert.weights, scale)
 
 
 def indicator_sum(seqs: Iterable[GridSeq], divisor: int) -> TriVector:

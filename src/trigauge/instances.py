@@ -94,7 +94,7 @@ def covered_generators(
         chosen = rng.sample(range(1, max_row + 1), rng.randint(1, width))
         multi = sorted(i for i in chosen if i > 1)
         if 1 in chosen:
-            seqs.append(GridSeq.make([1]))
+            seqs.append(GridSeq((1,)))
         pos = 0
         while pos < len(multi):
             take = rng.randint(1, min(3, len(multi) - pos))
@@ -104,7 +104,7 @@ def covered_generators(
             for i in group:
                 cap = i if take == 1 else max(1, i // 2)
                 counts[i - 1] = rng.randint(1, cap)
-            seqs.append(GridSeq.make(counts))
+            seqs.append(GridSeq(counts))
     target = max(len(seqs), waves * per)
     seqs += [ZERO_SEQ] * (target - len(seqs))
     return seqs
@@ -156,7 +156,7 @@ def unit_vector(rng: random.Random, max_len: int = 8) -> Vector:
 def _single_row_seq(rng: random.Random, i: int) -> GridSeq:
     counts = [0] * i
     counts[i - 1] = rng.randint(1, i)
-    return GridSeq.make(counts)
+    return GridSeq(counts)
 
 
 def _scaled_rep(scaled: list[tuple[GridSeq, Fraction]], p: LorentzParam) -> DisjointRep:
@@ -214,7 +214,7 @@ BAND_RATIOS = (
 
 
 def _full_row(i: int) -> TriVector:
-    return GridSeq.make(0 if r != i else i for r in range(1, i + 1)).indicator()
+    return GridSeq((0,) * (i - 1) + (i,)).indicator()
 
 
 def _flip_cells(rng: random.Random, x: TriVector) -> TriVector:
@@ -289,6 +289,6 @@ def merge_family(
     reps = []
     for t, i in enumerate(rows):
         scale = Fraction(rng.randint(4, 8), 8 * (t + 1))
-        seq = GridSeq.make(0 if r != i else i for r in range(1, i + 1))
+        seq = GridSeq((0,) * (i - 1) + (i,))
         reps.append(_scaled_rep([(seq, scale)], p))
     return reps

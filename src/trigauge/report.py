@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
 
 from .core import DEFAULT_P, LorentzParam
+from .exact import parse_fraction
 
 REPORT_VERSION = 1
 
@@ -68,8 +69,8 @@ class SweepConfig:
             trials=int(data["trials"]),
             max_row=int(data["max_row"]),
             max_m=int(data["max_m"]),
-            epsilon=None if data["epsilon"] is None else Fraction(data["epsilon"]),
-            tolerance=Fraction(data["tolerance"]),
+            epsilon=None if data["epsilon"] is None else parse_fraction(data["epsilon"]),
+            tolerance=parse_fraction(data["tolerance"]),
         )
 
 

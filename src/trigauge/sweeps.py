@@ -308,7 +308,7 @@ def _mainlemma_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     )
 
     def check():
-        # decompose_average runs verify_decomposition, scale^4 <= 625 eps included
+        # decompose_average runs the certificate's validate, scale^4 <= 625 eps included
         cert = decompose_average(seqs, eps, cfg.p)
         return True, {
             "epsilon": eps,
@@ -435,7 +435,7 @@ def _split_trial(rng: random.Random, trial: int, cfg: SweepConfig):
         return element.to_text()
 
     def check():
-        # split_element runs verify_split: reassembly and gauge_bound^8 <= 5^8 eps
+        # split_element runs the result's validate: reassembly and gauge_bound^8 <= 5^8 eps
         result = split_element(weights, reps, eps, cfg.p)
         return True, {
             "epsilon": eps,

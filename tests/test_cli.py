@@ -82,8 +82,8 @@ def test_report_summary_and_csv(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("trial,ok,digest,detail")
 
 
-DECOMPOSE_SEQS = [GridSeq.make([1]), GridSeq.make([0, 2]), GridSeq.make([0, 0, 3])]
-DECOMPOSE_SEQS += [GridSeq.make([])] * 9
+DECOMPOSE_SEQS = [GridSeq((1,)), GridSeq((0, 2)), GridSeq((0, 0, 3))]
+DECOMPOSE_SEQS += [GridSeq(())] * 9
 
 
 def test_decompose_command(tmp_path, capsys):
@@ -231,6 +231,19 @@ def test_wrong_field_type_exits_two(tmp_path, capsys, command, path, value):
     capsys.readouterr()
     assert main([command, str(out)]) == 2
     assert path[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["epsilon", "tolerance"])
+@pytest.mark.parametrize("command", ["replay", "report"])
+def test_zero_denominator_in_report_config_exits_two(tmp_path, capsys, command, field):
+    out = tmp_path / "r.json"
+    assert main(["sweep", "blocks", "--trials", "1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload["config"][field] = "1/0"
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, str(out), "--format", "csv"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["report", "replay"])

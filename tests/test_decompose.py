@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigauge import decompose, instances
-from trigauge.core import DEFAULT_P, TriVector, lorentz_le_sq
+from trigauge.core import DEFAULT_P, TriVector, lorentz_le_sq, row_norm_sq
 from trigauge.decompose import (
     DisjointRep,
     PartitionResult,
@@ -31,8 +31,6 @@ from trigauge.decompose import (
     select_subset,
     split_element,
     theta_for,
-    verify_decomposition,
-    verify_split,
 )
 from trigauge.gauge import GaugeCertificate
 from trigauge.generators import (
@@ -563,7 +561,7 @@ class TestDecomposeAverage:
         # scale is the upper end of the enclosure of 2^(-5/6) ~ 0.5612
         assert cert.scale**6 >= F(1, 32)
         assert float(cert.scale) == pytest.approx(2 ** (-5 / 6), rel=1e-9)
-        assert verify_decomposition(cert, FOUR_ROWS) == []
+        cert.validate(FOUR_ROWS)
 
     def test_reassembly_identity(self):
         cert = decompose_average(FOUR_ROWS, F(1, 4), P)
@@ -572,7 +570,7 @@ class TestDecomposeAverage:
     def test_zero_family(self):
         cert = decompose_average([ZERO_SEQ, ZERO_SEQ], F(1, 2), P)
         assert cert.blocks == () and cert.scale == 0
-        assert verify_decomposition(cert, [ZERO_SEQ, ZERO_SEQ]) == []
+        cert.validate([ZERO_SEQ, ZERO_SEQ])
 
     def test_sup_above_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -609,28 +607,42 @@ class TestDecomposeAverage:
         degree = disjointness_degree(seqs)
         eps = F(max(degree, 1), len(seqs))
         cert = decompose_average(seqs, eps, P)
-        assert verify_decomposition(cert, seqs) == []
+        cert.validate(seqs)
         assert cert.average() == average_indicators(seqs)
         assert cert.scale**4 <= 625 * eps
 
     def test_verifier_catches_tampering(self):
         cert = decompose_average(FOUR_ROWS, F(1, 4), P)
         bad_k = dataclasses.replace(cert, k=2)
-        assert any("k" in w for w in verify_decomposition(bad_k, FOUR_ROWS))
+        with pytest.raises(AssertionError, match="stored k is not floor"):
+            bad_k.validate(FOUR_ROWS)
         bad_scale = dataclasses.replace(cert, scale=cert.scale / 2)
-        assert verify_decomposition(bad_scale, FOUR_ROWS)
+        with pytest.raises(AssertionError, match="stored scale below the certified"):
+            bad_scale.validate(FOUR_ROWS)
         bad_theta = dataclasses.replace(cert, theta=F(1, 10))
-        assert verify_decomposition(bad_theta, FOUR_ROWS)
+        with pytest.raises(AssertionError, match="theta below the blocking threshold"):
+            bad_theta.validate(FOUR_ROWS)
         bad_breaks = dataclasses.replace(cert, breakpoints=(0, 1, 2, 4))
-        assert verify_decomposition(bad_breaks, FOUR_ROWS)
+        with pytest.raises(AssertionError, match="non-final block 0 mass 1 not above"):
+            bad_breaks.validate(FOUR_ROWS)
         blk = cert.blocks[0]
         bad_piece = dataclasses.replace(blk, pieces=(blk.pieces[0],))
         bad_blocks = dataclasses.replace(cert, blocks=(bad_piece, cert.blocks[1]))
-        assert any("counts" in w for w in verify_decomposition(bad_blocks, FOUR_ROWS))
+        with pytest.raises(AssertionError, match="block 0: stored seminorm square is wrong"):
+            bad_blocks.validate(FOUR_ROWS)
+        # the same dropped piece with its seminorm square recomputed gets
+        # past the per-block checks to the reassembly check
+        norm_sq = row_norm_sq(bad_blocks.block_vector(0))
+        renormed = dataclasses.replace(bad_piece, block_norm_sq=norm_sq)
+        bad_counts = dataclasses.replace(cert, blocks=(renormed, cert.blocks[1]))
+        with pytest.raises(AssertionError, match="coordinate 2: counts not preserved"):
+            bad_counts.validate(FOUR_ROWS)
         bad_norm = dataclasses.replace(blk, block_norm_sq=F(1, 9))
         bad_blocks2 = dataclasses.replace(cert, blocks=(bad_norm, cert.blocks[1]))
-        assert any("seminorm" in w for w in verify_decomposition(bad_blocks2, FOUR_ROWS))
-        assert verify_decomposition(cert, FOUR_ROWS[:3]) != []
+        with pytest.raises(AssertionError, match="block 0: stored seminorm square is wrong"):
+            bad_blocks2.validate(FOUR_ROWS)
+        with pytest.raises(AssertionError, match="built for 4 sequences, got 3"):
+            cert.validate(FOUR_ROWS[:3])
 
 
 # -- block conditions -----------------------------------------------------------
@@ -869,13 +881,13 @@ class TestSplit:
         assert res.gauge_bound == F(1, 4)
         assert [t.length for t in res.tail_reps] == [2]
         assert sum(res.slices, TriVector()) + res.remainder == rep.element().scale(F(1, 4))
-        assert verify_split(res, [rep]) == []
+        res.validate([rep])
 
     def test_all_small_pieces(self):
         # explicit certificates: the slice expansion needs combinations
         # that equal the piece, not merely dominate it
-        seq30 = GridSeq.make(0 if i != 30 else 1 for i in range(1, 31))
-        seq31 = GridSeq.make(0 if i != 31 else 1 for i in range(1, 32))
+        seq30 = GridSeq((0,) * 29 + (1,))
+        seq31 = GridSeq((0,) * 30 + (1,))
         certs = [
             HullCertificate((seq30,), (F(1),), F(1)),
             HullCertificate((seq31,), (F(1),), F(1)),
@@ -886,13 +898,13 @@ class TestSplit:
         # small; the slice still holds the largest piece
         assert res.front_count == 1
         assert res.slices == (seq30.indicator().scale(F(1, 16)),)
-        assert verify_split(res, [rep]) == []
+        res.validate([rep])
 
     def test_two_reps(self):
         rep1 = make_disjoint_rep([full_row(1), single_cell(20)], P)
         rep2 = make_disjoint_rep([full_row(2), single_cell(21)], P)
         res = split_element([F(1, 8), F(1, 8)], [rep1, rep2], F(1, 4), P)
-        assert verify_split(res, [rep1, rep2]) == []
+        res.validate([rep1, rep2])
         assert res.gauge_bound**8 <= 5**8 * F(1, 4)
 
     def test_sup_above_eps_rejected(self):
@@ -928,7 +940,7 @@ class TestSplit:
         res = split_element([F(1, 4)], [rep], F(1, 4), P)
         (tail,) = res.tail_reps
         assert tail.length == 2
-        # once at the input gate, and a tail's once more, in verify_split
+        # once at the input gate, and a tail's once more, in SplitResult.validate
         for cert in rep.certs:
             in_tail = any(cert is c for c in tail.certs)
             assert sum(1 for c in calls if c is cert) == 1 + in_tail
@@ -950,6 +962,8 @@ class TestSplit:
         rep = make_disjoint_rep([full_row(1), single_cell(20), single_cell(21)], P)
         res = split_element([F(1, 4)], [rep], F(1, 4), P)
         bad = dataclasses.replace(res, gauge_bound=res.gauge_bound * 2)
-        assert verify_split(bad, [rep]) != []
+        with pytest.raises(AssertionError, match="gauge bound is not the sum of slice scales"):
+            bad.validate([rep])
         bad2 = dataclasses.replace(res, remainder=res.remainder.scale(F(1, 2)))
-        assert any("reassemble" in w for w in verify_split(bad2, [rep]))
+        with pytest.raises(AssertionError, match="does not reassemble the element"):
+            bad2.validate([rep])

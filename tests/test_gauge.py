@@ -79,7 +79,7 @@ def forged_reps(rep):
 
 
 def full_row(i):
-    return GridSeq.make(0 if r != i else i for r in range(1, i + 1)).indicator()
+    return GridSeq((0,) * (i - 1) + (i,)).indicator()
 
 
 REFERENCE_PARTITION_ROWS = 5
@@ -205,7 +205,7 @@ class TestGaugeUpper:
 
     def test_generator_indicator_is_unit(self):
         # any generator's indicator lies in U, so the bound is exactly 1
-        x = GridSeq.make((0, 2)).indicator()
+        x = GridSeq((0, 2)).indicator()
         cert = gauge_upper(x, P)
         assert cert.scale == 1
         cert.validate(x)
@@ -454,7 +454,7 @@ class TestGaugeLower:
 
     def test_unit_generator_reaches_inverse_constant(self):
         # row seminorm 1, so the seminorm route alone reaches 1/C_hi
-        x = GridSeq.make((0, 2)).indicator()
+        x = GridSeq((0, 2)).indicator()
         w = gauge_lower(x, P)
         assert w.value >= 1 / C_HI
         w.validate(x)
@@ -540,7 +540,7 @@ class TestGaugeInterval:
         samples = [
             TriVector(),
             TriVector({(1, 1): F(3, 7)}),
-            GridSeq.make((0, 1, 2)).indicator(),
+            GridSeq((0, 1, 2)).indicator(),
             TriVector({(2, 2): F(1, 3), (5, 1): F(4, 5)}),
         ]
         for x in samples:
@@ -550,7 +550,7 @@ class TestGaugeInterval:
             iv.lower.validate(x)
 
     def test_indicator_interval_is_point(self):
-        iv = gauge_interval(GridSeq.make((0, 1)).indicator(), P)
+        iv = gauge_interval(GridSeq((0, 1)).indicator(), P)
         assert iv.lo == iv.hi == 1
 
     def test_far_row_single_cell_is_point(self):
@@ -583,7 +583,7 @@ class TestGaugeInterval:
         [
             TriVector({(2, 2): F(1, 3), (5, 1): F(4, 5)}),
             TriVector({(1, 1): F(1, 4), (3, 1): F(1)}),
-            GridSeq.make((0, 1, 2)).indicator(),
+            GridSeq((0, 1, 2)).indicator(),
             decr(3),
             decr(4),
         ],
@@ -611,7 +611,7 @@ class TestGaugeInterval:
 
 class TestRepExamples:
     def test_single_generator_piece_accepted(self):
-        rep = make_disjoint_rep([GridSeq.make((0, 1)).indicator()], P)
+        rep = make_disjoint_rep([GridSeq((0, 1)).indicator()], P)
         assert rep.is_unit_member()
 
     def test_two_full_norm_pieces_rejected(self):
@@ -722,7 +722,7 @@ class TestPairingWitness:
     def test_body_elements_have_small_seminorm(self):
         # certified combinations keep the row seminorm at most C
         reps = [
-            make_disjoint_rep([GridSeq.make((0, 2)).indicator()], P),
+            make_disjoint_rep([GridSeq((0, 2)).indicator()], P),
             make_disjoint_rep(
                 [full_row(1).scale(F(1, 2)), full_row(3).scale(F(1, 3))], P
             ),

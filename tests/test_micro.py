@@ -57,7 +57,7 @@ EPS = F(1, 10**9)
 
 
 def full_row(i):
-    return GridSeq.make(0 if r != i else i for r in range(1, i + 1)).indicator()
+    return GridSeq((0,) * (i - 1) + (i,)).indicator()
 
 
 def contains(iv, value):

@@ -7,7 +7,12 @@ import pytest
 
 from trigauge import decompose, instances
 from trigauge.core import DEFAULT_P, TriVector
-from trigauge.decompose import make_disjoint_rep, merge_representatives
+from trigauge.decompose import (
+    DecompositionCertificate,
+    SplitResult,
+    make_disjoint_rep,
+    merge_representatives,
+)
 from trigauge.gauge import GaugeCertificate
 from trigauge.generators import HullCertificate, parse_seq_file
 from trigauge.report import SweepConfig, load_report_payload
@@ -154,10 +159,10 @@ def drawn_split(rng, cfg):
     "suite, owner, check, parse, drawn",
     [
         ("partition", decompose, "_validate_partition", parse_matrix, drawn_partition),
-        ("mainlemma", decompose, "verify_decomposition", parse_seq_file, drawn_mainlemma),
+        ("mainlemma", DecompositionCertificate, "validate", parse_seq_file, drawn_mainlemma),
         # pairing_witness checks its certificate's cover, not its representative
         ("quotient", GaugeCertificate, "_check_cover", parse_quotient, drawn_quotient),
-        ("split", decompose, "verify_split", TriVector.from_text, drawn_split),
+        ("split", SplitResult, "validate", TriVector.from_text, drawn_split),
     ],
     ids=["partition", "mainlemma", "quotient", "split"],
 )
