@@ -387,8 +387,19 @@ def decompose_average(
     """Certificate that (1/M) sum indicator(seq) lies in scale * A.
 
     Requires sup of the average at most eps, i.e. no coordinate active
-    in more than floor(eps M) of the sequences.
+    in more than floor(eps M) of the sequences.  The certificate is
+    validated against seqs before it is returned.
     """
+    cert = _decompose_average(seqs, epsilon, p)
+    cert.validate(seqs)
+    return cert
+
+
+def _decompose_average(
+    seqs: Sequence[GridSeq], epsilon: Rational, p: LorentzParam
+) -> DecompositionCertificate:
+    """``decompose_average`` without the final ``validate``, for a caller
+    that validates the certificate itself."""
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError("need 0 < eps < 1")
@@ -446,11 +457,7 @@ def decompose_average(
         max((Fraction(b.part_count, mm) for b in blocks), default=Fraction(0)),
         lorentz_hi,
     )
-    cert = DecompositionCertificate(
-        eps, p, mm, k, theta, columns, breaks, tuple(blocks), scale
-    )
-    cert.validate(seqs)
-    return cert
+    return DecompositionCertificate(eps, p, mm, k, theta, columns, breaks, tuple(blocks), scale)
 
 
 def block_conditions_sq(
@@ -540,7 +547,6 @@ def make_disjoint_rep(
     pieces: Sequence[TriVector],
     p: LorentzParam,
     certs: Sequence[HullCertificate] | None = None,
-    lorentz_sq_bound: Rational = 1,
 ) -> DisjointRep:
     """Validated representative; hull certificates computed when absent."""
     pieces = tuple(pieces)
@@ -561,27 +567,27 @@ def make_disjoint_rep(
         for piece, cert in zip(pieces, certs):
             cert.validate(piece)
     norms = tuple(row_norm_sq(piece) for piece in pieces)
-    bound = Fraction(lorentz_sq_bound)
-    if not lorentz_le_sq(norms, bound, p):
+    if not lorentz_le_sq(norms, 1, p):
         raise ValueError("piece seminorms break the Lorentz bound")
-    return DisjointRep(pieces, certs, norms, p, bound)
+    return DisjointRep(pieces, certs, norms, p, Fraction(1))
 
 
-def join_disjoint_reps(reps: Sequence[DisjointRep], p: LorentzParam) -> DisjointRep:
-    """Concatenation of representatives, each built by ``make_disjoint_rep``.
+def join_disjoint_reps(
+    reps: Sequence[DisjointRep], p: LorentzParam, lorentz_sq_bound: Rational
+) -> DisjointRep:
+    """Concatenation of checked representatives at a squared Lorentz bound.
 
-    The inputs must come from ``make_disjoint_rep``: their hull
-    certificates were validated against their pieces and their seminorms
-    computed there, and both are reused here, not re-derived.  Only what
-    concatenating adds is checked: the pieces stay row-disjoint and their
-    seminorms pass the Lorentz test with bound 1.  The fields are those
-    ``make_disjoint_rep`` gives the concatenated pieces and certificates.
+    The inputs must have checked certificates and seminorms, from
+    ``make_disjoint_rep`` or ``is_unit_member``: both are reused here,
+    not re-derived.  Only what concatenating adds is checked: the pieces
+    stay row-disjoint and their seminorms pass the Lorentz test with
+    squared bound ``lorentz_sq_bound``.
     """
     pieces = tuple(piece for rep in reps for piece in rep.pieces)
     if not is_row_disjoint(*pieces):
         raise ValueError("pieces share a row")
     norms = tuple(norm for rep in reps for norm in rep.norms_sq)
-    bound = Fraction(1)
+    bound = Fraction(lorentz_sq_bound)
     if not lorentz_le_sq(norms, bound, p):
         raise ValueError("piece seminorms break the Lorentz bound")
     certs = tuple(cert for rep in reps for cert in rep.certs)
@@ -633,9 +639,8 @@ def merge_representatives(reps: Sequence[DisjointRep], p: LorentzParam) -> Merge
     the selection.
 
     Each input must pass ``is_unit_member``.  The merged representative
-    concatenates their pieces, checked certificates and checked seminorm
-    squares, as ``join_disjoint_reps`` does, and adds only the block
-    conditions and the Lorentz test at bound 4.
+    is their ``join_disjoint_reps`` at squared Lorentz bound 4, after the
+    block conditions are checked.
     """
     reps = tuple(reps)
     if not reps:
@@ -648,27 +653,17 @@ def merge_representatives(reps: Sequence[DisjointRep], p: LorentzParam) -> Merge
         if not r.is_unit_member():
             raise ValueError("representative is not a unit member")
     selected = []
-    length = 0
+    breaks = [0]  # the total length selected, after each selection
     for idx, rep in enumerate(reps):
+        length = breaks[-1]
         # max_norm <= length^(-1/p), exactly (max_norm_sq)^num * L^(2 den) <= 1
         if length == 0 or rep.max_norm_sq() ** p.num * length ** (2 * p.den) <= 1:
             selected.append(idx)
-            length += rep.length
-    pieces: list[TriVector] = []
-    certs: list[HullCertificate] = []
-    norms: list[Fraction] = []
-    breaks = [0]
-    for idx in selected:
-        pieces.extend(reps[idx].pieces)
-        certs.extend(reps[idx].certs)
-        norms.extend(reps[idx].norms_sq)
-        breaks.append(len(pieces))
+            breaks.append(length + rep.length)
+    norms = [norm for idx in selected for norm in reps[idx].norms_sq]
     if not block_conditions_sq(norms, breaks, p):
         raise AssertionError("greedy selection broke the block conditions")
-    bound = Fraction(4)
-    if not lorentz_le_sq(norms, bound, p):
-        raise ValueError("piece seminorms break the Lorentz bound")
-    merged = DisjointRep(tuple(pieces), tuple(certs), tuple(norms), p, bound)
+    merged = join_disjoint_reps([reps[idx] for idx in selected], p, 4)
     return MergeResult(tuple(selected), merged, tuple(breaks))
 
 
@@ -800,7 +795,7 @@ def split_element(
         for seq, gamma in sorted(terms.items(), key=lambda kv: kv[0].m):
             gens.extend([seq] * int(gamma * q))
         gens.extend([ZERO_SEQ] * (q - len(gens)))
-        cert = decompose_average(gens, eps, p)
+        cert = _decompose_average(gens, eps, p)  # SplitResult.validate checks it
         if cert.average() != vec:
             raise AssertionError("slice expansion mismatch")
         slices.append(vec)

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .core import TriVector
 from .exact import Rational
-from .lp import solve_lp
+from .lp import _unit_column, solve_lp
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,8 +267,11 @@ def hull_min_scale(x: TriVector) -> tuple[Fraction, HullCertificate]:
     rows = sorted(support)
     tuples = _count_tuples(support)
     position = {i: k for k, i in enumerate(rows)}
-    mat = [[1 if t[position[i]] >= j else 0 for t in tuples] for (i, j), _ in cells]
-    res = solve_lp([1] * len(tuples), mat, [v for _, v in cells])
+    columns = [
+        _unit_column((k, 1, 1) for k, ((i, j), _) in enumerate(cells) if t[position[i]] >= j)
+        for t in tuples
+    ]
+    res = solve_lp(columns, [v for _, v in cells])
     if res.status != "optimal":
         raise ValueError("target not coverable on its rows")
     lam = res.objective

@@ -11,9 +11,11 @@ is stored once, as integer numerators over its own common denominator,
 and the state between pivots is only the exact row transform M = B^-1
 (each row as integers over one denominator) and the basic values.  Rows
 whose rhs is not positive start with their surplus basic, so M starts as
-the diagonal of row signs.  ``solve_lp`` builds the structural columns
-and hands them to ``_solve_columns``; a caller that keeps its columns
-between solves calls that directly.
+the diagonal of row signs.  ``solve_lp`` is the one entry: it takes the
+structural columns prebuilt, each by ``_unit_column`` from its nonzero
+entries (row, numerator, denominator) at unit cost, and the rhs as
+Fractions, so a caller that keeps its columns between solves builds
+each once.
 
 Pricing needs no Fraction per column: y = c_B M goes over one common
 denominator D, and column j (numerators a_j over d_j, cost c_j d_j) may
@@ -51,9 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Sequence
-
-from .exact import Rational
+from typing import Iterable, NamedTuple, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,32 +78,17 @@ class _Column:
         return sum(map(mul, map(ints.__getitem__, self.rows), self.nums))
 
 
-def _column(entries: list[tuple[int, Fraction | int]], cost: Fraction | int) -> _Column:
-    den = lcm(cost.denominator, *(v.denominator for _, v in entries))
+def _unit_column(entries: Iterable[tuple[int, int, int]]) -> _Column:
+    """The unit-cost column with entry num / den (in lowest terms, den > 0)
+    in row ``row`` for each (row, num, den) of ``entries``."""
+    entries = list(entries)
+    den = lcm(*(d for _, _, d in entries))
     return _Column(
-        tuple(i for i, _ in entries),
-        tuple(v.numerator * (den // v.denominator) for _, v in entries),
+        tuple(row for row, _, _ in entries),
+        tuple(num * (den // d) for _, num, d in entries),
         den,
-        cost.numerator * (den // cost.denominator),
+        den,
     )
-
-
-def solve_lp(
-    c: Sequence[Rational],
-    rows: Sequence[Sequence[Rational]],
-    b: Sequence[Rational],
-) -> LPResult:
-    """Minimize c.x subject to rows.x >= b, x >= 0; exact two-phase simplex."""
-    n = len(c)
-    m = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("row length does not match objective length")
-    data = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r] for r in rows]
-    cols = [
-        _column([(i, data[i][j]) for i in range(m) if data[i][j]], Fraction(c[j]))
-        for j in range(n)
-    ]
-    return _solve_columns(cols, [Fraction(v) for v in b])
 
 
 _PHASE1, _PIVOT_OUT, _PHASE2, _DONE = range(4)  # the stages of a solve
@@ -130,7 +115,7 @@ class _Point(NamedTuple):
 
 
 class _Trail:
-    """What the latest optimal ``_solve_columns`` solve recorded for a
+    """What the latest optimal ``solve_lp`` solve recorded for a
     solve of the same rhs over columns that extend its own: that program
     (``columns``, ``rhs``) and, in path order, each point at which Bland's
     choice was not one of its structural columns.  Those are where a
@@ -145,11 +130,11 @@ class _Trail:
         self.points: list[_Point] = []
 
 
-def _solve_columns(
+def solve_lp(
     columns: Sequence[_Column], rhs0: list[Fraction], trail: _Trail | None = None
 ) -> LPResult:
-    """``solve_lp`` on prebuilt structural columns (``_column`` form) and
-    the rhs as Fractions.
+    """Minimize c.x subject to A x >= rhs0, x >= 0, with A's columns and c
+    given as ``columns``; exact two-phase simplex.
 
     An optimal solve with a ``trail`` records its path there; any other
     solve leaves the trail as it was.  When the trail holds the same rhs

@@ -72,7 +72,7 @@ from .gauge import (
     gauge_interval,
 )
 from .generators import GridSeq, HullCertificate, enumerate_grid_seqs
-from .lp import _Column, _solve_columns, _Trail
+from .lp import _Column, _Trail, _unit_column, solve_lp
 
 SUPPORT_ROW_CAP = 3
 # every nonempty support within rows 1..SUPPORT_ROW_CAP
@@ -406,7 +406,7 @@ def _joined(member: DisjointRep | tuple[_Piece, ...], p: LorentzParam) -> Disjoi
     ``join_disjoint_reps``, which re-checks them in Fractions."""
     if isinstance(member, DisjointRep):
         return member
-    return join_disjoint_reps([piece.certify(p) for piece in member], p)
+    return join_disjoint_reps([piece.certify(p) for piece in member], p, 1)
 
 
 class _SlotProgram:
@@ -540,16 +540,8 @@ def _support_atoms(cells: tuple[Cell, ...], num: int, den: int) -> _SupportAtoms
 
 def _key_column(key: tuple[tuple[Cell, int, int], ...], position: Mapping[Cell, int]) -> _Column:
     """The cover-program column of the vector with element key ``key``:
-    its entries on the support cells (row ``position[cell]``) at unit
-    cost, as ``lp._column`` builds them."""
-    entries = [(position[c], num, den) for c, num, den in key if c in position]
-    common = lcm(*(den for _, _, den in entries))
-    return _Column(
-        tuple(row for row, _, _ in entries),
-        tuple(num * (common // den) for _, num, den in entries),
-        common,
-        common,
-    )
+    its entries on the support cells (row ``position[cell]``)."""
+    return _unit_column((position[c], num, den) for c, num, den in key if c in position)
 
 
 def _cover_program(
@@ -561,7 +553,7 @@ def _cover_program(
     """Exact minimal-weight cover of the target by the pooled members,
     given as their columns.  The previous solve's program is a prefix of
     this one, so the solve resumes its ``trail``."""
-    res = _solve_columns(columns, [target[cell] for cell in cells], trail)
+    res = solve_lp(columns, [target[cell] for cell in cells], trail)
     if res.status != "optimal":
         raise AssertionError(f"cover program came back {res.status}")
     duals = dict(zip(cells, res.duals or ()))

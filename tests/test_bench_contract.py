@@ -4,7 +4,7 @@
 their fields, and its tracer wraps entry points by name, so a program
 change can break a benchmark run without failing any other test.  These
 tests run the benchmark's own commands from the repository root, at the
-smallest run length (three rounds per workload).
+smallest run length (three rounds per workload), untraced and traced.
 """
 
 import importlib
@@ -20,6 +20,7 @@ BENCH = ROOT / "perfbench"
 
 # failed operations per round: every operation reaches its tolerance
 FAILED_PER_ROUND = {"gauge": (0, 11), "sweep": (0, 10), "micro": (0, 73)}
+PER_LAYER = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
 
 
 def _run(*args: str) -> subprocess.CompletedProcess:
@@ -46,6 +47,20 @@ def test_workload_runs_correct(workload):
     assert result["attempted"] % per_round == 0 and result["attempted"] >= 3 * per_round
     assert result["failed"] * per_round == failed * result["attempted"]
     assert set(result["metrics"]) == {"setup_s", "peak_rss_mb", "round_s"}
+
+
+@pytest.mark.parametrize("workload", sorted(FAILED_PER_ROUND))
+def test_traced_workload_reports_every_layer(workload):
+    out = _run(str(BENCH / "run.py"), "--workload", workload, "--seconds", "0", "--trace", "1")
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert set(result["metrics"]) == PER_LAYER
+    if workload == "micro":
+        # the tracer sees each cover program the oracle solves
+        metrics = result["metrics"]
+        assert metrics["micro.cover_lps"]["value"] > 0
+        assert metrics["micro.cover_columns_max"]["value"] > 0
 
 
 def test_trace_entry_points_resolve():

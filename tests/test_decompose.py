@@ -765,7 +765,7 @@ class TestJoinDisjointReps:
         ]
         for group in groups:
             reps = [make_disjoint_rep(pieces, P) for pieces in group]
-            joined = join_disjoint_reps(reps, P)
+            joined = join_disjoint_reps(reps, P, 1)
             pieces = [piece for rep in reps for piece in rep.pieces]
             certs = [cert for rep in reps for cert in rep.certs]
             assert joined == make_disjoint_rep(pieces, P, certs=certs)
@@ -774,13 +774,15 @@ class TestJoinDisjointReps:
     def test_shared_rows_rejected(self):
         reps = [make_disjoint_rep([full_row(2)], P), make_disjoint_rep([single_cell(2)], P)]
         with pytest.raises(ValueError, match="share a row"):
-            join_disjoint_reps(reps, P)
+            join_disjoint_reps(reps, P, 1)
 
     def test_lorentz_violation_rejected(self):
         # each unit row passes alone; two pieces at seminorm 1 do not
         reps = [make_disjoint_rep([full_row(1)], P), make_disjoint_rep([full_row(2)], P)]
         with pytest.raises(ValueError, match="Lorentz"):
-            join_disjoint_reps(reps, P)
+            join_disjoint_reps(reps, P, 1)
+        # at squared bound 4 they pass: 2^(1/p) <= 2
+        assert join_disjoint_reps(reps, P, 4).lorentz_sq_bound == 4
 
 
 class TestMerge:
@@ -832,7 +834,9 @@ class TestMerge:
         res = merge_representatives(family, P)
         pieces = [piece for idx in res.selected for piece in family[idx].pieces]
         certs = [cert for idx in res.selected for cert in family[idx].certs]
-        assert res.merged == make_disjoint_rep(pieces, P, certs=certs, lorentz_sq_bound=4)
+        norms = tuple(row_norm_sq(piece) for piece in pieces)
+        rebuilt = DisjointRep(tuple(pieces), tuple(certs), norms, P, F(4))
+        assert res.merged == join_disjoint_reps([family[i] for i in res.selected], P, 4) == rebuilt
         halved = make_disjoint_rep(
             [piece.scale(F(1, 2)) for piece in pieces],
             P,

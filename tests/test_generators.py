@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from trigauge import generators
 from trigauge.core import DEFAULT_P, TriVector
 from trigauge.decompose import DecompositionBlock, DecompositionCertificate
 from trigauge.generators import (
@@ -27,7 +28,8 @@ from trigauge.generators import (
     parse_seq_file,
     seq_file_text,
 )
-from trigauge.lp import solve_lp
+
+from dense_lp import dense_columns, solve_dense
 
 
 def brute_enumerate(max_row: int) -> set[tuple[int, ...]]:
@@ -171,7 +173,7 @@ def full_enumeration_min_scale(x):
     seqs = [s for s in enumerate_grid_seqs(x.active_rows()) if s.m]
     cells = x.support()
     mat = [[s.indicator().entry(i, j) for s in seqs] for (i, j) in cells]
-    res = solve_lp([1] * len(seqs), mat, [abs(x.entry(i, j)) for (i, j) in cells])
+    res = solve_dense([1] * len(seqs), mat, [abs(x.entry(i, j)) for (i, j) in cells])
     assert res.status == "optimal"
     return res.objective
 
@@ -199,6 +201,54 @@ def test_pruned_columns_are_maximal_support_counts():
     assert lam == full_enumeration_min_scale(x)
     for s in cert.seqs:
         assert all(m in (0, 1, i) for i, m in enumerate(s.m, start=1))
+
+
+def test_hull_program_is_the_dense_cover_matrix(monkeypatch):
+    # hull_min_scale hands solve_lp one unit-cost column per pruned tuple,
+    # equal to the dense conversion of the 0/1 matrix (record cell covered
+    # by tuple), and |x| on the record cells as the rhs
+    programs = []
+    solve = generators.solve_lp
+
+    def record(columns, rhs):
+        programs.append((list(columns), list(rhs)))
+        return solve(columns, rhs)
+
+    monkeypatch.setattr(generators, "solve_lp", record)
+    vectors = []
+    for n in range(1, 7):
+        vectors.append(TriVector({(i, j): 1 for i in range(1, n + 1) for j in range(1, i + 1)}))
+        vectors.append(
+            TriVector(
+                {(i, j): Fraction(2 * i - j, 2 * i) for i in range(1, n + 1) for j in range(1, i + 1)}
+            )
+        )
+    rng = random.Random(20261021)
+    for _ in range(40):
+        rows = rng.sample(range(1, 7), rng.randint(1, 4))
+        cells = {}
+        for i in rows:
+            for j in rng.sample(range(1, i + 1), rng.randint(1, min(i, 3))):
+                cells[(i, j)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 8), rng.randint(1, 8))
+        vectors.append(TriVector(cells))
+    for x in vectors:
+        programs.clear()
+        hull_min_scale(x)
+        [(columns, rhs)] = programs
+        # record cells: above every entry to their right, in x's order
+        cells = [
+            (i, j)
+            for (i, j), v in x.items()
+            if all(abs(v) > abs(x.entry(i, k)) for k in range(j + 1, i + 1))
+        ]
+        support = {}
+        for i, j in cells:
+            support.setdefault(i, set()).add(j)
+        rows = sorted(support)
+        tuples = generators._count_tuples(support)
+        mat = [[1 if t[rows.index(i)] >= j else 0 for t in tuples] for i, j in cells]
+        assert columns == dense_columns([1] * len(tuples), mat)
+        assert rhs == [abs(x.entry(i, j)) for i, j in cells]
 
 
 # (2i - j)/(2i) on rows 1..11 falls strictly along each row, so every

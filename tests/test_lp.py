@@ -1,5 +1,6 @@
 """Exact simplex against scipy's float LP solver, hand-checked cases, and
-the dense tableau simplex it replaced."""
+the dense tableau simplex it replaced.  Programs are stated as dense
+matrices and reach ``solve_lp`` as columns through ``dense_lp``."""
 
 import random
 import sys
@@ -16,16 +17,17 @@ from trigauge.exact import Rational
 from trigauge.lp import (
     LPResult,
     _check_certificate as check_certificate,
-    _column,
     _first_taken,
-    _solve_columns,
     _Trail,
+    _unit_column,
     solve_lp,
 )
 
+from dense_lp import dense_column, dense_columns, solve_dense
+
 
 def test_single_variable_bound():
-    res = solve_lp([1], [[1]], [3])
+    res = solve_dense([1], [[1]], [3])
     assert res.status == "optimal"
     assert res.objective == 3
     assert res.x == (Fraction(3),)
@@ -34,26 +36,26 @@ def test_single_variable_bound():
 
 def test_upper_bound_via_negated_row():
     # maximize x s.t. x <= 2  ==  min -x s.t. -x >= -2
-    res = solve_lp([-1], [[-1]], [-2])
+    res = solve_dense([-1], [[-1]], [-2])
     assert res.status == "optimal"
     assert res.objective == -2
     assert res.x == (Fraction(2),)
 
 
 def test_infeasible():
-    res = solve_lp([0], [[1], [-1]], [1, 0])  # x >= 1 and x <= 0
+    res = solve_dense([0], [[1], [-1]], [1, 0])  # x >= 1 and x <= 0
     assert res.status == "infeasible"
 
 
 def test_unbounded():
-    assert solve_lp([-1], [[1]], [1]).status == "unbounded"
-    assert solve_lp([-1], [], []).status == "unbounded"
-    assert solve_lp([2, 3], [], []).objective == 0
+    assert solve_dense([-1], [[1]], [1]).status == "unbounded"
+    assert solve_dense([-1], [], []).status == "unbounded"
+    assert solve_dense([2, 3], [], []).objective == 0
 
 
 def test_two_variable_known_duals():
     # min x1 + 2 x2 s.t. x1 + x2 >= 4, x2 >= 1: optimum at (3, 1), obj 5
-    res = solve_lp([1, 2], [[1, 1], [0, 1]], [4, 1])
+    res = solve_dense([1, 2], [[1, 1], [0, 1]], [4, 1])
     assert res.objective == 5
     assert res.x == (Fraction(3), Fraction(1))
     # dual: y1 = 1 (binding), y2 = 1 (c2 - y1 = 1)
@@ -62,19 +64,19 @@ def test_two_variable_known_duals():
 
 def test_redundant_constraint_dropped():
     # second row is the doubled first row; still solvable with valid duals
-    res = solve_lp([1, 1], [[1, 1], [2, 2]], [2, 4])
+    res = solve_dense([1, 1], [[1, 1], [2, 2]], [2, 4])
     assert res.status == "optimal"
     assert res.objective == 2
 
 
 def test_degenerate_vertex():
     # three constraints meeting at the same point; Bland terminates
-    res = solve_lp([1, 1], [[1, 0], [0, 1], [1, 1]], [1, 1, 2])
+    res = solve_dense([1, 1], [[1, 0], [0, 1], [1, 1]], [1, 1, 2])
     assert res.objective == 2
 
 
 def test_fractional_data():
-    res = solve_lp(
+    res = solve_dense(
         [Fraction(1, 3), Fraction(1, 7)],
         [[Fraction(2, 5), Fraction(1, 2)]],
         [Fraction(3, 4)],
@@ -98,7 +100,7 @@ def test_matches_scipy_on_random_instances(data):
     )
     b = data.draw(st.lists(small_int, min_size=m, max_size=m))
 
-    res = solve_lp(c, rows, b)
+    res = solve_dense(c, rows, b)
 
     # scipy works with A_ub x <= b_ub, so negate the >= system
     ref = linprog(
@@ -138,15 +140,15 @@ def test_certificate_self_check_never_trips(data):
     c = data.draw(st.lists(fr, min_size=n, max_size=n))
     rows = data.draw(st.lists(st.lists(fr, min_size=n, max_size=n), min_size=m, max_size=m))
     b = data.draw(st.lists(fr, min_size=m, max_size=m))
-    solve_lp(c, rows, b)
+    solve_dense(c, rows, b)
 
 
 def test_certificate_check_rejects_each_violation():
     # min x1/3 + x2/7 s.t. 2/5 x1 + 1/2 x2 >= 3/4, x1 >= -2/3: optimum
     # x = (0, 3/2), y = (2/7, 0); each perturbation is off by 10^-12 only
     cols = [
-        _column([(0, Fraction(2, 5)), (1, 1)], Fraction(1, 3)),
-        _column([(0, Fraction(1, 2))], Fraction(1, 7)),
+        dense_column([(0, Fraction(2, 5)), (1, 1)], Fraction(1, 3)),
+        dense_column([(0, Fraction(1, 2))], Fraction(1, 7)),
     ]
     b = [Fraction(3, 4), Fraction(-2, 3)]
     x, y, obj = [Fraction(0), Fraction(3, 2)], (Fraction(2, 7), Fraction(0)), Fraction(3, 14)
@@ -163,14 +165,9 @@ def test_certificate_check_rejects_each_violation():
     for bad_x, bad_y, bad_obj, message in cases:
         with pytest.raises(AssertionError, match=message):
             check_certificate(cols, b, bad_x, bad_y, bad_obj)
-    assert solve_lp(
+    assert solve_dense(
         [Fraction(1, 3), Fraction(1, 7)], [[Fraction(2, 5), Fraction(1, 2)], [1, 0]], b
     ) == LPResult("optimal", obj, tuple(x), y)
-
-
-def test_row_length_mismatch():
-    with pytest.raises(ValueError):
-        solve_lp([1, 2], [[1]], [0])
 
 
 # -- the tableau reference ------------------------------------------------------
@@ -384,7 +381,7 @@ def small_lps(draw):
 @example(([Fraction(1, 3), Fraction(1, 7)], [[Fraction(2, 5), Fraction(1, 2)]], [Fraction(3, 4)]))
 def test_matches_tableau_reference(lp):
     c, rows, b = lp
-    assert solve_lp(c, rows, b) == tableau_reference(c, rows, b)
+    assert solve_dense(c, rows, b) == tableau_reference(c, rows, b)
 
 
 @settings(max_examples=6, deadline=None)
@@ -392,8 +389,9 @@ def test_matches_tableau_reference(lp):
 def test_wide_cover_program_matches_tableau_reference(seed):
     """Cover programs shaped like the micro oracle's: 200 or more member
     columns over at most six cells, each a 0/1 pattern or a two-pattern
-    mixture trimmed by a factor over 10^12, at unit cost.  ``solve_lp``
-    and ``_solve_columns`` on the same columns both match the tableau."""
+    mixture trimmed by a factor over 10^12, at unit cost.  ``_unit_column``
+    builds each column as the dense conversion does, and the solve
+    matches the tableau."""
     rng = random.Random(seed)
     m = rng.randint(2, 6)
     n = rng.randint(200, 240)
@@ -408,21 +406,16 @@ def test_wide_cover_program_matches_tableau_reference(seed):
     rows = [[col[i] for col in columns] for i in range(m)]
     b = [Fraction(rng.randint(1, 16), 8) for _ in range(m)]
     want = tableau_reference([1] * n, rows, b)
-    assert solve_lp([1] * n, rows, b) == want
-    # the prebuilt-column entry the micro oracle uses, on the same program
-    prebuilt = [_column([(i, v) for i, v in enumerate(col) if v], Fraction(1)) for col in columns]
-    assert _solve_columns(prebuilt, b) == want
+    assert solve_dense([1] * n, rows, b) == want
+    # the unit-cost builder the package's programs use, on the same program
+    built = [
+        _unit_column((i, v.numerator, v.denominator) for i, v in enumerate(col) if v)
+        for col in columns
+    ]
+    assert built == dense_columns([1] * n, rows)
 
 
 # -- resuming a recorded solve ------------------------------------------------------
-
-
-def prebuilt(c, rows):
-    """The program's structural columns in ``_column`` form."""
-    return [
-        _column([(i, Fraction(row[j])) for i, row in enumerate(rows) if row[j]], Fraction(c[j]))
-        for j in range(len(c))
-    ]
 
 
 def count_pivots(solve, *args):
@@ -447,11 +440,11 @@ def count_pivots(solve, *args):
 def assert_resumes_like_cold(c, rows, b, cuts):
     """Solving each prefix columns[:cut] on one trail gives, every time,
     what a solve without a trail gives."""
-    columns = prebuilt(c, rows)
+    columns = dense_columns(c, rows)
     rhs = [Fraction(v) for v in b]
     trail = _Trail()
     for cut in cuts:
-        assert _solve_columns(columns[:cut], rhs, trail) == _solve_columns(columns[:cut], rhs)
+        assert solve_lp(columns[:cut], rhs, trail) == solve_lp(columns[:cut], rhs)
 
 
 @st.composite
@@ -512,10 +505,10 @@ def test_resumed_solve_matches_cold(lp_cuts):
 @pytest.mark.parametrize("name", list(RESUMES))
 def test_resume_restarts_where_bland_takes_an_appended_column(name):
     c, rows, b, (cut, _) = RESUMES[name]
-    columns = prebuilt(c, rows)
+    columns = dense_columns(c, rows)
     rhs = [Fraction(v) for v in b]
     trail = _Trail()
-    assert _solve_columns(columns[:cut], rhs, trail).status == "optimal"
+    assert solve_lp(columns[:cut], rhs, trail).status == "optimal"
     points = trail.points
     k = _first_taken(
         points,
@@ -540,15 +533,15 @@ def test_resume_with_no_eligible_column_makes_no_pivot():
     c = [1, 1, 3, 5]
     rows = [[1, 0, 1, 1], [0, 1, 1, 2]]
     b = [1, 2]
-    columns = prebuilt(c, rows)
+    columns = dense_columns(c, rows)
     rhs = [Fraction(v) for v in b]
     trail = _Trail()
-    first, cold_pivots = count_pivots(_solve_columns, columns[:2], rhs, trail)
+    first, cold_pivots = count_pivots(solve_lp, columns[:2], rhs, trail)
     assert first.status == "optimal" and cold_pivots > 0
     recorded = list(trail.points)
-    resumed, pivots = count_pivots(_solve_columns, columns, rhs, trail)
+    resumed, pivots = count_pivots(solve_lp, columns, rhs, trail)
     assert pivots == 0
-    assert resumed == _solve_columns(columns, rhs)
+    assert resumed == solve_lp(columns, rhs)
     assert resumed.x == first.x + (Fraction(0), Fraction(0))
     assert trail.points == recorded
 
@@ -556,14 +549,14 @@ def test_resume_with_no_eligible_column_makes_no_pivot():
 def test_trail_for_another_program_is_not_resumed():
     # another rhs, or columns that do not extend the recorded ones, solve
     # from the start and record their own path
-    columns = prebuilt([1, 2, 1], [[1, 1, 0], [0, 1, 1]])
+    columns = dense_columns([1, 2, 1], [[1, 1, 0], [0, 1, 1]])
     rhs = [Fraction(1), Fraction(1)]
     trail = _Trail()
-    _solve_columns(columns[:2], rhs, trail)
+    solve_lp(columns[:2], rhs, trail)
     other_rhs = [Fraction(2), Fraction(1)]
-    cold, cold_pivots = count_pivots(_solve_columns, columns, other_rhs)
-    assert count_pivots(_solve_columns, columns, other_rhs, trail) == (cold, cold_pivots)
+    cold, cold_pivots = count_pivots(solve_lp, columns, other_rhs)
+    assert count_pivots(solve_lp, columns, other_rhs, trail) == (cold, cold_pivots)
     assert trail.rhs == other_rhs
     reordered = [columns[1], columns[0], columns[2]]
-    cold, cold_pivots = count_pivots(_solve_columns, reordered, other_rhs)
-    assert count_pivots(_solve_columns, reordered, other_rhs, trail) == (cold, cold_pivots)
+    cold, cold_pivots = count_pivots(solve_lp, reordered, other_rhs)
+    assert count_pivots(solve_lp, reordered, other_rhs, trail) == (cold, cold_pivots)

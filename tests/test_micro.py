@@ -26,7 +26,6 @@ from trigauge.decompose import DisjointRep, join_disjoint_reps, make_disjoint_re
 from trigauge.exact import sqrt_enclosure
 from trigauge.gauge import GaugeLowerWitness, gauge_interval
 from trigauge.generators import GridSeq, HullCertificate
-from trigauge.lp import _column
 from trigauge.micro import (
     BITS,
     Cell,
@@ -43,6 +42,8 @@ from trigauge.micro import (
     _patterns,
     tau_micro_oracle,
 )
+
+from dense_lp import dense_column, solve_dense
 
 P = DEFAULT_P
 C_HI = lorentz_l2_constant(P).hi
@@ -593,7 +594,7 @@ def cold_store():
 def test_cached_member_columns_match_dense_entries(monkeypatch, cold_store):
     # each cover program gets the pool's columns in pool order: the
     # cheap certificate's members, the seed's, then each pricing round's;
-    # each must be the column solve_lp would build from the member's
+    # each must be the dense conversion of the member's
     # dense entries on the support cells
     solves = []
     pool: dict[tuple, TriVector] = {}  # element of each pooled member, in order
@@ -625,7 +626,7 @@ def test_cached_member_columns_match_dense_entries(monkeypatch, cold_store):
         assert len(columns) == len(elems)
         for col, elem in zip(columns, elems):
             dense = [elem.entry(*cell) for cell in cells]
-            assert col == _column([(k, v) for k, v in enumerate(dense) if v], F(1))
+            assert col == dense_column([(k, v) for k, v in enumerate(dense) if v], 1)
 
 
 def test_only_members_the_cover_uses_are_joined(monkeypatch):
@@ -635,9 +636,9 @@ def test_only_members_the_cover_uses_are_joined(monkeypatch):
     joined = []
     join = micro.join_disjoint_reps
 
-    def counted(reps, p):
+    def counted(reps, p, bound):
         joined.append(len(reps))
-        return join(reps, p)
+        return join(reps, p, bound)
 
     monkeypatch.setattr(micro, "join_disjoint_reps", counted)
     tau_micro_oracle(TriVector(FAILING_SUPPORTS[0]), P)
@@ -661,7 +662,7 @@ def test_seed_members_join(cold_store, p):
                 )
                 for piece in pieces
             ]
-            rep = join_disjoint_reps(reps, p)
+            rep = join_disjoint_reps(reps, p, 1)
             assert _element_key(rep.element()) == key
         micro._support_atoms.cache_clear()
 
@@ -677,9 +678,9 @@ def test_only_pieces_of_joined_members_are_certified(monkeypatch, cold_store, ce
         certified.append(pieces)
         return certify(pieces, *args, **kwargs)
 
-    def counted_join(reps, p):
+    def counted_join(reps, p, bound):
         joined.append(len(reps))
-        return join(reps, p)
+        return join(reps, p, bound)
 
     monkeypatch.setattr(micro, "make_disjoint_rep", counted_certify)
     monkeypatch.setattr(micro, "join_disjoint_reps", counted_join)
@@ -712,7 +713,7 @@ def test_cover_rounds_resume_the_previous_path(monkeypatch):
     # first failing support a solve from the start repeats most of the
     # previous solve's pivots, and the resumed solves make only the new ones
     resumed, cold = [], []
-    solve = micro._solve_columns
+    solve = micro.solve_lp
 
     def both(columns, rhs, trail):
         got, pivots = count_pivots(solve, columns, rhs, trail)
@@ -722,7 +723,7 @@ def test_cover_rounds_resume_the_previous_path(monkeypatch):
         cold.append(cold_pivots)
         return got
 
-    monkeypatch.setattr(micro, "_solve_columns", both)
+    monkeypatch.setattr(micro, "solve_lp", both)
     tau_micro_oracle(TriVector(FAILING_SUPPORTS[0]), P)
     assert cold == [30, 30, 33, 36]
     assert resumed == [30, 15, 3, 3]
@@ -797,7 +798,7 @@ def test_pricing_past_the_optimum_adds_no_member(monkeypatch):
 def slot_lp_reference(
     group: tuple[int, ...], cells: tuple[Cell, ...], y: Mapping[Cell, F], beta: F
 ) -> F:
-    """The slot program at budget beta as a dense LP for ``lp.solve_lp``:
+    """The slot program at budget beta as a dense LP (``solve_dense``):
     h on the group's support cells, then mu on every generator on the
     group, dominated ones too; returns max <y, h>."""
     own = [c for c in cells if c[0] in group]
@@ -816,7 +817,7 @@ def slot_lp_reference(
     rhs.append(F(-1))
     rows.append([F(-1, i) for i, _ in own] + [F(0)] * m)
     rhs.append(-beta)
-    res = lp.solve_lp([-y[c] for c in own] + [F(0)] * m, rows, rhs)
+    res = solve_dense([-y[c] for c in own] + [F(0)] * m, rows, rhs)
     return -res.objective
 
 
@@ -854,7 +855,7 @@ def test_seed_columns_are_built_with_their_members(cold_store):
         assert column == micro._key_column(key, position)
         elem = _joined(pieces, P).element()
         dense = [elem.entry(*cell) for cell in FULL_SUPPORT]
-        assert column == _column([(k, v) for k, v in enumerate(dense) if v], F(1))
+        assert column == dense_column([(k, v) for k, v in enumerate(dense) if v], 1)
 
 
 def test_store_of_the_full_support_stays_small(cold_store):
