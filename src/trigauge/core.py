@@ -175,13 +175,6 @@ class TriVector:
         keep = set(rows)
         return TriVector._adopt({k: v for k, v in self._entries.items() if k[0] in keep})
 
-    def dominates(self, other: "TriVector") -> bool:
-        """Componentwise self >= other (both sides read as 0 off support)."""
-        for k in set(self._entries) | set(other._entries):
-            if self._entries.get(k, Fraction(0)) < other._entries.get(k, Fraction(0)):
-                return False
-        return True
-
     # -- measurements ------------------------------------------------------
 
     def sup_norm(self) -> Fraction:
@@ -250,6 +243,23 @@ def is_row_disjoint(*xs: TriVector) -> bool:
     return True
 
 
+def _covers(parts: Iterable[tuple[TriVector, Fraction]], x: TriVector) -> bool:
+    """Whether sum c v over the (v, c) in ``parts`` is at least |x| on
+    every cell, both sides read as 0 off their supports; the sum is formed
+    cell by cell in one dict, with no intermediate vector."""
+    total: dict[tuple[int, int], Fraction] = {}
+    for v, c in parts:
+        for cell, value in v._entries.items():  # noqa: SLF001 - module-internal fast path
+            if cell in total:
+                total[cell] += value * c
+            else:
+                total[cell] = value * c
+    for cell, value in x._entries.items():  # noqa: SLF001
+        if total.pop(cell, 0) < abs(value):
+            return False
+    return all(value >= 0 for value in total.values())
+
+
 def row_norm_sq(x: TriVector) -> Fraction:
     """Square of the row-average seminorm: sum_i (|row i| sum / i)^2,
     summed in integers over one denominator (``_row_norm_nums``)."""
@@ -312,19 +322,35 @@ def _lorentz_le(
     return True
 
 
+class _Root:
+    """A term's root enclosure at one precision.  Once the term has been
+    the top term of a ``_lorentz_value`` call, it also keeps the integer
+    cut the other terms are tested against, and its own verdict against
+    the ``rel_tol`` of that call."""
+
+    __slots__ = ("iv", "cut", "tight")
+
+    def __init__(self, iv: Interval) -> None:
+        self.iv = iv
+        self.cut: tuple[int, int] | None = None  # (den_k, limit)
+        self.tight: tuple[Fraction, bool] | None = None  # (rel_tol, verdict)
+
+
 def _lorentz_value(
     nums: Sequence[int],
     den: int,
     p: LorentzParam,
     rel_tol: Fraction = Fraction(1, 10**9),
-    roots: dict[tuple[int, int, int], Interval] | None = None,
+    roots: dict[tuple[int, int, int], _Root] | None = None,
 ) -> Interval:
     """``lorentz_value_sq`` on the squares N/D, N in ``nums`` (decreasing,
     nonnegative) and D = ``den``: the terms t_n = (N_n/D)^num n^(2 den)
     share the denominator D^num, so their numerators compare as ints.
 
     ``roots``, when given, keeps each term's root enclosure under (its
-    numerator, D^num, bits) for later calls with the same ``p``."""
+    numerator, D^num, bits) for later calls with the same ``p``.  A later
+    call whose top term is already there reuses its cut powers and, when
+    no other term moves an end, its ``rel_tol`` verdict."""
     if not nums or not nums[0]:
         return Interval.point(0)
     k = 2 * p.num
@@ -332,12 +358,12 @@ def _lorentz_value(
     if roots is None:
         roots = {}
 
-    def root(t: int, bits: int) -> Interval:
+    def root(t: int, bits: int) -> _Root:
         key = (t, t_den, bits)
-        iv = roots.get(key)
-        if iv is None:
-            iv = roots[key] = root_enclosure(Fraction(t, t_den), k, bits)
-        return iv
+        entry = roots.get(key)
+        if entry is None:
+            entry = roots[key] = _Root(root_enclosure(Fraction(t, t_den), k, bits))
+        return entry
 
     terms = []  # numerators of t_n over t_den
     for n, v in enumerate(nums, start=1):
@@ -346,19 +372,28 @@ def _lorentz_value(
         terms.append(v**p.num * n ** (2 * p.den))
     top = max(terms)
     for bits in (96, 192, 384):
-        iv = root(top, bits)
+        entry = root(top, bits)
+        iv = entry.iv
+        if entry.cut is None:
+            hi = iv.hi
+            # root of t <= hi - 2^-bits  <=>  t (hi.den 2^bits)^k <= cut^k t_den
+            cut = max((hi.numerator << bits) - hi.denominator, 0)
+            entry.cut = ((hi.denominator << bits) ** k, cut**k * t_den)
+        den_k, limit = entry.cut
         lo, hi = iv.lo, iv.hi
-        # root of t <= hi - 2^-bits  <=>  t (hi.den 2^bits)^k <= cut^k t_den
-        cut = max((hi.numerator << bits) - hi.denominator, 0)
-        den_k, limit = (hi.denominator << bits) ** k, cut**k * t_den
         for t in terms:
             # a term equal to the top one has the same enclosure
             if t == top or t * den_k <= limit:
                 continue
-            other = root(t, bits)
+            other = root(t, bits).iv
             lo = max(lo, other.lo)
             hi = max(hi, other.hi)
-        if hi - lo <= rel_tol * lo:
+        if lo == iv.lo and hi == iv.hi:  # no other term moved an end
+            if entry.tight is None or entry.tight[0] != rel_tol:
+                entry.tight = (rel_tol, hi - lo <= rel_tol * lo)
+            if entry.tight[1]:
+                return iv
+        elif hi - lo <= rel_tol * lo:
             return Interval(lo, hi)
     raise ArithmeticError("rel_tol unreachable")
 

@@ -26,6 +26,7 @@ from .core import (
     DEFAULT_P,
     LorentzParam,
     TriVector,
+    _covers,
     _lorentz_le,
     _lorentz_value,
     _row_norm_nums,
@@ -88,7 +89,12 @@ class GaugeCertificate:
             raise AssertionError("weights exceed 1")
         if self.scale < 0:
             raise AssertionError("negative scale")
-        if not self.combination().dominates(abs(x)):
+        parts = (
+            (piece, w * self.scale)
+            for w, rep in zip(self.weights, self.reps)
+            for piece in rep.pieces
+        )
+        if not _covers(parts, x):
             raise AssertionError("combination does not dominate |x|")
 
 
@@ -129,15 +135,10 @@ def _set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...
             yield sub[:idx] + ((first,) + group,) + sub[idx + 1 :]
 
 
-def _row_sup(x: TriVector, i: int) -> Fraction:
-    return max((abs(v) for v in x.row_entries(i).values()), default=Fraction(0))
-
-
-def _full_row_cert(x_abs: TriVector, i: int) -> tuple[HullCertificate, Fraction]:
-    """Single-row piece certificate: sup * (full row) dominates the row."""
-    sup = _row_sup(x_abs, i)
-    seq = GridSeq((0,) * (i - 1) + (i,))
-    return HullCertificate((seq,), (Fraction(1),), sup), sup
+def _full_row_cert(i: int, sup: Fraction) -> HullCertificate:
+    """Single-row piece certificate: sup * (full row) dominates a row whose
+    largest |x_ij| is ``sup``."""
+    return HullCertificate((GridSeq((0,) * (i - 1) + (i,)),), (Fraction(1),), sup)
 
 
 def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
@@ -146,8 +147,10 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     Tries the per-row split whose hull scales are plain row suprema,
     every partition of the active rows into hull pieces (small supports
     only), and otherwise the whole support as one hull piece.  Only the
-    first partition with the smallest scale is built into a certificate.
-    The bound is never claimed minimal.
+    first partition with the smallest scale is built into a certificate;
+    the row suprema come from one pass over |x|, and the per-row split's
+    hull certificates are formed only when it is that partition.  The
+    bound is never claimed minimal.
 
     A partition's scale is max(hull scale of each group, Lorentz value
     of the group seminorms), and only a strictly smaller scale replaces
@@ -160,14 +163,16 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     (formed once per new best), then the enclosure's upper end, on
     sorted ints; either drops a partition whose Lorentz value is not
     below the best.  The partitions share one dict of root enclosures,
-    so each distinct term's root is enclosed once per call.
+    so each distinct term's root is enclosed once per call, and a
+    partition whose top term is already there reuses its cut test.
     The groups of a partition that survives are solved, already decided
     and smaller groups first, until one's hull scale is not below the
     best.  Dropping rows never raises a hull scale, so a group is not
     solved once a solved group on a subset of its rows has a scale not
     below the best.  Each test skips only partitions that could not have
     replaced the best, so the result is the one that solving every group
-    would give.  Each group's covering LP is solved at most once per call.
+    would give.  Each group's covering LP is solved at most once per
+    call, and a one-row group needs none (``hull_min_scale``).
 
     On six rows the partitions include the whole support as one group,
     the only candidate tried above ``MAX_PARTITION_ROWS``.
@@ -175,7 +180,11 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     target = abs(x)
     if target.is_zero():
         return GaugeCertificate((), (), Fraction(0))
-    rows = target.active_rows()
+    sups: dict[int, Fraction] = {}  # each row's largest |x_ij|, rows in order
+    for (i, _), v in target.items():
+        if i not in sups or v > sups[i]:
+            sups[i] = v
+    rows = tuple(sups)
     # None: the enumeration budget ran out, or a subgroup ruled the group out
     hulls: dict[tuple[int, ...], tuple[Fraction, HullCertificate] | None] = {}
     norms: dict[tuple[int, ...], int] = {}  # group seminorm numerators over den
@@ -206,16 +215,16 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
             norms[group] = sum(row_num[i] for i in group)
         return norms[group]
 
-    # per-row split: no enumeration, always available
-    row_certs, sups = zip(*(_full_row_cert(target, i) for i in rows))
     # the row seminorms as integer numerators over one denominator
     row_num, den = _row_norm_nums(target)
     roots: dict = {}  # root enclosures shared by every partition's Lorentz value
     row_value = _lorentz_value(sorted(row_num.values(), reverse=True), den, p, roots=roots)
-    best = (max(max(sups), row_value.hi), tuple((i,) for i in rows), row_certs)
+    floor = max(sups.values())  # no partition's scale is below the largest |x_ij|
+    # per-row split: no enumeration, always available; its certificates
+    # (None here) are built only if it is still the best at the end
+    best = (max(floor, row_value.hi), tuple((i,) for i in rows), None)
 
     if len(rows) <= MAX_PARTITION_ROWS:
-        floor = max(sups)  # no partition's scale is below the largest |x_ij|
         bound_sq = best[0] ** 2  # formed again only for a new best
         for partition in _set_partitions(rows):
             bound = best[0]
@@ -241,6 +250,8 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
             best = (solved[0], (rows,), (solved[1],))
 
     scale, groups, certs = best
+    if certs is None:
+        certs = [_full_row_cert(i, sups[i]) for i in rows]
     pieces = [target.restrict_rows(group) for group in groups]
     cert = _single_rep_certificate(pieces, certs, scale, p)
     cert._check_cover(x)  # make_disjoint_rep checked the representative
@@ -316,18 +327,21 @@ def gauge_lower(x: TriVector, p: LorentzParam) -> GaugeLowerWitness:
     """The better of the coordinate and seminorm routes.
 
     The seminorm route divides the lower end of the seminorm enclosure
-    by the upper end of the series constant.
+    by the upper end of the series constant.  That lower end is at most
+    the seminorm, so the route is formed only when the squared seminorm
+    exceeds (largest |x_ij| times that upper end)^2; otherwise it cannot
+    beat the coordinate route.
     """
     if x.is_zero():
         return GaugeLowerWitness(Fraction(0), "sup", (1, 1), Fraction(1), p)
     cell, value = max(x.items(), key=lambda kv: (abs(kv[1]), kv[0]))
     best = GaugeLowerWitness(abs(value), "sup", cell, Fraction(1), p)
     c_hi = lorentz_l2_constant(p).hi
-    seminorm = GaugeLowerWitness(
-        sqrt_enclosure(row_norm_sq(x)).lo / c_hi, "seminorm", (), c_hi, p
-    )
-    if seminorm.value > best.value:
-        best = seminorm
+    norm_sq = row_norm_sq(x)
+    if norm_sq > (best.value * c_hi) ** 2:  # else the route cannot beat sup
+        seminorm = GaugeLowerWitness(sqrt_enclosure(norm_sq).lo / c_hi, "seminorm", (), c_hi, p)
+        if seminorm.value > best.value:
+            best = seminorm
     return best
 
 

@@ -247,8 +247,11 @@ def hull_min_scale(x: TriVector) -> tuple[Fraction, HullCertificate]:
     (see the module docstring); the optimum is the gauge of U at |x| (the
     witness weights are W / optimum).  Every dropped generator's column is
     dominated by a kept one, so the nonnegative dual stays feasible for
-    it and the optimum is the one over all generators.  Raises
-    EnumerationBudgetError past ``_MAX_CANDIDATES`` walked tuples.
+    it and the optimum is the one over all generators.  On one row that
+    program needs no LP: its one maximal tuple is the row's last cell,
+    which covers every record cell, so the optimum is the row sup, at
+    weight 1 on that tuple.  Raises EnumerationBudgetError past
+    ``_MAX_CANDIDATES`` walked tuples.
     """
     if x.is_zero():
         return Fraction(0), HullCertificate((), (), Fraction(0))
@@ -261,6 +264,11 @@ def hull_min_scale(x: TriVector) -> tuple[Fraction, HullCertificate]:
             peak[i] = v
             cells.append(((i, j), v))
     cells.reverse()
+    if len(peak) == 1:
+        (i, j), _ = cells[-1]  # the row's last cell
+        cert = HullCertificate((_seq_on_rows((i,), (j,)),), (Fraction(1),), peak[i])
+        cert.validate(x)
+        return peak[i], cert
     support: dict[int, set[int]] = {}
     for (i, j), _ in cells:
         support.setdefault(i, set()).add(j)

@@ -152,6 +152,37 @@ def test_row_disjointness():
     assert is_row_disjoint(a)
 
 
+@st.composite
+def cover_cases(draw):
+    """(parts, x): up to three scaled vectors, some sharing cells, and x
+    either drawn freely or |x| a share of their sum with one cell moved,
+    so both verdicts and ties on a cell come up."""
+    parts = draw(st.lists(st.tuples(tri_vectors, small_fraction), max_size=3))
+    total = TriVector()
+    for v, c in parts:
+        total = total + v.scale(c)
+    if draw(st.booleans()):
+        return parts, draw(tri_vectors)
+    share = draw(st.sampled_from((Fraction(1), Fraction(1, 2))))
+    entries = dict(abs(total).scale(share).items())
+    cell = draw(tri_index)
+    entries[cell] = entries.get(cell, Fraction(0)) + draw(small_fraction)
+    sign = draw(st.sampled_from((1, -1)))
+    return parts, TriVector(entries).scale(sign)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_cases())
+def test_covers_matches_the_summed_vector(case):
+    parts, x = case
+    total = TriVector()
+    for v, c in parts:
+        total = total + v.scale(c)
+    cells = set(total.support()) | set(x.support())
+    want = all(total.entry(i, j) >= abs(x.entry(i, j)) for i, j in cells)
+    assert core._covers(parts, x) == want
+
+
 # -- seminorm -----------------------------------------------------------------
 
 
@@ -609,6 +640,20 @@ def test_lorentz_value_with_shared_roots_matches_fresh(case):
     roots = {}
     for nums, den in calls:
         assert core._lorentz_value(nums, den, p, roots=roots) == core._lorentz_value(nums, den, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_root_cases(), st.data())
+def test_shared_roots_give_fresh_intervals_at_every_tolerance(case, data):
+    # a top term met again reuses its cut and, when no other term moves an
+    # end, its verdict; each call draws its own rel_tol, so a stored
+    # verdict also meets tolerances other than its own
+    p, calls = case
+    roots = {}
+    for nums, den in calls:
+        rel_tol = data.draw(st.sampled_from(VALUE_TOLS))
+        want = result_or_error(core._lorentz_value, nums, den, p, rel_tol)
+        assert result_or_error(core._lorentz_value, nums, den, p, rel_tol, roots) == want
 
 
 @settings(max_examples=200, deadline=None)

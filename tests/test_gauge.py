@@ -22,6 +22,7 @@ from trigauge.core import (
     row_pairing,
 )
 from trigauge.decompose import make_disjoint_rep
+from trigauge.exact import sqrt_enclosure
 from trigauge.gauge import (
     GaugeCertificate,
     GaugeLowerWitness,
@@ -31,7 +32,7 @@ from trigauge.gauge import (
     gauge_upper,
     pairing_witness,
 )
-from trigauge import core, gauge
+from trigauge import core, gauge, generators
 from trigauge.generators import (
     EnumerationBudgetError,
     GridSeq,
@@ -103,7 +104,8 @@ def gauge_upper_reference(x, p):
         return hulls[group]
 
     # per-row split: no enumeration, always available
-    row_certs, sups = zip(*(gauge._full_row_cert(target, i) for i in rows))
+    sups = [target.restrict_rows([i]).sup_norm() for i in rows]
+    row_certs = [gauge._full_row_cert(i, sup) for i, sup in zip(rows, sups)]
     row_sq = {i: row_norm_sq(target.restrict_rows([i])) for i in rows}
     scale = max(max(sups), lorentz_value_sq(row_sq.values(), p).hi)
     best = (scale, tuple((i,) for i in rows), row_certs)
@@ -161,7 +163,8 @@ def gauge_upper_every_group_lp(x, p):
         return norms[group]
 
     # per-row split: no enumeration, always available
-    row_certs, sups = zip(*(gauge._full_row_cert(target, i) for i in rows))
+    sups = [target.restrict_rows([i]).sup_norm() for i in rows]
+    row_certs = [gauge._full_row_cert(i, sup) for i, sup in zip(rows, sups)]
     row_sq = {i: row_norm_sq(target.restrict_rows([i])) for i in rows}
     scale = max(max(sups), lorentz_value_sq(row_sq.values(), p).hi)
     best = (scale, tuple((i,) for i in rows), row_certs)
@@ -514,25 +517,133 @@ class TestGaugeLower:
             GaugeLowerWitness(F(1) / C_HI, "seminorm", (), C_HI, other).validate(x)
 
 
-# sha256 of the reprs of gauge_interval over ``atlas_digest``'s vectors;
+def gauge_lower_reference(x, p):
+    """gauge_lower before it formed the seminorm root only when that route
+    can win, kept as the reference: it always forms the seminorm witness."""
+    if x.is_zero():
+        return GaugeLowerWitness(F(0), "sup", (1, 1), F(1), p)
+    cell, value = max(x.items(), key=lambda kv: (abs(kv[1]), kv[0]))
+    best = GaugeLowerWitness(abs(value), "sup", cell, F(1), p)
+    c_hi = lorentz_l2_constant(p).hi
+    seminorm = GaugeLowerWitness(sqrt_enclosure(row_norm_sq(x)).lo / c_hi, "seminorm", (), c_hi, p)
+    if seminorm.value > best.value:
+        best = seminorm
+    return best
+
+
+def assert_lower_matches_reference(monkeypatch, x, p):
+    """gauge_lower equals the reference, and forms the root only when the
+    squared seminorm exceeds (largest |x_ij| * C_hi)^2."""
+    roots = []
+    enclose = gauge.sqrt_enclosure
+
+    def counted(v):
+        roots.append(v)
+        return enclose(v)
+
+    monkeypatch.setattr(gauge, "sqrt_enclosure", counted)
+    got = gauge_lower(x, p)
+    assert got == gauge_lower_reference(x, p)
+    can_win = row_norm_sq(x) > (x.sup_norm() * lorentz_l2_constant(p).hi) ** 2
+    assert len(roots) == can_win
+    return got
+
+
+class TestGaugeLowerGate:
+    """The seminorm root is formed only when that route can beat sup."""
+
+    # (p, the first row count from which the seminorm wins on ones and on
+    # decr; 7 for never up to 6 rows): the series constant grows with p
+    @pytest.mark.parametrize(
+        "p, first_ones, first_decr",
+        [(P, 4, 7), (LorentzParam(5, 4), 3, 5), (LorentzParam(7, 4), 7, 7)],
+        ids=str,
+    )
+    def test_identical_on_families(self, monkeypatch, p, first_ones, first_decr):
+        for family, first in ((ones, first_ones), (decr, first_decr)):
+            for n in range(1, 7):
+                for scale in MAGNITUDES:
+                    got = assert_lower_matches_reference(monkeypatch, family(n).scale(scale), p)
+                    assert got.kind == ("seminorm" if n >= first else "sup")
+
+    @settings(max_examples=80, deadline=None)
+    @given(supports(12, 1, 8), st.sampled_from((P, LorentzParam(5, 4), LorentzParam(7, 4))))
+    def test_identical_on_supports(self, entries, p):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_lower_matches_reference(monkeypatch, TriVector(entries), p)
+
+    def test_identical_on_atlas(self, monkeypatch):
+        for x in atlas_vectors():
+            assert_lower_matches_reference(monkeypatch, x, P)
+
+
+# sha256 of the reprs of gauge_interval over ``atlas_vectors``;
 # a change that moves any certificate, scale or witness moves it
 GAUGE_ATLAS_DIGEST = "e8828953e5b58d501ee938663a825ea9b72d78ac7e050e80d045eff374e8fa8a"
 
 
-def atlas_digest(seed=20261020, count=40):
-    """Hash ``count`` seeded vectors as the benchmark's gauge workload draws
-    them: 3 to 6 active rows of 1..7, two cells per row (one on row 1),
-    values k/8 with k in 1..8."""
+def atlas_vectors(seed=20261020, count=40):
+    """``count`` seeded vectors drawn as the benchmark's gauge workload
+    draws them: 3 to 6 active rows of 1..7, two cells per row (one on
+    row 1), values k/8 with k in 1..8."""
     rng = random.Random(seed)
-    reprs = []
+    vectors = []
     for _ in range(count):
         rows = sorted(rng.sample(range(1, 8), rng.randint(3, 6)))
         cells = {}
         for i in rows:
             for j in rng.sample(range(1, i + 1), min(i, 2)):
                 cells[(i, j)] = F(rng.randint(1, 8), 8)
-        reprs.append(repr(gauge_interval(TriVector(cells), P)))
+        vectors.append(TriVector(cells))
+    return vectors
+
+
+def atlas_digest():
+    """Hash the reprs of gauge_interval over ``atlas_vectors``."""
+    reprs = [repr(gauge_interval(x, P)) for x in atlas_vectors()]
     return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
+class TestWinnerOnlyWork:
+    """The per-row split's certificates are built only when it wins, and
+    only groups of two or more rows reach an LP."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [family(n) for family in (ones, decr) for n in range(1, 7)] + atlas_vectors(),
+    )
+    def test_work_counts(self, monkeypatch, x):
+        built, solves, hulls = [], [], []
+        full_row_cert = gauge._full_row_cert
+        solve_lp = generators.solve_lp
+        hull = gauge.hull_min_scale
+
+        def counted_cert(i, sup):
+            built.append(i)
+            return full_row_cert(i, sup)
+
+        def counted_lp(columns, rhs):
+            solves.append(len(rhs))
+            return solve_lp(columns, rhs)
+
+        def counted_hull(target):
+            before = len(solves)
+            solved = hull(target)
+            hulls.append((target.active_rows(), len(solves) - before))
+            return solved
+
+        monkeypatch.setattr(gauge, "_full_row_cert", counted_cert)
+        monkeypatch.setattr(generators, "solve_lp", counted_lp)
+        monkeypatch.setattr(gauge, "hull_min_scale", counted_hull)
+        cert = gauge_upper(x, P)
+        (rep,) = cert.reps
+        rows = x.active_rows()
+        # the search skips the all-singleton partition, so one-row pieces
+        # throughout mean the per-row split won
+        split = [piece.active_rows() for piece in rep.pieces] == [(i,) for i in rows]
+        assert built == (list(rows) if split else [])
+        assert [lps for _, lps in hulls] == [int(len(group) > 1) for group, _ in hulls]
+        assert len(solves) == sum(lps for _, lps in hulls)
 
 
 class TestGaugeInterval:

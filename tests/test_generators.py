@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from trigauge import generators
@@ -30,6 +30,11 @@ from trigauge.generators import (
 )
 
 from dense_lp import dense_columns, solve_dense
+
+
+def dominates(a: TriVector, b: TriVector) -> bool:
+    """Componentwise a >= b, both sides read as 0 off their supports."""
+    return all(a.entry(i, j) >= b.entry(i, j) for i, j in set(a.support()) | set(b.support()))
 
 
 def brute_enumerate(max_row: int) -> set[tuple[int, ...]]:
@@ -145,7 +150,7 @@ def test_min_scale_is_a_solid_gauge(x, y):
     ly, _ = hull_min_scale(y)
     ls, _ = hull_min_scale(x + y)
     assert ls <= lx + ly  # subadditive
-    if (x + y).dominates(x):  # always true here; domination monotone
+    if dominates(x + y, x):  # always true here; domination monotone
         assert lx <= ls
 
 
@@ -190,7 +195,7 @@ def test_pruned_min_scale_matches_full_enumeration():
         lam, cert = hull_min_scale(x)
         assert lam == full_enumeration_min_scale(x)
         assert cert.scale == lam and sum(cert.weights) <= 1
-        assert cert.combination().dominates(abs(x))
+        assert dominates(cert.combination(), abs(x))
         cert.validate(x)
 
 
@@ -203,10 +208,9 @@ def test_pruned_columns_are_maximal_support_counts():
         assert all(m in (0, 1, i) for i, m in enumerate(s.m, start=1))
 
 
-def test_hull_program_is_the_dense_cover_matrix(monkeypatch):
-    # hull_min_scale hands solve_lp one unit-cost column per pruned tuple,
-    # equal to the dense conversion of the 0/1 matrix (record cell covered
-    # by tuple), and |x| on the record cells as the rhs
+@pytest.fixture
+def lp_programs(monkeypatch):
+    """Record the (columns, rhs) of every ``generators.solve_lp`` call."""
     programs = []
     solve = generators.solve_lp
 
@@ -215,40 +219,105 @@ def test_hull_program_is_the_dense_cover_matrix(monkeypatch):
         return solve(columns, rhs)
 
     monkeypatch.setattr(generators, "solve_lp", record)
-    vectors = []
-    for n in range(1, 7):
-        vectors.append(TriVector({(i, j): 1 for i in range(1, n + 1) for j in range(1, i + 1)}))
-        vectors.append(
-            TriVector(
-                {(i, j): Fraction(2 * i - j, 2 * i) for i in range(1, n + 1) for j in range(1, i + 1)}
-            )
-        )
-    rng = random.Random(20261021)
-    for _ in range(40):
-        rows = rng.sample(range(1, 7), rng.randint(1, 4))
+    return programs
+
+
+def dense_cover_program(x):
+    """hull_min_scale's program as a matrix: the pruned tuples, their rows,
+    the 0/1 rows (record cell covered by tuple) and |x| on the record cells."""
+    # record cells: above every entry to their right, in x's order
+    cells = [
+        (i, j)
+        for (i, j), v in x.items()
+        if all(abs(v) > abs(x.entry(i, k)) for k in range(j + 1, i + 1))
+    ]
+    support = {}
+    for i, j in cells:
+        support.setdefault(i, set()).add(j)
+    rows = sorted(support)
+    tuples = generators._count_tuples(support)
+    mat = [[1 if t[rows.index(i)] >= j else 0 for t in tuples] for i, j in cells]
+    return tuples, rows, mat, [abs(x.entry(i, j)) for i, j in cells]
+
+
+def ones(n):
+    return TriVector({(i, j): 1 for i in range(1, n + 1) for j in range(1, i + 1)})
+
+
+def decr(n):
+    return TriVector(
+        {(i, j): Fraction(2 * i - j, 2 * i) for i in range(1, n + 1) for j in range(1, i + 1)}
+    )
+
+
+def seeded_supports(seed, count, max_row, max_rows):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = rng.sample(range(1, max_row + 1), rng.randint(1, max_rows))
         cells = {}
         for i in rows:
             for j in rng.sample(range(1, i + 1), rng.randint(1, min(i, 3))):
                 cells[(i, j)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 8), rng.randint(1, 8))
-        vectors.append(TriVector(cells))
+        yield TriVector(cells)
+
+
+def test_hull_program_is_the_dense_cover_matrix(lp_programs):
+    # on two or more rows hull_min_scale hands solve_lp one unit-cost
+    # column per pruned tuple, equal to the dense conversion of the 0/1
+    # matrix, and |x| on the record cells as the rhs
+    vectors = [family(n) for n in range(2, 7) for family in (ones, decr)]
+    vectors += [x for x in seeded_supports(20261021, 40, 6, 4) if len(x.active_rows()) > 1]
     for x in vectors:
-        programs.clear()
+        lp_programs.clear()
         hull_min_scale(x)
-        [(columns, rhs)] = programs
-        # record cells: above every entry to their right, in x's order
-        cells = [
-            (i, j)
-            for (i, j), v in x.items()
-            if all(abs(v) > abs(x.entry(i, k)) for k in range(j + 1, i + 1))
-        ]
-        support = {}
-        for i, j in cells:
-            support.setdefault(i, set()).add(j)
-        rows = sorted(support)
-        tuples = generators._count_tuples(support)
-        mat = [[1 if t[rows.index(i)] >= j else 0 for t in tuples] for i, j in cells]
+        [(columns, rhs)] = lp_programs
+        tuples, _, mat, want_rhs = dense_cover_program(x)
         assert columns == dense_columns([1] * len(tuples), mat)
-        assert rhs == [abs(x.entry(i, j)) for i, j in cells]
+        assert rhs == want_rhs
+
+
+def dense_hull_reference(x):
+    """What hull_min_scale returns when its program is solved as a dense
+    matrix by ``solve_dense``."""
+    tuples, rows, mat, rhs = dense_cover_program(x)
+    res = solve_dense([1] * len(tuples), mat, rhs)
+    assert res.status == "optimal"
+    lam = res.objective
+    picked = [(t, w) for t, w in zip(tuples, res.x) if w]
+    seqs = tuple(generators._seq_on_rows(rows, t) for t, _ in picked)
+    return lam, HullCertificate(seqs, tuple(w / lam for _, w in picked), lam)
+
+
+def assert_one_row_hull_is_the_dense_optimum(x, programs):
+    programs.clear()
+    got = hull_min_scale(x)
+    assert programs == []
+    assert got == dense_hull_reference(x)
+    # the pruning loses nothing against every generator on the row
+    assert got[0] == full_enumeration_min_scale(x)
+    got[1].validate(x)
+
+
+def test_one_row_hull_needs_no_lp(lp_programs):
+    for x in [ones(1), decr(1), *seeded_supports(20261022, 40, 12, 1)]:
+        assert_one_row_hull_is_the_dense_optimum(x, lp_programs)
+
+
+@st.composite
+def one_row_vectors(draw):
+    i = draw(st.integers(1, 12))
+    columns = draw(st.sets(st.integers(1, i), min_size=1))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=8).filter(bool)
+    return TriVector({(i, j): draw(value) for j in columns})
+
+
+# the fixture's record is cleared before each example
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(one_row_vectors())
+def test_one_row_hull_matches_dense_program(lp_programs, x):
+    assert_one_row_hull_is_the_dense_optimum(x, lp_programs)
 
 
 # (2i - j)/(2i) on rows 1..11 falls strictly along each row, so every
@@ -336,7 +405,7 @@ def test_validate_matches_combination_domination(pair):
         accepted = True
     except AssertionError:
         accepted = False
-    assert accepted == cert.combination().dominates(abs(x))
+    assert accepted == dominates(cert.combination(), abs(x))
 
 
 def test_validate_rejects_malformed_certificates():
