@@ -55,7 +55,6 @@ from .generators import (
     average_indicators,
     disjointness_degree,
     enumerate_grid_seqs,
-    hull_member,
     hull_min_scale,
     parse_seq_file,
     seq_file_text,
@@ -99,7 +98,6 @@ __all__ = [
     "gauge_interval",
     "gauge_lower",
     "gauge_upper",
-    "hull_member",
     "hull_min_scale",
     "is_row_disjoint",
     "l2_norm_sq",

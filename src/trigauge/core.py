@@ -243,17 +243,33 @@ def is_row_disjoint(*xs: TriVector) -> bool:
     return True
 
 
-def _covers(parts: Iterable[tuple[TriVector, Fraction]], x: TriVector) -> bool:
-    """Whether sum c v over the (v, c) in ``parts`` is at least |x| on
-    every cell, both sides read as 0 off their supports; the sum is formed
-    cell by cell in one dict, with no intermediate vector."""
+def _weighted_sum(parts: Iterable[tuple[TriVector, Rational]]) -> TriVector:
+    """sum c v over the (v, c) in ``parts``, formed cell by cell in one
+    dict; cells that cancel are dropped, so the result equals the fold
+    of ``+`` and ``scale``.  A product by c = 1 costs as much as a sum
+    of Fractions, so those parts are added unscaled."""
     total: dict[tuple[int, int], Fraction] = {}
     for v, c in parts:
+        if not c:
+            continue
+        unit = c == 1
         for cell, value in v._entries.items():  # noqa: SLF001 - module-internal fast path
+            if not unit:
+                value *= c
             if cell in total:
-                total[cell] += value * c
-            else:
-                total[cell] = value * c
+                value += total[cell]
+                if not value:
+                    del total[cell]
+                    continue
+            total[cell] = value
+    return TriVector._adopt(total)
+
+
+def _covers(parts: Iterable[tuple[TriVector, Rational]], x: TriVector) -> bool:
+    """Whether sum c v over the (v, c) in ``parts`` is at least |x| on
+    every cell, both sides read as 0 off their supports; the sum is
+    ``_weighted_sum``'s, with no other intermediate vector."""
+    total = _weighted_sum(parts)._entries  # noqa: SLF001 - a fresh dict, consumed here
     for cell, value in x._entries.items():  # noqa: SLF001
         if total.pop(cell, 0) < abs(value):
             return False
@@ -322,25 +338,27 @@ def _lorentz_le(
     return True
 
 
+_REL_TOL = Fraction(1, 10**9)  # relative width at which a Lorentz value stops refining
+
+
 class _Root:
     """A term's root enclosure at one precision.  Once the term has been
     the top term of a ``_lorentz_value`` call, it also keeps the integer
-    cut the other terms are tested against, and its own verdict against
-    the ``rel_tol`` of that call."""
+    cut the other terms are tested against, and whether its own
+    enclosure meets ``_REL_TOL``."""
 
     __slots__ = ("iv", "cut", "tight")
 
     def __init__(self, iv: Interval) -> None:
         self.iv = iv
         self.cut: tuple[int, int] | None = None  # (den_k, limit)
-        self.tight: tuple[Fraction, bool] | None = None  # (rel_tol, verdict)
+        self.tight: bool | None = None
 
 
 def _lorentz_value(
     nums: Sequence[int],
     den: int,
     p: LorentzParam,
-    rel_tol: Fraction = Fraction(1, 10**9),
     roots: dict[tuple[int, int, int], _Root] | None = None,
 ) -> Interval:
     """``lorentz_value_sq`` on the squares N/D, N in ``nums`` (decreasing,
@@ -350,7 +368,7 @@ def _lorentz_value(
     ``roots``, when given, keeps each term's root enclosure under (its
     numerator, D^num, bits) for later calls with the same ``p``.  A later
     call whose top term is already there reuses its cut powers and, when
-    no other term moves an end, its ``rel_tol`` verdict."""
+    no other term moves an end, its ``_REL_TOL`` verdict."""
     if not nums or not nums[0]:
         return Interval.point(0)
     k = 2 * p.num
@@ -389,11 +407,11 @@ def _lorentz_value(
             lo = max(lo, other.lo)
             hi = max(hi, other.hi)
         if lo == iv.lo and hi == iv.hi:  # no other term moved an end
-            if entry.tight is None or entry.tight[0] != rel_tol:
-                entry.tight = (rel_tol, hi - lo <= rel_tol * lo)
-            if entry.tight[1]:
+            if entry.tight is None:
+                entry.tight = hi - lo <= _REL_TOL * lo
+            if entry.tight:
                 return iv
-        elif hi - lo <= rel_tol * lo:
+        elif hi - lo <= _REL_TOL * lo:
             return Interval(lo, hi)
     raise ArithmeticError("rel_tol unreachable")
 
@@ -421,9 +439,7 @@ def lorentz_le_sq(
     return _lorentz_le(nums, den, bound, p, power)
 
 
-def lorentz_value_sq(
-    values_sq: Iterable[Rational], p: LorentzParam, rel_tol: Rational = Fraction(1, 10**9)
-) -> Interval:
+def lorentz_value_sq(values_sq: Iterable[Rational], p: LorentzParam) -> Interval:
     """Enclose sup_n sqrt(a2*_n) n^(1/p) from squared data.
 
     The enclosure is [max lo_n, max hi_n] over the ``bits``-bit root
@@ -432,12 +448,12 @@ def lorentz_value_sq(
     upper end hi satisfies hi - 2^-bits <= lo whether the root is exact
     or not, so a term whose root is at most hi - 2^-bits moves neither
     end and is skipped after an integer power test.  The precision grows
-    from 96 to 384 bits until hi - lo <= rel_tol * lo.
+    from 96 to 384 bits until hi - lo <= ``_REL_TOL`` * lo, 10^-9.
     """
     nums, den = _over_common_den(values_sq)
     if nums and nums[-1] < 0:
         raise ValueError("negative square in data")
-    return _lorentz_value(nums, den, p, Fraction(rel_tol))
+    return _lorentz_value(nums, den, p)
 
 
 # -- the series constant ------------------------------------------------------
@@ -469,16 +485,15 @@ def _constant_sq(num: int, den: int, terms: int) -> Interval:
 
 
 @lru_cache(maxsize=16)
-def lorentz_l2_constant(p: LorentzParam, terms: int = 10**4) -> Interval:
+def lorentz_l2_constant(p: LorentzParam) -> Interval:
     """Enclose C(p) = (sum_{n>=1} n^(-2/p))^(1/2).
 
-    The partial sum is accumulated in scaled integers; the series tail is
-    bounded between the integrals starting at terms+1 and at terms.  More
-    terms give a nested, tighter enclosure.
+    The partial sum of 10^4 terms is accumulated in scaled integers; the
+    series tail is bounded between the integrals starting at terms+1 and
+    at terms (``_constant_sq``, where more terms give a nested, tighter
+    enclosure).
     """
-    if terms < 1:
-        raise ValueError("need at least one term")
-    c_sq = _constant_sq(p.num, p.den, terms)
+    c_sq = _constant_sq(p.num, p.den, 10**4)
     return Interval(sqrt_enclosure(c_sq.lo).lo, sqrt_enclosure(c_sq.hi).hi)
 
 

@@ -28,9 +28,12 @@ Pipeline:
    and the vector of seminorms obeys the fourth-power Lorentz test
    against 16 eps.
 
-The same machinery splits an arbitrary element of the gauge body
-(``split_element``) into a front part certified small in gauge plus a
-tail whose representatives have uniformly small piece seminorms, and
+A ``DisjointRep`` represents an element of A: row-disjoint pieces with
+hull certificates at scale at most 1 and seminorms under the Lorentz
+bound 1, one check that ``make_disjoint_rep`` and ``is_unit_member``
+share.  The same machinery splits an arbitrary element of the gauge
+body (``split_element``) into a front part certified small in gauge plus
+a tail whose representatives have uniformly small piece seminorms, and
 merges row-disjoint representatives with geometrically growing lengths
 (``merge_representatives``).
 """
@@ -46,6 +49,7 @@ from typing import Sequence
 from .core import (
     LorentzParam,
     TriVector,
+    _weighted_sum,
     is_row_disjoint,
     lorentz_le_sq,
     lorentz_value_sq,
@@ -58,7 +62,6 @@ from .generators import (
     ZERO_SEQ,
     average_indicators,
     disjointness_degree,
-    hull_member,
     indicator_sum,
 )
 
@@ -278,9 +281,6 @@ class DecompositionCertificate:
     def block_vector(self, m: int) -> TriVector:
         return indicator_sum(self.blocks[m].pieces, self.m_count)
 
-    def average(self) -> TriVector:
-        return indicator_sum((piece for blk in self.blocks for piece in blk.pieces), self.m_count)
-
     def hull_witness(self, m: int) -> HullCertificate:
         blk = self.blocks[m]
         r = blk.part_count
@@ -495,6 +495,27 @@ def block_conditions_sq(
 # -- representatives of row-disjoint sums -------------------------------------
 
 
+def _unit_norms(
+    pieces: Sequence[TriVector], certs: Sequence[HullCertificate], p: LorentzParam
+) -> tuple[Fraction, ...]:
+    """The piece seminorm squares of a unit member of A, recomputed; raises
+    at the first failed condition: the pieces share a row, there is not one
+    certificate per piece, one fails ``validate`` (AssertionError) or has a
+    scale above 1, or the seminorms break the Lorentz bound 1."""
+    if not is_row_disjoint(*pieces):
+        raise ValueError("pieces share a row")
+    if len(certs) != len(pieces):
+        raise ValueError("one certificate per piece required")
+    for piece, cert in zip(pieces, certs):
+        cert.validate(piece)
+        if cert.scale > 1:
+            raise ValueError("hull scale above 1")
+    norms = tuple(row_norm_sq(piece) for piece in pieces)
+    if not lorentz_le_sq(norms, 1, p):
+        raise ValueError("piece seminorms break the Lorentz bound")
+    return norms
+
+
 @dataclass(frozen=True, slots=True)
 class DisjointRep:
     """Representative of a row-disjoint sum of unit-body elements.
@@ -511,10 +532,7 @@ class DisjointRep:
     lorentz_sq_bound: Fraction
 
     def element(self) -> TriVector:
-        total = TriVector()
-        for piece in self.pieces:
-            total = total + piece
-        return total
+        return _weighted_sum((piece, 1) for piece in self.pieces)
 
     @property
     def length(self) -> int:
@@ -523,53 +541,22 @@ class DisjointRep:
     def max_norm_sq(self) -> Fraction:
         return max(self.norms_sq, default=Fraction(0))
 
-    def max_hull_scale(self) -> Fraction:
-        return max((c.scale for c in self.certs), default=Fraction(0))
-
     def is_unit_member(self) -> bool:
-        """Re-derived from the pieces: stored seminorms and hull certificates
-        are checked against them, not trusted."""
-        if not len(self.pieces) == len(self.certs) == len(self.norms_sq):
+        """Whether the pieces and certificates pass ``make_disjoint_rep``'s
+        check and the stored seminorms are the ones it recomputes."""
+        try:
+            return _unit_norms(self.pieces, self.certs, self.p) == self.norms_sq
+        except (AssertionError, ValueError):
             return False
-        if not is_row_disjoint(*self.pieces):
-            return False
-        for piece, cert, norm_sq in zip(self.pieces, self.certs, self.norms_sq):
-            if row_norm_sq(piece) != norm_sq:
-                return False
-            try:
-                cert.validate(piece)
-            except AssertionError:
-                return False
-        return self.max_hull_scale() <= 1 and lorentz_le_sq(self.norms_sq, 1, self.p)
 
 
 def make_disjoint_rep(
-    pieces: Sequence[TriVector],
-    p: LorentzParam,
-    certs: Sequence[HullCertificate] | None = None,
+    pieces: Sequence[TriVector], p: LorentzParam, certs: Sequence[HullCertificate]
 ) -> DisjointRep:
-    """Validated representative; hull certificates computed when absent."""
-    pieces = tuple(pieces)
-    if not is_row_disjoint(*pieces):
-        raise ValueError("pieces share a row")
-    if certs is None:
-        built = []
-        for piece in pieces:
-            cert = hull_member(piece, 1)
-            if cert is None:
-                raise ValueError("piece outside the unit body")
-            built.append(cert)
-        certs = tuple(built)
-    else:
-        certs = tuple(certs)
-        if len(certs) != len(pieces):
-            raise ValueError("one certificate per piece required")
-        for piece, cert in zip(pieces, certs):
-            cert.validate(piece)
-    norms = tuple(row_norm_sq(piece) for piece in pieces)
-    if not lorentz_le_sq(norms, 1, p):
-        raise ValueError("piece seminorms break the Lorentz bound")
-    return DisjointRep(pieces, certs, norms, p, Fraction(1))
+    """Representative of a unit member of A, one hull certificate per
+    piece; raises unless it passes the check ``is_unit_member`` runs."""
+    pieces, certs = tuple(pieces), tuple(certs)
+    return DisjointRep(pieces, certs, _unit_norms(pieces, certs, p), p, Fraction(1))
 
 
 def join_disjoint_reps(
@@ -700,14 +687,12 @@ class SplitResult:
             raise AssertionError("front window is not floor(eps^(-1/8))")
         if any(a <= 0 for a in self.weights) or sum(self.weights, Fraction(0)) > 1:
             raise AssertionError("weights are not positive and subconvex")
-        element = TriVector()
-        for a, rep in zip(self.weights, reps):
-            element = element + rep.element().scale(a)
+        element = _weighted_sum(
+            (piece, a) for a, rep in zip(self.weights, reps) for piece in rep.pieces
+        )
         if element.sup_norm() > eps:
             raise AssertionError("sup of the element exceeds eps")
-        recombined = self.remainder
-        for s in self.slices:
-            recombined = recombined + s
+        recombined = _weighted_sum((v, 1) for v in (self.remainder, *self.slices))
         if recombined != element:
             raise AssertionError("front plus remainder does not reassemble the element")
         for gens, vec, cert in zip(self.slice_gens, self.slices, self.slice_certs):
@@ -758,9 +743,7 @@ def split_element(
         for piece in rep.pieces:
             if not piece.is_nonnegative() and not piece.is_zero():
                 raise ValueError("pieces must be nonnegative")
-    element = TriVector()
-    for a, rep in zip(alphas, reps):
-        element = element + rep.element().scale(a)
+    element = _weighted_sum((piece, a) for a, rep in zip(alphas, reps) for piece in rep.pieces)
     if element.sup_norm() > eps:
         raise ValueError("sup of the element exceeds eps")
 
@@ -780,14 +763,15 @@ def split_element(
     total_scale = Fraction(0)
     for t in range(r):
         terms: dict[GridSeq, Fraction] = {}
-        vec = TriVector()
-        for a, rep, order in zip(alphas, reps, orders):
-            if t >= rep.length:
-                continue
-            i = order[t]
-            vec = vec + rep.pieces[i].scale(a)
-            for seq, w in _exact_combination(rep.certs[i], rep.pieces[i]):
+        front = [
+            (a, rep.pieces[order[t]], rep.certs[order[t]])
+            for a, rep, order in zip(alphas, reps, orders)
+            if t < rep.length
+        ]
+        for a, piece, cert in front:
+            for seq, w in _exact_combination(cert, piece):
                 terms[seq] = terms.get(seq, Fraction(0)) + a * w
+        vec = _weighted_sum((piece, a) for a, piece, _ in front)
         if vec.is_zero():
             continue
         q = lcm(*(f.denominator for f in terms.values()))
@@ -795,9 +779,7 @@ def split_element(
         for seq, gamma in sorted(terms.items(), key=lambda kv: kv[0].m):
             gens.extend([seq] * int(gamma * q))
         gens.extend([ZERO_SEQ] * (q - len(gens)))
-        cert = _decompose_average(gens, eps, p)  # SplitResult.validate checks it
-        if cert.average() != vec:
-            raise AssertionError("slice expansion mismatch")
+        cert = _decompose_average(gens, eps, p)  # SplitResult.validate checks it and the average
         slices.append(vec)
         slice_gens.append(tuple(gens))
         slice_certs.append(cert)
@@ -806,8 +788,7 @@ def split_element(
     # a tail is a sub-selection of a representative that passed the gate;
     # SplitResult.validate checks it once, with is_unit_member
     tail_reps = []
-    remainder = TriVector()
-    for a, rep, order in zip(alphas, reps, orders):
+    for rep, order in zip(reps, orders):
         keep = order[r:]
         tail = DisjointRep(
             tuple(rep.pieces[i] for i in keep),
@@ -817,7 +798,9 @@ def split_element(
             Fraction(1),
         )
         tail_reps.append(tail)
-        remainder = remainder + tail.element().scale(a)
+    remainder = _weighted_sum(
+        (piece, a) for a, tail in zip(alphas, tail_reps) for piece in tail.pieces
+    )
 
     result = SplitResult(
         eps,

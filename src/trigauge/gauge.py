@@ -56,21 +56,16 @@ class GaugeCertificate:
 
     ``validate`` re-derives all of it: every representative through
     ``is_unit_member``, then the cover (``_check_cover``).  Builders
-    whose representatives come straight from ``make_disjoint_rep`` or
-    ``join_disjoint_reps``, which checked them as they built them, run
-    only the cover check: ``gauge_upper``, ``pairing_witness`` and the
-    micro oracle's refinement.
+    whose representatives come straight from ``make_disjoint_rep``,
+    which runs the very check ``is_unit_member`` runs, or from
+    ``join_disjoint_reps`` at squared Lorentz bound 1 over such
+    representatives, run only the cover check: ``gauge_upper``,
+    ``pairing_witness`` and the micro oracle's refinement.
     """
 
     weights: tuple[Fraction, ...]
     reps: tuple[DisjointRep, ...]
     scale: Fraction
-
-    def combination(self) -> TriVector:
-        total = TriVector()
-        for w, rep in zip(self.weights, self.reps):
-            total = total + rep.element().scale(w * self.scale)
-        return total
 
     def validate(self, x: TriVector) -> None:
         for rep in self.reps:

@@ -30,8 +30,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .core import TriVector
-from .exact import Rational
+from .core import TriVector, _weighted_sum
 from .lp import _unit_column, solve_lp
 
 
@@ -64,10 +63,6 @@ class GridSeq:
             for j in range(1, count + 1):
                 entries[(i, j)] = Fraction(1)
         return TriVector(entries)
-
-    def restrict_rows(self, rows: Iterable[int]) -> "GridSeq":
-        keep = set(rows)
-        return GridSeq(tuple(c if i in keep else 0 for i, c in enumerate(self.m, start=1)))
 
     def to_line(self) -> str:
         return "b: " + " ".join(str(c) for c in self.m) if self.m else "b:"
@@ -185,10 +180,9 @@ class HullCertificate:
     scale: Fraction
 
     def combination(self) -> TriVector:
-        total = TriVector()
-        for seq, w in zip(self.seqs, self.weights):
-            total = total + seq.indicator().scale(w * self.scale)
-        return total
+        return _weighted_sum(
+            (seq.indicator(), w * self.scale) for seq, w in zip(self.seqs, self.weights)
+        )
 
     def validate(self, x: TriVector) -> None:
         """Check sum w <= 1 and scale * (sum of w_q with m_q,i >= j) >= |x_ij|.
@@ -291,23 +285,6 @@ def hull_min_scale(x: TriVector) -> tuple[Fraction, HullCertificate]:
     cert = HullCertificate(tuple(seqs), tuple(weights), lam)
     cert.validate(x)
     return lam, cert
-
-
-def hull_member(x: TriVector, scale: Rational = 1) -> HullCertificate | None:
-    """Certificate that x lies in scale * U, or None when it does not."""
-    scale = Fraction(scale)
-    if scale < 0:
-        raise ValueError("negative scale")
-    if x.is_zero():
-        return HullCertificate((), (), scale)
-    if scale == 0:
-        return None
-    lam, cert = hull_min_scale(x)
-    if lam > scale:
-        return None
-    # hull_min_scale validated these weights at lam <= scale, and a larger
-    # scale only raises every cell's coverage
-    return HullCertificate(cert.seqs, cert.weights, scale)
 
 
 def indicator_sum(seqs: Iterable[GridSeq], divisor: int) -> TriVector:

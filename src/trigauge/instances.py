@@ -11,19 +11,28 @@ import random
 from fractions import Fraction
 from math import ceil, isqrt
 
-from .core import LorentzParam, TriVector
+from .core import LorentzParam, TriVector, _weighted_sum
 from .decompose import DisjointRep, make_disjoint_rep
 from .generators import ZERO_SEQ, GridSeq, HullCertificate
 
 Vector = tuple[Fraction, ...]
 
+# sampler sizes: the largest draw of each family
+SUBSET_MAX_LEN = 64
+MATRIX_MAX_DEPTH, MATRIX_MAX_COLS = 20, 20
+KDISJOINT_MAX_K, KDISJOINT_MAX_N, KDISJOINT_MAX_COORD = 5, 50, 60
+BLOCKED_MAX_LEN, BLOCKED_MAX_BLOCKS = 60, 5
+UNIT_VECTOR_MAX_LEN = 8
+BODY_MAX_ROW = 8
+SPLIT_MAX_ROW = 12
+MERGE_COUNT = 50
 
-def subset_values(
-    rng: random.Random, max_len: int = 64, length: int | None = None
-) -> list[Fraction]:
-    """Values in [0, 1] with total above 1, for the subset selector."""
+
+def subset_values(rng: random.Random, length: int | None = None) -> list[Fraction]:
+    """Values in [0, 1] with total above 1, for the subset selector; the
+    length is drawn from 2..SUBSET_MAX_LEN unless given."""
     if length is None:
-        length = rng.randint(2, max_len)
+        length = rng.randint(2, SUBSET_MAX_LEN)
     values = [Fraction(rng.randint(0, 32), 32) for _ in range(length)]
     if sum(values) <= 1:
         # force feasibility: one full entry plus one positive companion,
@@ -36,25 +45,21 @@ def subset_values(
     return values
 
 
-def sorted_unit_matrix(
-    rng: random.Random, max_depth: int = 20, max_cols: int = 20
-) -> tuple[tuple[Fraction, ...], ...]:
+def sorted_unit_matrix(rng: random.Random) -> tuple[tuple[Fraction, ...], ...]:
     """Columns of a [0, 1] matrix, each sorted nonincreasing."""
     cols = []
-    for _ in range(rng.randint(1, max_cols)):
-        depth = rng.randint(1, max_depth)
+    for _ in range(rng.randint(1, MATRIX_MAX_COLS)):
+        depth = rng.randint(1, MATRIX_MAX_DEPTH)
         col = sorted((rng.randint(0, 16) for _ in range(depth)), reverse=True)
         cols.append(tuple(Fraction(k, 16) for k in col))
     return tuple(cols)
 
 
-def kdisjoint_family(
-    rng: random.Random, max_k: int = 5, max_n: int = 50, max_coord: int = 60
-) -> tuple[int, list[Vector]]:
+def kdisjoint_family(rng: random.Random) -> tuple[int, list[Vector]]:
     """At most k members nonzero per coordinate, each in the l2 unit ball."""
-    k = rng.randint(1, max_k)
-    n = rng.randint(1, max_n)
-    coords = rng.randint(1, max_coord)
+    k = rng.randint(1, KDISJOINT_MAX_K)
+    n = rng.randint(1, KDISJOINT_MAX_N)
+    coords = rng.randint(1, KDISJOINT_MAX_COORD)
     owned: list[list[int]] = [[] for _ in range(n)]
     for c in range(coords):
         for i in rng.sample(range(n), min(k, n)):
@@ -110,19 +115,15 @@ def covered_generators(
     return seqs
 
 
-def blocked_squares(
-    rng: random.Random,
-    max_len: int = 60,
-    max_blocks: int = 5,
-) -> tuple[list[Fraction], tuple[int, ...]]:
+def blocked_squares(rng: random.Random) -> tuple[list[Fraction], tuple[int, ...]]:
     """Squared values passing the block conditions at the breakpoints.
 
     Within block k+1 the j-th entry sits under 1/max(j, n_k)^2, which
     keeps the blockwise weak-Lorentz norm at 1 and the tail entries
     under n_k^(-1/p); the whole sequence need not stay under 1.
     """
-    nblocks = rng.randint(1, max_blocks)
-    lengths = [rng.randint(1, max(1, max_len // nblocks)) for _ in range(nblocks)]
+    nblocks = rng.randint(1, BLOCKED_MAX_BLOCKS)
+    lengths = [rng.randint(1, max(1, BLOCKED_MAX_LEN // nblocks)) for _ in range(nblocks)]
     breaks = [0]
     for ln in lengths:
         breaks.append(breaks[-1] + ln)
@@ -135,15 +136,16 @@ def blocked_squares(
     return values, tuple(breaks)
 
 
-def unit_vector(rng: random.Random, max_len: int = 8) -> Vector:
-    """Exact-unit rational vector with support in the first max_len slots.
+def unit_vector(rng: random.Random) -> Vector:
+    """Exact-unit rational vector with support in the first
+    UNIT_VECTOR_MAX_LEN slots.
 
     Resamples small integer tuples until the squared sum is a perfect
     square; zeroing the first four slots part of the time exercises the
     tail branch of the quotient witness.
     """
     while True:
-        length = rng.randint(2, max_len)
+        length = rng.randint(2, UNIT_VECTOR_MAX_LEN)
         g = [rng.randint(-9, 9) for _ in range(length)]
         if length > 4 and rng.random() < 0.4:
             g[:4] = [0, 0, 0, 0]
@@ -167,7 +169,7 @@ def _scaled_rep(scaled: list[tuple[GridSeq, Fraction]], p: LorentzParam) -> Disj
 
 
 def body_element(
-    rng: random.Random, p: LorentzParam, max_row: int = 8
+    rng: random.Random, p: LorentzParam
 ) -> tuple[TriVector, tuple[Fraction, ...], tuple[DisjointRep, ...]]:
     """Signed element of the unit body as a certified convex combination.
 
@@ -176,7 +178,7 @@ def body_element(
     """
     reps = []
     for _ in range(rng.randint(1, 3)):
-        rows = sorted(rng.sample(range(1, max_row + 1), rng.randint(1, 3)))
+        rows = sorted(rng.sample(range(1, BODY_MAX_ROW + 1), rng.randint(1, 3)))
         scaled = [
             (_single_row_seq(rng, i), Fraction(rng.randint(1, 8), 8 * rank))  # at most 1/rank
             for rank, i in enumerate(rows, start=1)
@@ -185,9 +187,7 @@ def body_element(
     raw = [rng.randint(1, 4) for _ in reps]
     total = sum(raw)
     weights = tuple(Fraction(a, total) for a in raw)
-    element = TriVector()
-    for w, rep in zip(weights, reps):
-        element = element + rep.element().scale(w)
+    element = _weighted_sum((piece, w) for w, rep in zip(weights, reps) for piece in rep.pieces)
     signed = TriVector(
         {
             cell: -v if rng.random() < 0.3 else v
@@ -258,7 +258,7 @@ def micro_instance(rng: random.Random) -> tuple[TriVector, bool]:
 
 
 def split_instance(
-    rng: random.Random, p: LorentzParam, epsilon: Fraction, max_row: int = 12
+    rng: random.Random, p: LorentzParam, epsilon: Fraction
 ) -> tuple[tuple[Fraction, ...], tuple[DisjointRep, ...]]:
     """Weighted representatives whose sum has sup at most epsilon.
 
@@ -268,7 +268,7 @@ def split_instance(
     """
     reps = []
     for _ in range(rng.randint(1, 2)):
-        rows = sorted(rng.sample(range(1, max_row + 1), rng.randint(1, 3)))
+        rows = sorted(rng.sample(range(1, SPLIT_MAX_ROW + 1), rng.randint(1, 3)))
         scaled = [
             (_single_row_seq(rng, i), Fraction(rng.randint(1, 8), 8) * epsilon) for i in rows
         ]
@@ -277,15 +277,14 @@ def split_instance(
     return weights, tuple(reps)
 
 
-def merge_family(
-    rng: random.Random, p: LorentzParam, count: int = 50
-) -> list[DisjointRep]:
-    """Row-disjoint single-piece representatives with decreasing seminorms.
+def merge_family(rng: random.Random, p: LorentzParam) -> list[DisjointRep]:
+    """MERGE_COUNT row-disjoint single-piece representatives with
+    decreasing seminorms.
 
     Representative t has seminorm at most 1/(t+1), under the greedy
     threshold at every step, so the merge keeps the whole family.
     """
-    rows = rng.sample(range(1, count + 1), count)
+    rows = rng.sample(range(1, MERGE_COUNT + 1), MERGE_COUNT)
     reps = []
     for t, i in enumerate(rows):
         scale = Fraction(rng.randint(4, 8), 8 * (t + 1))

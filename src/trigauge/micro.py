@@ -141,10 +141,10 @@ def _budget_sq(rank: int, num: int, den: int) -> Interval:
     return pow_enclosure(Fraction(1, rank), 2 * den // g, num // g, BITS)
 
 
-def _floor_frac(x: Fraction, den: int = 10**12) -> Fraction:
-    """Round down to a bounded denominator; keeps trims on the safe side
+def _floor_frac(x: Fraction) -> Fraction:
+    """Round down to the denominator 10^12; keeps trims on the safe side
     without dragging 2^-bits tails through the covering program."""
-    return Fraction(int(x * den), den)
+    return Fraction(int(x * 10**12), 10**12)
 
 
 def _covers(seq: GridSeq, cell: Cell) -> bool:

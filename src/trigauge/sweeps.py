@@ -23,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import instances as inst
 from .core import (
-    TriVector,
+    _weighted_sum,
     l2_norm_sq,
     lorentz_l2_constant,
     lorentz_le_sq,
@@ -124,7 +124,7 @@ def _brute_feasible(values: list[Fraction]) -> bool:
 
 
 def _select_trial(rng: random.Random, trial: int, cfg: SweepConfig):
-    values = inst.subset_values(rng, max_len=64)
+    values = inst.subset_values(rng)
     return lambda: " ".join(str(v) for v in values), lambda: _select_check(values)
 
 
@@ -132,7 +132,7 @@ def _exhaustive_trial(length: int) -> TrialFn:
     """Cross-check one short draw against brute force."""
 
     def trial(rng: random.Random, trial_idx: int, cfg: SweepConfig):
-        values = inst.subset_values(rng, max_len=64, length=length)
+        values = inst.subset_values(rng, length=length)
 
         def check():
             ok, detail = _select_check(values)
@@ -429,9 +429,9 @@ def _split_trial(rng: random.Random, trial: int, cfg: SweepConfig):
     weights, reps = inst.split_instance(rng, cfg.p, eps)
 
     def render():
-        element = TriVector()
-        for a, rep in zip(weights, reps):
-            element = element + rep.element().scale(a)
+        element = _weighted_sum(
+            (piece, a) for a, rep in zip(weights, reps) for piece in rep.pieces
+        )
         return element.to_text()
 
     def check():
@@ -475,7 +475,7 @@ def _halved_prefixes_ok(result: MergeResult) -> bool:
 
 
 def _merge_trial(rng: random.Random, trial: int, cfg: SweepConfig):
-    family = inst.merge_family(rng, cfg.p, count=50)
+    family = inst.merge_family(rng, cfg.p)
 
     def check():
         result = merge_representatives(family, cfg.p)

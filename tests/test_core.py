@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import pytest
@@ -181,6 +182,34 @@ def test_covers_matches_the_summed_vector(case):
     cells = set(total.support()) | set(x.support())
     want = all(total.entry(i, j) >= abs(x.entry(i, j)) for i, j in cells)
     assert core._covers(parts, x) == want
+
+
+@st.composite
+def sum_cases(draw):
+    """Up to four (vector, coefficient) pairs; some repeat an earlier
+    vector at the opposite coefficient, or at a coefficient of 0, so
+    cells cancel, and some cancelled cells come back."""
+    parts = draw(st.lists(st.tuples(tri_vectors, small_fraction), max_size=4))
+    for v, c in list(parts):
+        kind = draw(st.sampled_from(("cancel", "zero", "none")))
+        if kind == "cancel":
+            parts.append((v, -c))
+        elif kind == "zero":
+            parts.append((v, 0))
+    parts += draw(st.lists(st.tuples(tri_vectors, small_fraction), max_size=2))
+    return draw(st.permutations(parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_cases())
+def test_weighted_sum_equals_the_fold(parts):
+    total = TriVector()
+    for v, c in parts:
+        total = total + v.scale(c)
+    got = core._weighted_sum(parts)
+    assert got == total
+    assert all(isinstance(v, Fraction) and v for v in got._entries.values())
+    assert core._weighted_sum([]) == TriVector()
 
 
 # -- seminorm -----------------------------------------------------------------
@@ -414,6 +443,12 @@ VALUE_PS = (DEFAULT_P, LorentzParam(5, 4), LorentzParam(7, 4))
 VALUE_TOLS = (Fraction(1, 10**9), Fraction(1, 2**150), Fraction(1, 2**250))
 
 
+def at_tolerance(rel_tol):
+    """The program's refinement tolerance, 10^-9, replaced by rel_tol
+    inside the block, so the deeper passes run too."""
+    return mock.patch.object(core, "_REL_TOL", rel_tol)
+
+
 @st.composite
 def value_cases(draw):
     """Squares with zeros, repeats, exact roots and near-ties.
@@ -447,7 +482,8 @@ def outcome(value_sq, *args):
 @given(value_cases())
 def test_lorentz_value_matches_every_root_reference(case):
     squares, p, rel_tol = case
-    got = outcome(lorentz_value_sq, squares, p, rel_tol)
+    with at_tolerance(rel_tol):
+        got = outcome(lorentz_value_sq, squares, p)
     assert got == outcome(lorentz_value_sq_reference, squares, p, rel_tol)
 
 
@@ -579,7 +615,8 @@ def test_lorentz_le_matches_fraction_keys(values_sq, bound, p, power):
 )
 def test_lorentz_value_matches_fraction_keys(values_sq, p, rel_tol):
     want = result_or_error(lorentz_value_sq_fraction_keys, values_sq, p, rel_tol)
-    assert result_or_error(lorentz_value_sq, values_sq, p, rel_tol) == want
+    with at_tolerance(rel_tol):
+        assert result_or_error(lorentz_value_sq, values_sq, p) == want
 
 
 def test_kernel_edge_cases_match_fraction_keys():
@@ -646,14 +683,13 @@ def test_lorentz_value_with_shared_roots_matches_fresh(case):
 @given(shared_root_cases(), st.data())
 def test_shared_roots_give_fresh_intervals_at_every_tolerance(case, data):
     # a top term met again reuses its cut and, when no other term moves an
-    # end, its verdict; each call draws its own rel_tol, so a stored
-    # verdict also meets tolerances other than its own
+    # end, its verdict; the tolerance is fixed, so the verdict carries none
     p, calls = case
     roots = {}
-    for nums, den in calls:
-        rel_tol = data.draw(st.sampled_from(VALUE_TOLS))
-        want = result_or_error(core._lorentz_value, nums, den, p, rel_tol)
-        assert result_or_error(core._lorentz_value, nums, den, p, rel_tol, roots) == want
+    with at_tolerance(data.draw(st.sampled_from(VALUE_TOLS))):
+        for nums, den in calls:
+            want = result_or_error(core._lorentz_value, nums, den, p)
+            assert result_or_error(core._lorentz_value, nums, den, p, roots) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -674,7 +710,7 @@ def test_row_norm_nums_match_each_row(x):
 def test_constant_matches_zeta_oracle():
     # Sum n^(-2/p) = zeta(2/p); at p = 3/2 this is zeta(4/3), C ~ 1.8976
     p = DEFAULT_P
-    iv = lorentz_l2_constant(p, terms=10**4)
+    iv = lorentz_l2_constant(p)
     true = mpmath.sqrt(mpmath.zeta(mpmath.mpf(4) / 3))
     assert to_mpf(iv.lo) <= true <= to_mpf(iv.hi)
     assert iv.width < Fraction(1, 10**3)
@@ -682,19 +718,20 @@ def test_constant_matches_zeta_oracle():
 
 
 def test_constant_sq_matches_zeta_oracle_other_p():
-    p = LorentzParam(7, 4)
-    iv = lorentz_l2_constant(p, terms=2000)
-    true = mpmath.sqrt(mpmath.zeta(mpmath.mpf(8) / 7))
+    iv = core._constant_sq(7, 4, 2000)
+    true = mpmath.zeta(mpmath.mpf(8) / 7)
     assert to_mpf(iv.lo) <= true <= to_mpf(iv.hi)
 
 
 def test_constant_nesting_in_terms():
     p = DEFAULT_P
-    prev = lorentz_l2_constant(p, terms=50)
-    for terms in (200, 1000, 5000):
-        cur = lorentz_l2_constant(p, terms=terms)
+    prev = core._constant_sq(p.num, p.den, 50)
+    for terms in (200, 1000, 5000, 10**4):
+        cur = core._constant_sq(p.num, p.den, terms)
         assert prev.lo <= cur.lo and cur.hi <= prev.hi
         prev = cur
+    c = lorentz_l2_constant(p)
+    assert c.lo**2 <= prev.lo and prev.hi <= c.hi**2
 
 
 # -- pairings -------------------------------------------------------------------

@@ -38,6 +38,8 @@ from trigauge.generators import (
     HullCertificate,
     ZERO_SEQ,
     average_indicators,
+    hull_min_scale,
+    indicator_sum,
 )
 
 P = DEFAULT_P
@@ -545,6 +547,11 @@ class TestThetaFor:
 FOUR_ROWS = [GridSeq((1,)), GridSeq((0, 2)), GridSeq((0, 0, 3)), GridSeq((0, 0, 0, 4))]
 
 
+def pieces_average(cert):
+    """(1/M) sum of the indicators of the certificate's pieces."""
+    return indicator_sum((piece for blk in cert.blocks for piece in blk.pieces), cert.m_count)
+
+
 class TestDecomposeAverage:
     def test_four_full_rows_frozen(self):
         cert = decompose_average(FOUR_ROWS, F(1, 4), P)
@@ -565,7 +572,7 @@ class TestDecomposeAverage:
 
     def test_reassembly_identity(self):
         cert = decompose_average(FOUR_ROWS, F(1, 4), P)
-        assert cert.average() == average_indicators(FOUR_ROWS)
+        assert pieces_average(cert) == average_indicators(FOUR_ROWS)
 
     def test_zero_family(self):
         cert = decompose_average([ZERO_SEQ, ZERO_SEQ], F(1, 2), P)
@@ -608,7 +615,7 @@ class TestDecomposeAverage:
         eps = F(max(degree, 1), len(seqs))
         cert = decompose_average(seqs, eps, P)
         cert.validate(seqs)
-        assert cert.average() == average_indicators(seqs)
+        assert pieces_average(cert) == average_indicators(seqs)
         assert cert.scale**4 <= 625 * eps
 
     def test_verifier_catches_tampering(self):
@@ -707,25 +714,85 @@ def single_cell(r):
     return GridSeq(tuple(0 if i != r else 1 for i in range(1, r + 1))).indicator()
 
 
+def unit_rep(pieces):
+    """``make_disjoint_rep`` with each piece's minimal-scale hull certificate."""
+    return make_disjoint_rep(pieces, P, [hull_min_scale(piece)[1] for piece in pieces])
+
+
+@st.composite
+def rep_cases(draw):
+    """Pieces, certificates and stored seminorm squares for a representative.
+
+    Each piece is a scaled run of cells on one row; rows may repeat.  Its
+    certificate covers it at the exact scale, at twice it (above 1 for
+    large pieces) or at half it (invalid), and now and then one is
+    dropped.  The stored squares are the true ones or have one changed.
+    The pieces run up to seminorm 2, so the Lorentz bound fails too.
+    """
+    pieces, certs = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, 5))
+        seq = GridSeq((0,) * (i - 1) + (draw(st.integers(1, i)),))
+        s = draw(st.fractions(min_value=F(1, 8), max_value=2, max_denominator=8))
+        w = draw(st.sampled_from((F(1), F(1, 2))))
+        factor = draw(st.sampled_from((F(1), F(1), F(2), F(1, 2))))
+        pieces.append(seq.indicator().scale(s))
+        certs.append(HullCertificate((seq,), (w,), s / w * factor))
+    if certs and draw(st.integers(0, 9)) == 0:
+        certs.pop(draw(st.integers(0, len(certs) - 1)))
+    norms = [row_norm_sq(piece) for piece in pieces]
+    if norms and draw(st.booleans()):
+        k = draw(st.integers(0, len(norms) - 1))
+        norms[k] += draw(st.sampled_from((F(-1, 64), F(1, 64))))
+    return tuple(pieces), tuple(certs), tuple(norms)
+
+
 class TestDisjointRep:
-    def test_auto_certificates(self):
-        rep = make_disjoint_rep([full_row(1), single_cell(2)], P)
+    @settings(max_examples=300, deadline=None)
+    @given(rep_cases())
+    def test_make_succeeds_exactly_on_unit_members(self, case):
+        pieces, certs, norms = case
+        try:
+            built = make_disjoint_rep(pieces, P, certs)
+        except (AssertionError, ValueError):
+            built = None
+        stored = DisjointRep(pieces, certs, norms, P, F(1))
+        assert stored.is_unit_member() == (built is not None and built.norms_sq == norms)
+        if built is not None:
+            assert built.is_unit_member()
+            assert built == dataclasses.replace(stored, norms_sq=built.norms_sq)
+
+    def test_min_scale_certificates(self):
+        rep = unit_rep([full_row(1), single_cell(2)])
         assert rep.length == 2
         assert rep.norms_sq == (F(1), F(1, 4))
         assert rep.is_unit_member()
-        assert rep.max_hull_scale() == 1
+        assert [c.scale for c in rep.certs] == [1, 1]
         assert rep.max_norm_sq() == F(1)
+
+    def test_hull_scale_above_one_rejected(self):
+        # the certificate is valid at scale 4, so only the scale check sees it
+        seq = GridSeq((0, 2))
+        piece = seq.indicator().scale(F(1, 2))
+        cert = HullCertificate((seq,), (F(1, 4),), F(4))
+        cert.validate(piece)
+        with pytest.raises(ValueError, match="hull scale above 1"):
+            make_disjoint_rep([piece], P, [cert])
+        forged = DisjointRep((piece,), (cert,), (row_norm_sq(piece),), P, F(1))
+        assert not forged.is_unit_member()
+        with pytest.raises(AssertionError, match="not a unit member"):
+            GaugeCertificate((F(1),), (forged,), F(1)).validate(piece)
 
     def test_row_sharing_rejected(self):
         with pytest.raises(ValueError):
-            make_disjoint_rep([full_row(2), single_cell(2)], P)
+            unit_rep([full_row(2), single_cell(2)])
 
     def test_lorentz_violation_rejected(self):
         with pytest.raises(ValueError):
-            make_disjoint_rep([full_row(1), full_row(2)], P)
+            unit_rep([full_row(1), full_row(2)])
 
     def test_element_is_sum(self):
-        rep = make_disjoint_rep([single_cell(3), single_cell(4)], P)
+        rep = unit_rep([single_cell(3), single_cell(4)])
         assert rep.element() == single_cell(3) + single_cell(4)
 
     def test_forged_stored_fields_rejected(self):
@@ -744,7 +811,7 @@ class TestDisjointRep:
         assert not dataclasses.replace(forged, certs=(honest,)).is_unit_member()
 
     def test_shared_rows_rejected(self):
-        rep = make_disjoint_rep([single_cell(2)], P)
+        rep = unit_rep([single_cell(2)])
         doubled = dataclasses.replace(
             rep,
             pieces=rep.pieces * 2,
@@ -764,7 +831,7 @@ class TestJoinDisjointReps:
             [[single_cell(2)], [single_cell(4)], [full_row(3).scale(F(1, 3))]],
         ]
         for group in groups:
-            reps = [make_disjoint_rep(pieces, P) for pieces in group]
+            reps = [unit_rep(pieces) for pieces in group]
             joined = join_disjoint_reps(reps, P, 1)
             pieces = [piece for rep in reps for piece in rep.pieces]
             certs = [cert for rep in reps for cert in rep.certs]
@@ -772,13 +839,13 @@ class TestJoinDisjointReps:
             assert joined.is_unit_member()
 
     def test_shared_rows_rejected(self):
-        reps = [make_disjoint_rep([full_row(2)], P), make_disjoint_rep([single_cell(2)], P)]
+        reps = [unit_rep([full_row(2)]), unit_rep([single_cell(2)])]
         with pytest.raises(ValueError, match="share a row"):
             join_disjoint_reps(reps, P, 1)
 
     def test_lorentz_violation_rejected(self):
         # each unit row passes alone; two pieces at seminorm 1 do not
-        reps = [make_disjoint_rep([full_row(1)], P), make_disjoint_rep([full_row(2)], P)]
+        reps = [unit_rep([full_row(1)]), unit_rep([full_row(2)])]
         with pytest.raises(ValueError, match="Lorentz"):
             join_disjoint_reps(reps, P, 1)
         # at squared bound 4 they pass: 2^(1/p) <= 2
@@ -787,7 +854,7 @@ class TestJoinDisjointReps:
 
 class TestMerge:
     def test_single_rep(self):
-        rep = make_disjoint_rep([full_row(1), single_cell(2)], P)
+        rep = unit_rep([full_row(1), single_cell(2)])
         res = merge_representatives([rep], P)
         assert res.selected == (0,)
         assert res.breakpoints == (0, 2)
@@ -795,18 +862,18 @@ class TestMerge:
 
     def test_constant_max_norm_keeps_first(self):
         reps = [
-            make_disjoint_rep([full_row(1), single_cell(2)], P),
-            make_disjoint_rep([full_row(3), single_cell(4)], P),
-            make_disjoint_rep([full_row(5), single_cell(6)], P),
+            unit_rep([full_row(1), single_cell(2)]),
+            unit_rep([full_row(3), single_cell(4)]),
+            unit_rep([full_row(5), single_cell(6)]),
         ]
         res = merge_representatives(reps, P)
         assert res.selected == (0,)
 
     def test_decaying_norms_keep_all(self):
         reps = [
-            make_disjoint_rep([single_cell(10), single_cell(11)], P),
-            make_disjoint_rep([single_cell(12), single_cell(13)], P),
-            make_disjoint_rep([single_cell(14), single_cell(15)], P),
+            unit_rep([single_cell(10), single_cell(11)]),
+            unit_rep([single_cell(12), single_cell(13)]),
+            unit_rep([single_cell(14), single_cell(15)]),
         ]
         res = merge_representatives(reps, P)
         assert res.selected == (0, 1, 2)
@@ -819,7 +886,7 @@ class TestMerge:
             assert block_conditions_sq(res.merged.norms_sq[: bp[-1]], bp, P)
 
     def test_shared_rows_rejected(self):
-        rep = make_disjoint_rep([full_row(1)], P)
+        rep = unit_rep([full_row(1)])
         with pytest.raises(ValueError):
             merge_representatives([rep, rep], P)
 
@@ -830,7 +897,7 @@ class TestMerge:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_merged_and_half_equal_make_on_the_concatenation(self, seed):
         # the checked fields are reused, so both equal a rebuild from scratch
-        family = instances.merge_family(random.Random(seed), P, count=20)
+        family = instances.merge_family(random.Random(seed), P)[:20]
         res = merge_representatives(family, P)
         pieces = [piece for idx in res.selected for piece in family[idx].pieces]
         certs = [cert for idx in res.selected for cert in family[idx].certs]
@@ -845,7 +912,7 @@ class TestMerge:
         assert res.half_sum() == halved
 
     def test_half_sum_checks_the_lorentz_bound(self):
-        res = merge_representatives([make_disjoint_rep([full_row(1)], P)], P)
+        res = merge_representatives([unit_rep([full_row(1)])], P)
 
         def merged_at(c):
             row = full_row(1).scale(c)
@@ -859,8 +926,8 @@ class TestMerge:
 
     def test_forged_input_rejected(self):
         reps = [
-            make_disjoint_rep([single_cell(10), single_cell(11)], P),
-            make_disjoint_rep([single_cell(12), single_cell(13)], P),
+            unit_rep([single_cell(10), single_cell(11)]),
+            unit_rep([single_cell(12), single_cell(13)]),
         ]
         rep = reps[1]
         cert = rep.certs[0]
@@ -877,7 +944,7 @@ class TestMerge:
 
 class TestSplit:
     def test_one_big_piece(self):
-        rep = make_disjoint_rep([full_row(1), single_cell(20), single_cell(21)], P)
+        rep = unit_rep([full_row(1), single_cell(20), single_cell(21)])
         res = split_element([F(1, 4)], [rep], F(1, 4), P)
         assert res.front_count == 1
         assert len(res.slices) == 1
@@ -905,19 +972,19 @@ class TestSplit:
         res.validate([rep])
 
     def test_two_reps(self):
-        rep1 = make_disjoint_rep([full_row(1), single_cell(20)], P)
-        rep2 = make_disjoint_rep([full_row(2), single_cell(21)], P)
+        rep1 = unit_rep([full_row(1), single_cell(20)])
+        rep2 = unit_rep([full_row(2), single_cell(21)])
         res = split_element([F(1, 8), F(1, 8)], [rep1, rep2], F(1, 4), P)
         res.validate([rep1, rep2])
         assert res.gauge_bound**8 <= 5**8 * F(1, 4)
 
     def test_sup_above_eps_rejected(self):
-        rep = make_disjoint_rep([full_row(1)], P)
+        rep = unit_rep([full_row(1)])
         with pytest.raises(ValueError):
             split_element([F(1, 2)], [rep], F(1, 4), P)
 
     def test_nonpositive_weight_rejected(self):
-        rep = make_disjoint_rep([single_cell(20)], P)
+        rep = unit_rep([single_cell(20)])
         with pytest.raises(ValueError):
             split_element([F(0)], [rep], F(1, 4), P)
 
@@ -932,7 +999,7 @@ class TestSplit:
             )
 
     def test_tails_checked_once(self, monkeypatch):
-        rep = make_disjoint_rep([full_row(1), single_cell(20), single_cell(21)], P)
+        rep = unit_rep([full_row(1), single_cell(20), single_cell(21)])
         calls = []
         validate = HullCertificate.validate
 
@@ -950,7 +1017,7 @@ class TestSplit:
             assert sum(1 for c in calls if c is cert) == 1 + in_tail
 
     def test_forged_input_rejected(self):
-        rep = make_disjoint_rep([full_row(1), single_cell(20), single_cell(21)], P)
+        rep = unit_rep([full_row(1), single_cell(20), single_cell(21)])
         cert = rep.certs[2]
         forgeries = [
             dataclasses.replace(rep, norms_sq=rep.norms_sq[:2] + (F(0),)),
@@ -963,7 +1030,7 @@ class TestSplit:
                 split_element([F(1, 4)], [forged], F(1, 4), P)
 
     def test_verifier_catches_tampering(self):
-        rep = make_disjoint_rep([full_row(1), single_cell(20), single_cell(21)], P)
+        rep = unit_rep([full_row(1), single_cell(20), single_cell(21)])
         res = split_element([F(1, 4)], [rep], F(1, 4), P)
         bad = dataclasses.replace(res, gauge_bound=res.gauge_bound * 2)
         with pytest.raises(AssertionError, match="gauge bound is not the sum of slice scales"):

@@ -83,6 +83,11 @@ def full_row(i):
     return GridSeq((0,) * (i - 1) + (i,)).indicator()
 
 
+def unit_rep(pieces):
+    """``make_disjoint_rep`` with each piece's minimal-scale hull certificate."""
+    return make_disjoint_rep(pieces, P, [hull_min_scale(piece)[1] for piece in pieces])
+
+
 REFERENCE_PARTITION_ROWS = 5
 
 
@@ -722,13 +727,13 @@ class TestGaugeInterval:
 
 class TestRepExamples:
     def test_single_generator_piece_accepted(self):
-        rep = make_disjoint_rep([GridSeq((0, 1)).indicator()], P)
+        rep = unit_rep([GridSeq((0, 1)).indicator()])
         assert rep.is_unit_member()
 
     def test_two_full_norm_pieces_rejected(self):
         # two pieces of squared seminorm 1 violate the rank-2 budget at p = 3/2
         with pytest.raises(ValueError):
-            make_disjoint_rep([full_row(1), full_row(2)], P)
+            unit_rep([full_row(1), full_row(2)])
 
 
 class TestPairingWitness:
@@ -833,13 +838,13 @@ class TestPairingWitness:
     def test_body_elements_have_small_seminorm(self):
         # certified combinations keep the row seminorm at most C
         reps = [
-            make_disjoint_rep([GridSeq((0, 2)).indicator()], P),
-            make_disjoint_rep(
-                [full_row(1).scale(F(1, 2)), full_row(3).scale(F(1, 3))], P
-            ),
+            unit_rep([GridSeq((0, 2)).indicator()]),
+            unit_rep([full_row(1).scale(F(1, 2)), full_row(3).scale(F(1, 3))]),
         ]
         cert = GaugeCertificate((F(1, 2), F(1, 2)), tuple(reps), F(1))
-        v = cert.combination()
+        v = core._weighted_sum(
+            (piece, w * cert.scale) for w, rep in zip(cert.weights, reps) for piece in rep.pieces
+        )
         assert row_norm_sq(v) <= C_HI**2
 
 

@@ -23,7 +23,6 @@ from trigauge.generators import (
     average_indicators,
     disjointness_degree,
     enumerate_grid_seqs,
-    hull_member,
     hull_min_scale,
     parse_seq_file,
     seq_file_text,
@@ -421,17 +420,6 @@ def test_validate_rejects_malformed_certificates():
     for seqs, weights, scale, message in bad:
         with pytest.raises(AssertionError, match=message):
             HullCertificate(seqs, weights, scale).validate(x)
-
-
-def test_hull_member_threshold():
-    x = GridSeq((0, 2)).indicator()
-    assert hull_member(x, 1) is not None
-    assert hull_member(x, Fraction(99, 100)) is None
-    cert = hull_member(x, 2)
-    assert cert is not None and cert.scale == 2
-    cert.validate(x)
-    assert hull_member(TriVector(), 0) is not None
-    assert hull_member(x, 0) is None
 
 
 def test_average_and_degree():

@@ -159,7 +159,7 @@ def test_split_instance_small_and_nonnegative():
 
 
 def test_merge_family_members_are_disjoint_units():
-    fam = inst.merge_family(random.Random(3), P, count=50)
+    fam = inst.merge_family(random.Random(3), P)
     assert len(fam) == 50
     rows_seen: set[int] = set()
     for rep in fam:

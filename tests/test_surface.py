@@ -3,9 +3,9 @@
 A module-level function or class must be exported in ``trigauge.__all__``
 or be used by name somewhere in ``src/trigauge`` outside its own
 definition, every method of a class there must be read as an attribute
-outside its own body, and every name a module imports must be used in
-it.  Only the stdlib ``ast`` module is used, so the guards need no
-linter.
+outside its own body, every name a module imports must be used in it,
+and every defaulted parameter must be passed by some call in src.  Only
+the stdlib ``ast`` module is used, so the guards need no linter.
 """
 
 import ast
@@ -130,3 +130,65 @@ def test_every_method_is_read_somewhere():
                 if all(id(node) in own for node in reads.get(method.name, [])):
                     unread.append(f"{cls.name}.{method.name}")
     assert not unread, f"methods nothing in src reads: {sorted(unread)}"
+
+
+def _defaulted_params(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(called name, parameter, position in a call's arguments or None
+    when keyword-only) of every parameter with a default.  A method's
+    first parameter is bound, so its positions start one lower; an
+    ``__init__`` is called by its class's name."""
+    out = []
+    owners = {
+        id(method): cls
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+    }
+    for func in ast.walk(tree):
+        if not isinstance(func, DEFS[:2]):
+            continue
+        cls = owners.get(id(func))
+        bound = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list
+        )
+        name = cls.name if cls is not None and func.name == "__init__" else func.name
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for k, arg in enumerate(positional[first:], start=first):
+            out.append((name, arg.arg, k - bound))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                out.append((name, arg.arg, None))
+    return out
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether the call passes the parameter, by keyword, by position or
+    through a starred argument."""
+    if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no src call overrides is a constant, not an option;
+    # the CLI entry's argv is exempt, as the console script and tests pass it
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unreached = sorted(
+        f"{module}.{name}({param})"
+        for module, tree in trees.items()
+        for name, param, position in _defaulted_params(tree)
+        if (module, name) != ("cli", "main")
+        and not any(_passes(call, param, position) for call in calls.get(name, []))
+    )
+    assert not unreached, f"defaulted parameters no src call passes: {unreached}"

@@ -216,14 +216,14 @@ def verdict(check, result):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_halved_prefixes_match_the_prefix_loop(seed):
-    family = instances.merge_family(trial_rng("merge", seed, 0), DEFAULT_P, count=50)
+    family = instances.merge_family(trial_rng("merge", seed, 0), DEFAULT_P)
     result = merge_representatives(family, DEFAULT_P)
     assert verdict(_halved_prefixes_ok, result) is True
     assert verdict(prefix_loop_reference, result) is True
 
 
 def test_forged_halved_certificate_fails_both_checks():
-    family = instances.merge_family(trial_rng("merge", 1, 0), DEFAULT_P, count=50)
+    family = instances.merge_family(trial_rng("merge", 1, 0), DEFAULT_P)
     result = merge_representatives(family, DEFAULT_P)
     # piece 5 claims half its true hull scale, so its halved certificate
     # no longer covers the halved piece
