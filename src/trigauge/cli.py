@@ -120,38 +120,26 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_tau_bounds(args: argparse.Namespace) -> int:
     x = TriVector.from_text(Path(args.file).read_text())
-    cheap = gauge_interval(x, args.p)
-    payload = {
-        "p": str(args.p),
-        "max_row": x.max_row,
-        "lower": str(cheap.lo),
-        "upper": str(cheap.hi),
-        "lower_float": _float_field("lower_float", cheap.lo),
-        "upper_float": _float_field("upper_float", cheap.hi),
-        "refined": False,
-    }
+    refined = x.max_row <= SUPPORT_ROW_CAP
+    payload = {"p": str(args.p), "max_row": x.max_row, "refined": refined}
     code = 0
-    if x.max_row <= SUPPORT_ROW_CAP:
+    if refined:
         tol = args.epsilon if args.epsilon is not None else DEFAULT_TOL
         try:
-            refined = tau_micro_oracle(x, args.p, tol=tol)
+            interval = tau_micro_oracle(x, args.p, tol=tol)
         except ToleranceUnreachableError as err:
-            refined = err.interval
-            payload["tolerance_reached"] = False
+            interval = err.interval
             code = 1
-        else:
-            payload["tolerance_reached"] = True
-        payload.update(
-            {
-                "refined": True,
-                "tolerance": str(tol),
-                "lower": str(refined.lo),
-                "upper": str(refined.hi),
-                "lower_float": _float_field("lower_float", refined.lo),
-                "upper_float": _float_field("upper_float", refined.hi),
-                "width_float": _float_field("width_float", refined.hi - refined.lo),
-            }
-        )
+        payload["tolerance"] = str(tol)
+        payload["tolerance_reached"] = code == 0
+    else:
+        interval = gauge_interval(x, args.p)
+    payload["lower"] = str(interval.lo)
+    payload["upper"] = str(interval.hi)
+    payload["lower_float"] = _float_field("lower_float", interval.lo)
+    payload["upper_float"] = _float_field("upper_float", interval.hi)
+    if refined:
+        payload["width_float"] = _float_field("width_float", interval.hi - interval.lo)
     _emit(canonical_json(payload), args.out)
     return code
 

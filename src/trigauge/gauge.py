@@ -39,10 +39,10 @@ from .decompose import DisjointRep, make_disjoint_rep
 from .exact import Rational, sqrt_enclosure
 from .generators import EnumerationBudgetError, GridSeq, HullCertificate, hull_min_scale
 
-# Up to this many active rows gauge_upper scores every row partition (203
-# on 6 rows); above it, only the whole support as one hull piece.  The row
-# sup and weak-Lorentz bounds drop a partition before any LP only when it
-# cannot beat the best so far, so the cap costs time, not bound quality.
+# Up to this many active rows gauge_upper scores every row partition (203 on
+# 6 rows); above it, the whole support after its row prefixes.  The row sup and
+# weak-Lorentz bounds drop a partition before any LP only when it cannot beat
+# the best so far, so the cap costs time, not bound quality.
 MAX_PARTITION_ROWS = 6
 
 
@@ -170,7 +170,9 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     call, and a one-row group needs none (``hull_min_scale``).
 
     On six rows the partitions include the whole support as one group,
-    the only candidate tried above ``MAX_PARTITION_ROWS``.
+    the only candidate tried above ``MAX_PARTITION_ROWS``, and only once
+    its row prefixes of up to that many rows stay below the best (a prefix
+    past the enumeration budget leaves the whole support past it too).
     """
     target = abs(x)
     if target.is_zero():
@@ -184,14 +186,6 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
     hulls: dict[tuple[int, ...], tuple[Fraction, HullCertificate] | None] = {}
     norms: dict[tuple[int, ...], int] = {}  # group seminorm numerators over den
 
-    def hull(group: tuple[int, ...]) -> tuple[Fraction, HullCertificate] | None:
-        if group not in hulls:
-            try:
-                hulls[group] = hull_min_scale(target.restrict_rows(group))
-            except EnumerationBudgetError:
-                hulls[group] = None  # enumeration too large for this grouping
-        return hulls[group]
-
     def hull_below(group: tuple[int, ...], bound: Fraction) -> bool:
         if group not in hulls:
             # fewer rows never raise the hull scale, and the bound only falls:
@@ -202,7 +196,12 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
                 for sub, solved in hulls.items()
             ):
                 hulls[group] = None
-        solved = hull(group)
+            else:
+                try:
+                    hulls[group] = hull_min_scale(target.restrict_rows(group))
+                except EnumerationBudgetError:
+                    hulls[group] = None  # enumeration too large for this grouping
+        solved = hulls[group]
         return solved is not None and solved[0] < bound
 
     def norm_sq(group: tuple[int, ...]) -> int:
@@ -239,10 +238,10 @@ def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
                 scale = max(scale, *(hulls[group][0] for group in partition))
                 best = (scale, partition, tuple(hulls[group][1] for group in partition))
                 bound_sq = scale**2
-    else:
-        solved = hull(rows)
-        if solved is not None and solved[0] < best[0]:
-            best = (solved[0], (rows,), (solved[1],))
+    elif best[0] > floor:
+        order = [rows[:k] for k in range(2, MAX_PARTITION_ROWS + 1)] + [rows]
+        if all(hull_below(group, best[0]) for group in order):
+            best = (hulls[rows][0], (rows,), (hulls[rows][1],))
 
     scale, groups, certs = best
     if certs is None:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from trigauge import cli
+from trigauge import cli, gauge
 from trigauge.cli import build_parser, main
 from trigauge.core import TriVector
 from trigauge.generators import GridSeq, seq_file_text
@@ -155,6 +155,35 @@ def test_tau_bounds_nine_rows_finishes(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_row"] == 9 and payload["refined"] is False
     assert F(payload["lower"]) <= F(payload["upper"])
+
+
+def test_tau_bounds_decr_ten_rows_finishes(tmp_path, capsys):
+    # the whole-support hull LP here took minutes before its row prefixes
+    x = TriVector({(i, j): F(2 * i - j, 2 * i) for i in range(1, 11) for j in range(1, i + 1)})
+    path = tmp_path / "x.txt"
+    path.write_text(x.to_text())
+    assert main(["tau-bounds", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_row"] == 10 and payload["refined"] is False
+    assert F(payload["lower"]) <= F(payload["upper"])
+
+
+def test_tau_bounds_builds_one_interval(tmp_path, capsys, monkeypatch):
+    # rows 1..3: the refinement's own cheap interval is the only one built
+    calls = []
+    upper = gauge.gauge_upper
+
+    def counted(x, p):
+        calls.append(x)
+        return upper(x, p)
+
+    monkeypatch.setattr(gauge, "gauge_upper", counted)
+    x = TriVector({(i, j): F(1) for i in range(1, 4) for j in range(1, i + 1)})
+    path = tmp_path / "x.txt"
+    path.write_text(x.to_text())
+    assert main(["tau-bounds", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["refined"] is True
+    assert calls == [x]
 
 
 def test_quotient_command(capsys):

@@ -526,13 +526,13 @@ class TestThetaFor:
 
     def test_close_to_true_threshold(self):
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        for eps in (F(1, 4), F(1, 16), F(3, 7)):
-            true_threshold = 1 / (
-                2 * mp.mpf(1) / mp.root(mp.mpf(eps.numerator) / eps.denominator, 8) ** 3 - 1
-            )
-            th = theta_for(eps, P)
-            assert true_threshold <= float(th) < float(true_threshold) * (1 + 1e-9)
+        with mp.workdps(40):
+            for eps in (F(1, 4), F(1, 16), F(3, 7)):
+                true_threshold = 1 / (
+                    2 * mp.mpf(1) / mp.root(mp.mpf(eps.numerator) / eps.denominator, 8) ** 3 - 1
+                )
+                th = theta_for(eps, P)
+                assert true_threshold <= float(th) < float(true_threshold) * (1 + 1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

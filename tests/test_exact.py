@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from trigauge.exact import (
     Interval,
@@ -66,11 +66,10 @@ def test_interval_reciprocal_straddle():
 
 
 @given(st.fractions(min_value=0, max_value=10**8), st.integers(min_value=1, max_value=6))
+@example(Fraction(729, 1000), 3)  # an exact power whose root 9/10 is not dyadic
 def test_root_enclosure_contains_true_root(x, k):
     iv = root_enclosure(x, k, bits=48)
-    true = mpmath.root(mpmath.mpf(x.numerator) / x.denominator, k)
-    assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= true
-    assert true <= mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+    assert iv.lo**k <= x <= iv.hi**k
     assert iv.width <= Fraction(1, 2**48)
 
 

@@ -452,6 +452,69 @@ class TestSubgroupBound:
         assert_only_dropped_lps(TriVector(entries))
 
 
+def mod5(n):
+    return TriVector(
+        {(i, j): F(1 + i * j % 5, 5) for i in range(1, n + 1) for j in range(1, i + 1)}
+    )
+
+
+def recorded_hull_rows(monkeypatch):
+    """The rows of every ``gauge.hull_min_scale`` call, recorded before it runs."""
+    rows = []
+    solve = gauge.hull_min_scale
+
+    def recorded(target):
+        rows.append(target.active_rows())
+        return solve(target)
+
+    monkeypatch.setattr(gauge, "hull_min_scale", recorded)
+    return rows
+
+
+# one generator's indicator on rows 20..26: the whole support wins at scale 1
+ONE_GENERATOR_7 = GridSeq((0,) * 19 + (8,) * 7).indicator()
+
+
+class TestPrefixBound:
+    """Past MAX_PARTITION_ROWS rows the whole support is solved only once
+    each row prefix of up to MAX_PARTITION_ROWS rows stays below the best."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [decr(7), decr(8), mod5(7), mod5(8), ONE_GENERATOR_7],
+        ids=["decr7", "decr8", "mod5-7", "mod5-8", "one-generator"],
+    )
+    def test_identical_on_families(self, x):
+        assert gauge_upper(x, P) == gauge_upper_every_group_lp(x, P)
+
+    @settings(max_examples=12, deadline=None)
+    @given(supports(9, 7, 8))
+    def test_identical_on_seven_and_eight_rows(self, entries):
+        x = TriVector(entries)
+        assert gauge_upper(x, P) == gauge_upper_every_group_lp(x, P)
+
+    def test_whole_support_solved_after_its_prefixes(self, monkeypatch):
+        rows = recorded_hull_rows(monkeypatch)
+        cert = gauge_upper(ONE_GENERATOR_7, P)
+        assert cert.scale == 1 and len(cert.reps[0].pieces) == 1
+        whole = ONE_GENERATOR_7.active_rows()
+        assert rows == [whole[:k] for k in range(2, 7)] + [whole]
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_decr_solves_at_most_six_rows(self, monkeypatch, n):
+        # the whole-support LP took 127 s on rows 1..10 before the prefixes
+        rows = recorded_hull_rows(monkeypatch)
+        gauge_upper(decr(n), P).validate(decr(n))
+        assert rows and max(map(len, rows)) <= gauge.MAX_PARTITION_ROWS
+
+    def test_row_split_at_largest_entry_solves_nothing(self, monkeypatch):
+        x = TriVector({(1, 1): F(1), **{(i, 1): F(1, 100) for i in range(2, 9)}})
+        rows = recorded_hull_rows(monkeypatch)
+        cert = gauge_upper(x, P)
+        assert cert.scale == 1 and len(cert.reps[0].pieces) == 8
+        assert rows == []
+
+
 class TestGaugeLower:
     def test_zero(self):
         assert gauge_lower(TriVector(), P).value == 0
