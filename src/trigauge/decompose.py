@@ -311,9 +311,11 @@ class DecompositionCertificate:
         if self.columns != columns:
             raise AssertionError("stored columns differ from the active coordinates")
         # the column blocking: mass and count conditions
-        masses = [
-            Fraction(sum(s.m[i - 1] ** 2 for s in seqs if i <= len(s.m)), i * i) for i in columns
-        ]
+        squares: dict[int, int] = {}
+        for s in seqs:
+            for i, c in s.pairs():
+                squares[i] = squares.get(i, 0) + c * c
+        masses = [Fraction(squares[i], i * i) for i in columns]
         bp = self.breakpoints
         if not bp or bp[0] != 0 or bp[-1] != len(masses) or list(bp) != sorted(set(bp)):
             raise AssertionError(f"breakpoints {bp} do not segment {len(masses)} columns")
@@ -353,16 +355,11 @@ class DecompositionCertificate:
 
         # Exact reassembly: per coordinate, the nonzero counts of the pieces
         # must be a permutation of the nonzero counts of the input sequences.
-        for i in columns:
-            want = Counter(s.m[i - 1] for s in seqs if i <= len(s.m) and s.m[i - 1])
-            got = Counter(
-                piece.m[i - 1]
-                for blk in self.blocks
-                for piece in blk.pieces
-                if i <= len(piece.m) and piece.m[i - 1]
-            )
-            if want != got:
-                raise AssertionError(f"coordinate {i}: counts not preserved")
+        want = Counter(pair for s in seqs for pair in s.pairs())
+        got = Counter(pair for blk in self.blocks for piece in blk.pieces for pair in piece.pairs())
+        if want != got:
+            i = min(i for i, _ in (want - got) + (got - want))
+            raise AssertionError(f"coordinate {i}: counts not preserved")
 
         # Scale: covers every block's hull scale and the Lorentz bound of the
         # block seminorms; the fourth-power test certifies the 2 eps^(1/4)
@@ -411,7 +408,11 @@ def _decompose_average(
     if degree > k:
         raise ValueError(f"sup of average is {degree}/{mm}, above eps")
     theta = theta_for(eps, p)
-    columns = tuple(sorted({i for s in seqs for i in s.active_rows()}))
+    active: dict[int, list[tuple[int, int]]] = {}  # row -> (count, sequence index)
+    for q, s in enumerate(seqs):
+        for i, c in s.pairs():
+            active.setdefault(i, []).append((c, q))
+    columns = tuple(sorted(active))
 
     # Sorted squared-coefficient matrix: one column per active coordinate,
     # entries the squared coefficients (count / i)^2 of the sequences
@@ -421,10 +422,7 @@ def _decompose_average(
     donors: list[tuple[int, ...]] = []
     masses: list[Fraction] = []
     for i in columns:
-        pairs = sorted(
-            ((s.m[i - 1], q) for q, s in enumerate(seqs) if i <= len(s.m) and s.m[i - 1]),
-            key=lambda t: (-t[0], t[1]),
-        )
+        pairs = sorted(active[i], key=lambda t: (-t[0], t[1]))
         cols.append(tuple(Fraction(c * c, i * i) for c, _ in pairs))
         donors.append(tuple(q for _, q in pairs))
         masses.append(Fraction(sum(c * c for c, _ in pairs), i * i))
@@ -440,10 +438,9 @@ def _decompose_average(
             for depth, j in part:
                 coord = columns[lo + j]
                 donor = seqs[donors[lo + j][depth]]
-                counts[coord] = donor.m[coord - 1]
+                counts[coord] = donor.count(coord)
             if counts:
-                width = max(counts)
-                pieces.append(GridSeq(tuple(counts.get(i, 0) for i in range(1, width + 1))))
+                pieces.append(GridSeq.from_counts(counts))
         r_m = part_res.reductions + k
         if len(pieces) > r_m:
             raise AssertionError("more parts than the guaranteed bound")

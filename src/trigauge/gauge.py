@@ -133,7 +133,7 @@ def _set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...
 def _full_row_cert(i: int, sup: Fraction) -> HullCertificate:
     """Single-row piece certificate: sup * (full row) dominates a row whose
     largest |x_ij| is ``sup``."""
-    return HullCertificate((GridSeq((0,) * (i - 1) + (i,)),), (Fraction(1),), sup)
+    return HullCertificate((GridSeq.from_counts({i: i}),), (Fraction(1),), sup)
 
 
 def gauge_upper(x: TriVector, p: LorentzParam) -> GaugeCertificate:
@@ -401,18 +401,15 @@ def pairing_witness(b: Sequence[Rational], p: LorentzParam) -> PairingWitness:
     if sum((v**2 for v in head), Fraction(0)) >= Fraction(5, 9):
         i0 = max(range(len(head)), key=lambda i: (abs(head[i]), -i)) + 1
         sign = 1 if b[i0 - 1] > 0 else -1
-        seq = GridSeq((0,) * (i0 - 1) + (i0,))
+        seq = GridSeq.from_counts({i0: i0})
         vector = seq.indicator().scale(sign)
         branch = 1
     else:
-        counts = [0] * len(b)
-        for i in range(5, len(b) + 1):
-            counts[i - 1] = int(i * abs(b[i - 1]))
-        seq = GridSeq(counts)
+        seq = GridSeq.from_counts({i: int(i * abs(b[i - 1])) for i in range(5, len(b) + 1)})
         entries = {}
-        for i in seq.active_rows():
+        for i, count in seq.pairs():
             sign = 1 if b[i - 1] > 0 else -1
-            for j in range(1, seq.m[i - 1] + 1):
+            for j in range(1, count + 1):
                 entries[(i, j)] = Fraction(sign)
         vector = TriVector(entries)
         branch = 2

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import TriVector, _weighted_sum
 from .lp import _unit_column, solve_lp
@@ -53,6 +53,24 @@ class GridSeq:
                 budget += Fraction(count, i) ** 2
         if budget > 1:
             raise ValueError(f"squared coefficient sum {budget} exceeds 1")
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[int, int]) -> "GridSeq":
+        """The sequence with counts[i] cells on row i and none elsewhere."""
+        dense = [0] * max(counts, default=0)
+        for i, count in counts.items():
+            if i < 1:
+                raise ValueError(f"row {i} must be positive")
+            dense[i - 1] = count
+        return cls(tuple(dense))
+
+    def count(self, i: int) -> int:
+        """Cells on row i; 0 past the last row."""
+        return self.m[i - 1] if 0 < i <= len(self.m) else 0
+
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(row, count) for every row with a nonzero count, by row."""
+        return tuple((i, c) for i, c in enumerate(self.m, start=1) if c)
 
     def active_rows(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.m, start=1) if c)
@@ -98,17 +116,24 @@ class EnumerationBudgetError(RuntimeError):
     """A generator search walked more than ``_MAX_CANDIDATES`` candidates."""
 
 
-def _count_tuples(
-    support: dict[int, Iterable[int]], maximal: bool = True
-) -> list[tuple[int, ...]]:
-    """Count tuples over ``sorted(support)`` with values in {0} | S_i.
+def _covering_tuples(
+    cells: Sequence[tuple[int, int]], maximal: bool
+) -> list[tuple[dict[int, int], tuple[int, ...]]]:
+    """Count tuples over the rows of ``cells``, row i's count in {0} | S_i
+    with S_i the columns of the cells on row i, each as its row -> count
+    map and the positions in ``cells`` it covers (those with j <= m_i).
 
     Walks every tuple within the budget sum (m_i / i)^2 <= 1 (integer
     arithmetic over the lcm of the i^2) in lexicographic order.  With
     ``maximal`` it keeps only those where no row can step up to its next
-    support column.  Raises EnumerationBudgetError past ``_MAX_CANDIDATES``
-    walked tuples.
+    column; their covered sets are the inclusion-maximal ones.  Each
+    tuple is the componentwise least sequence covering exactly its
+    positions, so also the lexicographically first.  Raises
+    EnumerationBudgetError past ``_MAX_CANDIDATES`` walked tuples.
     """
+    support: dict[int, set[int]] = {}
+    for i, j in cells:
+        support.setdefault(i, set()).add(j)
     rows = sorted(support)
     unit = lcm(*(i * i for i in rows))
     prices = [unit // (i * i) for i in rows]
@@ -143,21 +168,17 @@ def _count_tuples(
         walk(0, unit)
     finally:
         del walk  # the closure refers to itself; dropping it frees the cycle
-    return found
-
-
-def _seq_on_rows(rows: Sequence[int], counts: tuple[int, ...]) -> GridSeq:
-    """The sequence with counts[k] cells on row rows[k] and none elsewhere."""
-    padded = [0] * (rows[-1] if rows else 0)
-    for i, m in zip(rows, counts):
-        padded[i - 1] = m
-    return GridSeq(tuple(padded))
+    place = {i: k for k, i in enumerate(rows)}
+    return [
+        (dict(zip(rows, t)), tuple(k for k, (i, j) in enumerate(cells) if t[place[i]] >= j))
+        for t in found
+    ]
 
 
 @lru_cache(maxsize=256)
 def _enumerate_cached(rows: tuple[int, ...]) -> tuple[GridSeq, ...]:
-    tuples = _count_tuples({i: range(1, i + 1) for i in rows}, maximal=False)
-    return tuple(_seq_on_rows(rows, t) for t in tuples)
+    cells = [(i, j) for i in rows for j in range(1, i + 1)]
+    return tuple(GridSeq.from_counts(counts) for counts, _ in _covering_tuples(cells, False))
 
 
 def enumerate_grid_seqs(rows) -> tuple[GridSeq, ...]:
@@ -221,8 +242,9 @@ class HullCertificate:
         """
         at: dict[int, int] = {}
         for seq, w in zip(self.seqs, ints):
-            if len(seq.m) >= i and seq.m[i - 1] and w:
-                at[seq.m[i - 1]] = at.get(seq.m[i - 1], 0) + w
+            count = seq.count(i)
+            if count and w:
+                at[count] = at.get(count, 0) + w
         counts = sorted(at)
         reach = []
         total = 0
@@ -260,27 +282,19 @@ def hull_min_scale(x: TriVector) -> tuple[Fraction, HullCertificate]:
     cells.reverse()
     if len(peak) == 1:
         (i, j), _ = cells[-1]  # the row's last cell
-        cert = HullCertificate((_seq_on_rows((i,), (j,)),), (Fraction(1),), peak[i])
+        cert = HullCertificate((GridSeq.from_counts({i: j}),), (Fraction(1),), peak[i])
         cert.validate(x)
         return peak[i], cert
-    support: dict[int, set[int]] = {}
-    for (i, j), _ in cells:
-        support.setdefault(i, set()).add(j)
-    rows = sorted(support)
-    tuples = _count_tuples(support)
-    position = {i: k for k, i in enumerate(rows)}
-    columns = [
-        _unit_column((k, 1, 1) for k, ((i, j), _) in enumerate(cells) if t[position[i]] >= j)
-        for t in tuples
-    ]
+    tuples = _covering_tuples([cell for cell, _ in cells], True)
+    columns = [_unit_column((k, 1, 1) for k in covered) for _, covered in tuples]
     res = solve_lp(columns, [v for _, v in cells])
     if res.status != "optimal":
         raise ValueError("target not coverable on its rows")
     lam = res.objective
     seqs, weights = [], []
-    for t, w in zip(tuples, res.x):
+    for (counts, _), w in zip(tuples, res.x):
         if w:
-            seqs.append(_seq_on_rows(rows, t))
+            seqs.append(GridSeq.from_counts(counts))
             weights.append(w / lam)
     cert = HullCertificate(tuple(seqs), tuple(weights), lam)
     cert.validate(x)
@@ -291,10 +305,9 @@ def indicator_sum(seqs: Iterable[GridSeq], divisor: int) -> TriVector:
     """(1/divisor) sum indicator(seq_q), counted per cell in integers."""
     tops: dict[int, dict[int, int]] = {}  # row -> count -> sequences with it
     for s in seqs:
-        for i, count in enumerate(s.m, start=1):
-            if count:
-                row = tops.setdefault(i, {})
-                row[count] = row.get(count, 0) + 1
+        for i, count in s.pairs():
+            row = tops.setdefault(i, {})
+            row[count] = row.get(count, 0) + 1
     entries: dict[tuple[int, int], Fraction] = {}
     for i, row in tops.items():
         covering = 0

@@ -105,11 +105,11 @@ def covered_generators(
             take = rng.randint(1, min(3, len(multi) - pos))
             group = multi[pos : pos + take]
             pos += take
-            counts = [0] * group[-1]
+            counts = {}
             for i in group:
                 cap = i if take == 1 else max(1, i // 2)
-                counts[i - 1] = rng.randint(1, cap)
-            seqs.append(GridSeq(counts))
+                counts[i] = rng.randint(1, cap)
+            seqs.append(GridSeq.from_counts(counts))
     target = max(len(seqs), waves * per)
     seqs += [ZERO_SEQ] * (target - len(seqs))
     return seqs
@@ -156,9 +156,7 @@ def unit_vector(rng: random.Random) -> Vector:
 
 
 def _single_row_seq(rng: random.Random, i: int) -> GridSeq:
-    counts = [0] * i
-    counts[i - 1] = rng.randint(1, i)
-    return GridSeq(counts)
+    return GridSeq.from_counts({i: rng.randint(1, i)})
 
 
 def _scaled_rep(scaled: list[tuple[GridSeq, Fraction]], p: LorentzParam) -> DisjointRep:
@@ -214,7 +212,7 @@ BAND_RATIOS = (
 
 
 def _full_row(i: int) -> TriVector:
-    return GridSeq((0,) * (i - 1) + (i,)).indicator()
+    return GridSeq.from_counts({i: i}).indicator()
 
 
 def _flip_cells(rng: random.Random, x: TriVector) -> TriVector:
@@ -288,6 +286,6 @@ def merge_family(rng: random.Random, p: LorentzParam) -> list[DisjointRep]:
     reps = []
     for t, i in enumerate(rows):
         scale = Fraction(rng.randint(4, 8), 8 * (t + 1))
-        seq = GridSeq((0,) * (i - 1) + (i,))
+        seq = GridSeq.from_counts({i: i})
         reps.append(_scaled_rep([(seq, scale)], p))
     return reps

@@ -71,7 +71,7 @@ from .gauge import (
     _set_partitions,
     gauge_interval,
 )
-from .generators import GridSeq, HullCertificate, enumerate_grid_seqs
+from .generators import GridSeq, HullCertificate, _covering_tuples
 from .lp import _Column, _Trail, _unit_column, solve_lp
 
 SUPPORT_ROW_CAP = 3
@@ -120,12 +120,6 @@ def _patterns(rows: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], int],
 
 
 @lru_cache(maxsize=None)
-def _gens_on(group: tuple[int, ...]) -> tuple[GridSeq, ...]:
-    """Nonzero generator sequences supported within the given rows."""
-    return tuple(seq for seq in enumerate_grid_seqs(group) if seq.m)
-
-
-@lru_cache(maxsize=None)
 def _budget(rank: int, num: int, den: int) -> Interval:
     """Enclosure of the rank-th piece budget rank^(-1/p)."""
     if rank == 1:
@@ -147,28 +141,19 @@ def _floor_frac(x: Fraction) -> Fraction:
     return Fraction(int(x * 10**12), 10**12)
 
 
-def _covers(seq: GridSeq, cell: Cell) -> bool:
-    i, j = cell
-    return i <= len(seq.m) and j <= seq.m[i - 1]
-
-
 @lru_cache(maxsize=None)
-def _covered(
-    group: tuple[int, ...], cells: tuple[Cell, ...]
-) -> tuple[tuple[tuple[int, ...], GridSeq], ...]:
-    """Positions in cells (increasing) that each generator on the group
-    covers, distinct and maximal under inclusion, each with the first
-    generator covering it.
+def _covered(cells: tuple[Cell, ...]) -> tuple[tuple[tuple[int, ...], GridSeq], ...]:
+    """The position sets in cells (each increasing) that generators on
+    their rows cover, maximal under inclusion and in increasing order,
+    each with the least generator covering it: the maximal tuples of
+    ``_covering_tuples``.
 
     A covered subset never sums to more than a superset of it when the
     values summed are nonnegative, so dropping it changes no hull
     maximum and no slot optimum.
     """
-    found: dict[tuple[int, ...], GridSeq] = {}
-    for seq in _gens_on(group):
-        found.setdefault(tuple(k for k, cell in enumerate(cells) if _covers(seq, cell)), seq)
-    kept = [pos for pos in found if not any(set(pos) < set(o) for o in found)]
-    return tuple((pos, found[pos]) for pos in sorted(kept))
+    found = sorted(_covering_tuples(cells, True), key=lambda t: t[1])
+    return tuple((pos, GridSeq.from_counts(counts)) for counts, pos in found)
 
 
 class _GroupCeiling:
@@ -186,10 +171,10 @@ class _GroupCeiling:
 
     __slots__ = ("hull", "routes", "by_rank")
 
-    def __init__(self, cells, vals, group) -> None:
+    def __init__(self, cells, vals) -> None:
         zero = Fraction(0)
         hull = zero
-        for pos, _ in _covered(group, cells):
+        for pos, _ in _covered(cells):
             hull = max(hull, sum((vals[k] for k in pos), zero))
         row_mass: dict[int, Fraction] = {}
         row_peak: dict[int, Fraction] = {}
@@ -239,7 +224,7 @@ def _ceiling(y: Mapping[Cell, Fraction], rows: tuple[int, ...], p: LorentzParam)
             if group not in groups:
                 cells = tuple(c for c in y if c[0] in group and y[c] > 0)
                 vals = tuple(y[c] for c in cells)
-                groups[group] = _GroupCeiling(cells, vals, group) if cells else None
+                groups[group] = _GroupCeiling(cells, vals) if cells else None
             part = groups[group]
             if part is not None:
                 total += part.bound(rank, p)
@@ -385,10 +370,11 @@ def _pattern_atoms(
         for group, rank in pattern:
             if (group, rank) not in slots:
                 if group not in gens:
+                    own = tuple(c for c in cells if c[0] in group)
                     gens[group] = [
-                        (seq, covered)
-                        for seq in _gens_on(group)
-                        if (covered := tuple(c for c in cells if _covers(seq, c)))
+                        (GridSeq.from_counts(counts), tuple(own[k] for k in pos))
+                        for counts, pos in _covering_tuples(own, False)
+                        if pos
                     ]
                 slots[group, rank] = _seed_pieces(rank, p, gens[group])
             if slots[group, rank]:
@@ -431,7 +417,7 @@ class _SlotProgram:
     def __init__(self, group: tuple[int, ...], cells: tuple[Cell, ...]) -> None:
         self.cells = tuple(c for c in cells if c[0] in group)
         self.unit = lcm(*group)
-        kept = _covered(group, self.cells)
+        kept = _covered(self.cells)
         self.covers = tuple(frozenset(pos) for pos, _ in kept)
         self.seqs = tuple(seq for _, seq in kept)
 

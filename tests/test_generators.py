@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from trigauge import generators
@@ -85,6 +85,37 @@ def test_gridseq_validation():
     s = GridSeq((0, 1, 0, 0))
     assert s.m == (0, 1)
     assert s.active_rows() == (2,)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError:
+        return ValueError
+
+
+count_maps = st.dictionaries(
+    st.integers(-1, 7),
+    st.one_of(st.integers(-1, 8), st.sampled_from([Fraction(1, 2), 1.0, 0.0, "1"])),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(enumerate_grid_seqs(5)), count_maps)
+@example(ZERO_SEQ, {0: 0})  # row below 1
+@example(ZERO_SEQ, {2: 3})  # count above its row
+@example(ZERO_SEQ, {1: Fraction(1, 2)})  # non-int count
+@example(ZERO_SEQ, {1: 1, 2: 1})  # budget 5/4
+def test_count_accessors_and_mapping_constructor(seq, counts):
+    padded = seq.m + (0, 0)
+    assert [seq.count(i) for i in range(1, len(seq.m) + 3)] == list(padded)
+    assert GridSeq.from_counts(dict(seq.pairs())) == seq
+    # the mapping constructor is the dense one on the padded counts, and
+    # fails exactly where it does, or on a row below 1
+    dense = tuple(counts.get(i, 0) for i in range(1, max(counts, default=0) + 1))
+    want = ValueError if any(i < 1 for i in counts) else _outcome(lambda: GridSeq(dense))
+    assert _outcome(lambda: GridSeq.from_counts(counts)) == want
 
 
 def test_indicator_cells():
@@ -222,21 +253,18 @@ def lp_programs(monkeypatch):
 
 
 def dense_cover_program(x):
-    """hull_min_scale's program as a matrix: the pruned tuples, their rows,
-    the 0/1 rows (record cell covered by tuple) and |x| on the record cells."""
+    """hull_min_scale's program as a matrix: the pruned tuples as row ->
+    count maps, the 0/1 rows (record cell covered by tuple) and |x| on the
+    record cells."""
     # record cells: above every entry to their right, in x's order
     cells = [
         (i, j)
         for (i, j), v in x.items()
         if all(abs(v) > abs(x.entry(i, k)) for k in range(j + 1, i + 1))
     ]
-    support = {}
-    for i, j in cells:
-        support.setdefault(i, set()).add(j)
-    rows = sorted(support)
-    tuples = generators._count_tuples(support)
-    mat = [[1 if t[rows.index(i)] >= j else 0 for t in tuples] for i, j in cells]
-    return tuples, rows, mat, [abs(x.entry(i, j)) for i, j in cells]
+    tuples = [counts for counts, _ in generators._covering_tuples(cells, True)]
+    mat = [[1 if t[i] >= j else 0 for t in tuples] for i, j in cells]
+    return tuples, mat, [abs(x.entry(i, j)) for i, j in cells]
 
 
 def ones(n):
@@ -270,7 +298,7 @@ def test_hull_program_is_the_dense_cover_matrix(lp_programs):
         lp_programs.clear()
         hull_min_scale(x)
         [(columns, rhs)] = lp_programs
-        tuples, _, mat, want_rhs = dense_cover_program(x)
+        tuples, mat, want_rhs = dense_cover_program(x)
         assert columns == dense_columns([1] * len(tuples), mat)
         assert rhs == want_rhs
 
@@ -278,12 +306,12 @@ def test_hull_program_is_the_dense_cover_matrix(lp_programs):
 def dense_hull_reference(x):
     """What hull_min_scale returns when its program is solved as a dense
     matrix by ``solve_dense``."""
-    tuples, rows, mat, rhs = dense_cover_program(x)
+    tuples, mat, rhs = dense_cover_program(x)
     res = solve_dense([1] * len(tuples), mat, rhs)
     assert res.status == "optimal"
     lam = res.objective
     picked = [(t, w) for t, w in zip(tuples, res.x) if w]
-    seqs = tuple(generators._seq_on_rows(rows, t) for t, _ in picked)
+    seqs = tuple(GridSeq.from_counts(t) for t, _ in picked)
     return lam, HullCertificate(seqs, tuple(w / lam for _, w in picked), lam)
 
 

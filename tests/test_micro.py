@@ -1,5 +1,6 @@
 """Tests for the refining gauge enclosure on small supports."""
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -25,7 +26,7 @@ from trigauge.core import (
 from trigauge.decompose import DisjointRep, join_disjoint_reps, make_disjoint_rep
 from trigauge.exact import sqrt_enclosure
 from trigauge.gauge import GaugeLowerWitness, gauge_interval
-from trigauge.generators import GridSeq, HullCertificate
+from trigauge.generators import GridSeq, HullCertificate, enumerate_grid_seqs
 from trigauge.micro import (
     BITS,
     Cell,
@@ -36,7 +37,6 @@ from trigauge.micro import (
     _ceiling,
     _element_key,
     _floor_frac,
-    _gens_on,
     _joined,
     _pattern_atoms,
     _patterns,
@@ -312,7 +312,7 @@ def ceiling_reference(
             key_cache[group, rank] = zero
             return zero
         hull = zero
-        for seq in _gens_on(group):
+        for seq in gens_on_reference(group):
             m = seq.m
             val = sum(
                 (y[c] for c in cells if c[0] <= len(m) and c[1] <= m[c[0] - 1]),
@@ -487,6 +487,86 @@ def test_ceiling_over_touched_rows_matches_active_rows(y, extra):
     assert _ceiling(y, tuple(sorted(touched)), P) == _ceiling(y, tuple(sorted(touched | extra)), P)
 
 
+# -- the covering-generator walk against the enumeration it replaced ------------
+
+
+@functools.lru_cache(maxsize=None)
+def gens_on_reference(group: tuple[int, ...]) -> tuple[GridSeq, ...]:
+    """Nonzero generator sequences supported within the given rows: the
+    enumeration ``micro`` covered cells with before the record-pruned
+    walk, verbatim but for its name and this docstring."""
+    return tuple(seq for seq in enumerate_grid_seqs(group) if seq.m)
+
+
+def covers_reference(seq: GridSeq, cell: Cell) -> bool:
+    i, j = cell
+    return i <= len(seq.m) and j <= seq.m[i - 1]
+
+
+def covered_reference(
+    group: tuple[int, ...], cells: tuple[Cell, ...]
+) -> tuple[tuple[tuple[int, ...], GridSeq], ...]:
+    """``micro._covered`` before the walk: every generator on the group,
+    then an inclusion filter over the covered position sets, each with
+    the first generator covering it; verbatim but for its name, this
+    docstring and the helpers' names."""
+    found: dict[tuple[int, ...], GridSeq] = {}
+    for seq in gens_on_reference(group):
+        found.setdefault(
+            tuple(k for k, cell in enumerate(cells) if covers_reference(seq, cell)), seq
+        )
+    kept = [pos for pos in found if not any(set(pos) < set(o) for o in found)]
+    return tuple((pos, found[pos]) for pos in sorted(kept))
+
+
+def seed_gens_reference(
+    group: tuple[int, ...], cells: tuple[Cell, ...]
+) -> list[tuple[GridSeq, tuple[Cell, ...]]]:
+    """The (generator, covered support cells) list ``_pattern_atoms``
+    handed ``_seed_pieces`` before the walk, every generator on the group
+    that covers a support cell in enumeration order, less the later
+    generators covering the same cells: their pieces are twins of the
+    first one's, which ``_seed_pieces`` drops."""
+    found: dict[tuple[Cell, ...], GridSeq] = {}
+    for seq in gens_on_reference(group):
+        if covered := tuple(c for c in cells if covers_reference(seq, c)):
+            found.setdefault(covered, seq)
+    return [(seq, covered) for covered, seq in found.items()]
+
+
+ALL_SUPPORTS = [
+    tuple(c for k, c in enumerate(MICRO_CELLS) if mask >> k & 1)
+    for mask in range(1, 2 ** len(MICRO_CELLS))
+]
+
+
+@pytest.mark.parametrize("cells", ALL_SUPPORTS, ids=str)
+def test_covering_walk_matches_the_enumeration(monkeypatch, cells):
+    # for every row group of the support: the seed's generator list, as
+    # _pattern_atoms hands it to _seed_pieces slot by slot, and the
+    # maximal covered sets, same lists in the same order
+    rows = tuple(sorted({i for i, _ in cells}))
+    slot_groups, seen = [], set()
+    for pattern in _patterns(rows):
+        for slot in pattern:
+            if slot not in seen:
+                seen.add(slot)
+                slot_groups.append(slot[0])
+    handed = []
+    seed_pieces = micro._seed_pieces
+
+    def record(rank, p, gens):
+        handed.append(gens)
+        return seed_pieces(rank, p, gens)
+
+    monkeypatch.setattr(micro, "_seed_pieces", record)
+    _pattern_atoms(rows, P, cells)
+    assert handed == [seed_gens_reference(group, cells) for group in slot_groups]
+    for group in set(slot_groups):
+        own = tuple(c for c in cells if c[0] in group)
+        assert micro._covered(own) == covered_reference(group, own)
+
+
 # -- member assembly against the per-combination validation --------------------
 
 
@@ -505,7 +585,7 @@ def trimmed_pieces_reference(
     docstring and the mixture rounds the seed no longer builds."""
     budget_lo = _budget_sq(rank, p.num, p.den).lo
     gens = [
-        (seq, _restrict_cells(seq.indicator(), support)) for seq in _gens_on(group)
+        (seq, _restrict_cells(seq.indicator(), support)) for seq in gens_on_reference(group)
     ]
     gens = [(seq, piece) for seq, piece in gens if not piece.is_zero()]
     out: list[tuple[TriVector, HullCertificate]] = []
@@ -802,7 +882,7 @@ def slot_lp_reference(
     h on the group's support cells, then mu on every generator on the
     group, dominated ones too; returns max <y, h>."""
     own = [c for c in cells if c[0] in group]
-    gens = _gens_on(group)
+    gens = gens_on_reference(group)
     n, m = len(own), len(gens)
     rows, rhs = [], []
     for k, (i, j) in enumerate(own):  # sum_q mu_q ind_q - h >= 0

@@ -4,8 +4,9 @@ A module-level function or class must be exported in ``trigauge.__all__``
 or be used by name somewhere in ``src/trigauge`` outside its own
 definition, every method of a class there must be read as an attribute
 outside its own body, every name a module imports must be used in it,
-and every defaulted parameter must be passed by some call in src.  Only
-the stdlib ``ast`` module is used, so the guards need no linter.
+every defaulted parameter must be passed by some call in src, and only
+generators.py reads, measures or pads ``GridSeq``'s dense count tuple.
+Only the stdlib ``ast`` module is used, so the guards need no linter.
 """
 
 import ast
@@ -192,3 +193,43 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         and not any(_passes(call, param, position) for call in calls.get(name, []))
     )
     assert not unreached, f"defaulted parameters no src call passes: {unreached}"
+
+
+def _is_counts(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "m"
+
+
+def _count_format_lines(tree: ast.Module) -> set[int]:
+    """Lines that subscript ``.m``, take ``len()`` of it or build a
+    ``(0,) * k`` count prefix."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_counts(node.value):
+            lines.add(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "len"
+            and any(_is_counts(arg) for arg in node.args)
+        ):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            for side in (node.left, node.right):
+                if isinstance(side, ast.Tuple) and side.elts and all(
+                    isinstance(e, ast.Constant) and e.value == 0 for e in side.elts
+                ):
+                    lines.add(node.lineno)
+    return lines
+
+
+def test_count_format_stays_in_generators():
+    # other modules reach a sequence's counts through GridSeq.count(i),
+    # GridSeq.pairs() and GridSeq.from_counts, so the count format can
+    # change in one module
+    hits = sorted(
+        f"{path.stem}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "generators"
+        for line in _count_format_lines(ast.parse(path.read_text()))
+    )
+    assert not hits, f"{len(hits)} reads or paddings of GridSeq.m outside generators.py: {hits}"
